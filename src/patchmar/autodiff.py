@@ -21,9 +21,9 @@ class Tensor:
     and is accumulated into by `backward`; it is never overwritten.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
@@ -32,7 +32,6 @@ class Tensor:
         self.grad = np.zeros_like(arr) if requires_grad else None
         self._parents = ()
         self._backward = None
-        self.name = name
 
     @property
     def shape(self):

@@ -13,7 +13,7 @@ its clean partner only through this pipeline.
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -322,22 +322,6 @@ def random_metal_mask(rng, n, body):
     return mask & body
 
 
-def smooth_phantom(rng, n):
-    """Sum of random Gaussian bumps, scaled into [0, 1]."""
-    ys, xs = np.mgrid[0:n, 0:n]
-    img = np.zeros((n, n), dtype=np.float64)
-    for _ in range(int(rng.integers(3, 7))):
-        cy, cx = rng.uniform(0.2, 0.8, 2) * n
-        sig = rng.uniform(0.08, 0.25) * n
-        img += rng.uniform(0.3, 1.0) * np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2)
-                                              / (2 * sig * sig))
-    img -= img.min()
-    peak = img.max()
-    if peak > 0:
-        img /= peak
-    return img
-
-
 # ---------------------------------------------------------------------------
 # dataset synthesis
 
@@ -348,7 +332,6 @@ class SynthConfig:
     noise_scale: float = 0.02
     ratio: float = 0.15
     metal_attenuation: float = 4.0
-    metal_threshold: float = 2.0
     amax: float = 1.0
     seed: int = 0
     test_pairs: int = 8
@@ -440,7 +423,6 @@ def save_dataset(bundle, directory):
         f"amax = {cfg.amax}",
         f"image_size = {cfg.image_size}",
         f"metal_attenuation = {cfg.metal_attenuation}",
-        f"metal_threshold = {cfg.metal_threshold}",
         f"n_views = {geom.n_views}",
         f"n_detectors = {geom.n_detectors}",
         f"detector_spacing = {geom.detector_spacing}",
@@ -487,7 +469,6 @@ def load_dataset(directory):
                       noise_scale=float(meta["noise_scale"]),
                       ratio=float(meta["ratio"]),
                       metal_attenuation=float(meta["metal_attenuation"]),
-                      metal_threshold=float(meta["metal_threshold"]),
                       amax=float(meta["amax"]),
                       seed=int(meta["seed"]),
                       test_pairs=int(meta["test_pairs"]))

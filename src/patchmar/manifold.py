@@ -1,17 +1,18 @@
 """Patch-set graph machinery.
 
 Builds the sampled patch manifold from images plus compressed encoder codes,
-assembles the Gaussian weight matrix W and graph Laplacian L = D - W over
-it, and solves the coupled smoothing system
+the Gaussian weight matrix W over it, and solves the coupled smoothing system
 
-    (L + mu_bar * W) U = mu_bar * W * V
+    (L + mu_bar * W) U = mu_bar * W * V,    L = D - W,
 
-column by column with preconditioned conjugate gradients. The Dirichlet
-energy sum_cols u^T L u (= sum_ij w_ij ||u_i - u_j||^2 / 2), normalized by
-the point count, serves as the manifold-dimension diagnostic.
+column by column with preconditioned conjugate gradients. W and its row sums
+D are the only stored graph: the Laplacian and the system matrix
+L + mu_bar * W = D - (1 - mu_bar) * W are applied from them, never assembled.
+The Dirichlet energy sum_cols u^T L u (= sum_ij w_ij ||u_i - u_j||^2 / 2),
+normalized by the point count, serves as the manifold-dimension diagnostic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
@@ -41,14 +42,12 @@ class KernelConfig:
     it per point set as t_scale * median(squared pairwise distance) / 4.
     t_scale tunes how local the graph is: at 1.0 the median pair keeps
     weight e^-1 (a near-dense graph and strong smoothing), small values
-    connect only close patches. c_t scales the kernel (only the product
-    with mu_bar matters in the solve, so the default 1.0 loses nothing).
-    mu_bar couples the smoothing term to the data term.
+    connect only close patches. mu_bar couples the smoothing term to the
+    data term.
     """
 
     t: float | None = None
     t_scale: float = 1.0
-    c_t: float = 1.0
     mu_bar: float = 0.6
 
     def __post_init__(self):
@@ -56,8 +55,6 @@ class KernelConfig:
             raise ValueError(f"kernel bandwidth t must be positive, got {self.t}")
         if not self.t_scale > 0:
             raise ValueError(f"bandwidth scale must be positive, got {self.t_scale}")
-        if not self.c_t > 0:
-            raise ValueError(f"kernel scale c_t must be positive, got {self.c_t}")
         if not self.mu_bar > 0:
             raise ValueError(f"solver coupling mu_bar must be positive, got {self.mu_bar}")
 
@@ -89,16 +86,23 @@ class PatchSet:
 
 @dataclass
 class GraphOperators:
-    """Symmetric weights, degrees and Laplacian over one PatchSet."""
+    """Symmetric weights W and their row sums D over one PatchSet.
+
+    The Laplacian L = D - W is never stored; `apply` multiplies by it and by
+    the other operators of the form D - c * W.
+    """
 
     w: np.ndarray
     degrees: np.ndarray
-    lap: np.ndarray
     t: float
 
     @property
     def m(self):
         return self.w.shape[0]
+
+    def apply(self, x, c=1.0):
+        """(D - c * W) @ x for an (m, k) block; c = 1 applies the Laplacian."""
+        return self.degrees[:, None] * x - c * (self.w @ x)
 
 
 @dataclass
@@ -183,11 +187,11 @@ def _auto_bandwidth(sq_dists, scale):
 
 
 def gaussian_weights(points, cfg):
-    """Gaussian kernel weights w_ij = c_t * exp(-||p_i - p_j||^2 / (4t)).
+    """Gaussian kernel weights w_ij = exp(-||p_i - p_j||^2 / (4t)).
 
     Accepts a PatchSet or a plain (m, d) array. Only the condensed upper
     triangle is evaluated, so W is symmetric bit for bit; the diagonal is
-    exactly c_t. Degrees are row sums and L = diag(degrees) - W.
+    exactly 1. Degrees are row sums. W is the only m x m array built.
     """
     if isinstance(points, PatchSet):
         points = points.values()
@@ -199,20 +203,23 @@ def gaussian_weights(points, cfg):
         raise ShapeError("need at least one point")
 
     if m == 1:
-        w = np.array([[cfg.c_t]], dtype=np.float64)
+        w = np.ones((1, 1))
         t = cfg.t if cfg.t is not None else 1.0
     else:
         sq = pdist(pts, "sqeuclidean")
         t = cfg.t if cfg.t is not None else _auto_bandwidth(sq, cfg.t_scale)
-        w = cfg.c_t * np.exp(-squareform(sq) / (4.0 * t))
-        np.fill_diagonal(w, cfg.c_t)
-    degrees = w.sum(axis=1)
-    lap = np.diag(degrees) - w
-    return GraphOperators(w=w, degrees=degrees, lap=lap, t=t)
+        w = squareform(sq)
+        del sq
+        np.negative(w, out=w)
+        w /= 4.0 * t
+        np.exp(w, out=w)
+        np.fill_diagonal(w, 1.0)
+    return GraphOperators(w=w, degrees=w.sum(axis=1), t=t)
 
 
-def _pcg_multi(a, b, diag_inv, tol, max_iter):
-    """Jacobi-preconditioned CG for A X = B, all columns at once.
+def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
+    """Jacobi-preconditioned CG for A X = B, all columns at once; apply_a(P)
+    returns A @ P.
 
     Returns (X, recurrence-converged mask, iterations used)."""
     m, d = b.shape
@@ -228,7 +235,7 @@ def _pcg_multi(a, b, diag_inv, tol, max_iter):
     it = 0
     while it < max_iter:
         it += 1
-        ap = a @ p
+        ap = apply_a(p)
         pap = np.einsum("ij,ij->j", p, ap)
         safe = np.where(active & (pap > 0.0), pap, 1.0)
         alpha = np.where(active & (pap > 0.0), rz / safe, 0.0)
@@ -249,7 +256,8 @@ def _pcg_multi(a, b, diag_inv, tol, max_iter):
 def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     """Solve (L + mu_bar W) U = mu_bar W V column-independently.
 
-    The system matrix is symmetric positive definite for mu_bar > 0. Each
+    The system matrix L + mu_bar W = D - (1 - mu_bar) W is applied, not
+    assembled; it is symmetric positive definite for mu_bar > 0. Each
     column must reach relative residual <= tol against its right-hand
     side; otherwise SolverError carries the worst column residual. The
     true residual is re-checked after the recurrence converges, with a
@@ -264,23 +272,29 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     if max_iter is None:
         max_iter = 10 * m
 
-    a = ops.lap + cfg.mu_bar * ops.w
+    c = 1.0 - cfg.mu_bar
+
+    def apply_a(x):
+        return ops.apply(x, c)
+
     b = cfg.mu_bar * (ops.w @ v)
-    diag = np.diag(a).copy()
+    diag = ops.degrees - c  # w_ii = 1
     if (diag <= 0.0).any():
         raise SolverError(np.inf, 0)
     diag_inv = 1.0 / diag
 
     bnorm = np.linalg.norm(b, axis=0)
     x = np.zeros_like(b)
+    r = b  # true residual of x; each restart solves for the correction
     budget = max_iter
     total_it = 0
     for _ in range(3):
-        dx, _, used = _pcg_multi(a, b - a @ x, diag_inv, tol * 0.5, budget)
+        dx, _, used = _pcg_multi(apply_a, r, diag_inv, tol * 0.5, budget)
         x += dx
         total_it += used
         budget -= used
-        res = np.linalg.norm(b - a @ x, axis=0)
+        r = b - apply_a(x)
+        res = np.linalg.norm(r, axis=0)
         rel = np.where(bnorm > 0.0, res / np.where(bnorm > 0.0, bnorm, 1.0), 0.0)
         worst = float(rel.max()) if rel.size else 0.0
         if worst <= tol:
@@ -301,7 +315,7 @@ def dirichlet_energy(u, ops, normalized=True):
         u = u[:, None]
     if u.shape[0] != ops.m:
         raise ShapeError(f"u has {u.shape[0]} rows, graph has {ops.m} points")
-    e = float(np.sum(u * (ops.lap @ u)))
+    e = float(np.sum(u * ops.apply(u)))
     e = max(e, 0.0)
     return e / ops.m if normalized else e
 

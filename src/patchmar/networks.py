@@ -24,7 +24,7 @@ alternative reading re-encodes the artifact instead; it is not implemented.
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,8 +101,9 @@ class NetworkVariant(enum.Enum):
 class BranchOutputs:
     """Per-forward outputs; fields a variant does not define stay None.
 
-    y_art (clean image with the transferred artifact) and y_cycle (its
-    re-corrected version) feed the unpaired loss terms.
+    y_hat (the clean image's reconstruction), y_art (clean image with the
+    transferred artifact) and y_cycle (its re-corrected version) feed the
+    unpaired loss terms; only the unpaired variants decode them.
     """
 
     x_hat: Tensor = None
@@ -359,9 +360,9 @@ class DisentangleNet:
         latent_y, _ = self.enc_clean(y)
         if v.has_codes:
             out.z_y_t = self.compress_clean(latent_y)
-        out.y_hat = self.dec_clean(latent_y)
         if v is NetworkVariant.PAIRED_LDM:
             return out
+        out.y_hat = self.dec_clean(latent_y)
 
         latent_a, _ = self.enc_artifact(x)
         out.x_recon = self.dec_artifact(latent_x, latent_a)

@@ -6,10 +6,10 @@ from .autodiff import Tensor
 
 
 class NanGradientError(RuntimeError):
-    """A gradient contains NaN; the whole update step is aborted."""
+    """A gradient contains NaN or inf; the whole update step is aborted."""
 
     def __init__(self, param_name):
-        super().__init__(f"NaN gradient in parameter '{param_name}'")
+        super().__init__(f"non-finite gradient in parameter '{param_name}'")
         self.param_name = param_name
 
 
@@ -54,19 +54,20 @@ class ParameterStore:
 
 
 def check_grads(store):
-    """Raise if any gradient is missing or contains NaN. Mutates nothing."""
+    """Raise if any gradient is missing or non-finite. Mutates nothing."""
     for name, p in store.items():
         if p.grad is None:
             raise ValueError(f"parameter '{name}' has no gradient; call zero_grad + backward first")
-        if np.isnan(p.grad).any():
+        if not np.isfinite(p.grad).all():
             raise NanGradientError(name)
 
 
 def adam_step(store, lr=1e-4, beta1=0.5, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam update over every parameter in the store.
 
-    Validates all gradients before touching any state, so a NaN aborts the
-    step with parameters and moments unchanged. Gradients are left intact.
+    Validates all gradients before touching any state, so a NaN or inf
+    aborts the step with parameters and moments unchanged. Gradients are
+    left intact.
     """
     check_grads(store)
     store.step_count += 1

@@ -2,13 +2,16 @@
 update on the penalized objective, then the dual update at the new weights.
 
 Each step with the manifold penalty active runs, in order: forward passes and
-network losses; weight matrix and Laplacian over the patch set; the solve
-(L + mu_bar W) U = mu_bar W (P - d); one Adam update of
+network losses; the Gaussian weight matrix W over the patch set; the solve
+(L + mu_bar W) U = mu_bar W (P - d), with L = D - W applied from W and its
+row sums D; one Adam update of
 J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
-d <- minmax_normalize(d + U - P_new). A failed solve or a NaN gradient aborts
-the step with parameters, Adam moments, dual and step counter untouched.
+d <- minmax_normalize(d + U - P_new). A failed solve or a non-finite gradient
+aborts the step with parameters, Adam moments, dual and step counter
+untouched. Both patch-set builds take their entries from `_patch_entries`,
+so their rows come in the same order.
 
 Hybrid modes draw one unpaired (x, y) sample and one paired (x, gt) sample
 per step and feed both loss paths and both patch-set branches at once.
@@ -182,17 +185,14 @@ class BatchScheduler:
             sizes.append(len(self.paired_pool))
         return math.ceil(max(sizes) / self.cfg.batch_size)
 
-    def _perm(self, rng, n):
-        return rng.permutation(n)
-
     def epoch_batches(self, epoch):
         rng = np.random.default_rng(np.random.SeedSequence([self.cfg.seed, 7, epoch]))
         perms = {}
         if self.art_pool is not None:
-            perms["art"] = self._perm(rng, len(self.art_pool))
-            perms["clean"] = self._perm(rng, len(self.clean_pool))
+            perms["art"] = rng.permutation(len(self.art_pool))
+            perms["clean"] = rng.permutation(len(self.clean_pool))
         if self.paired_pool is not None:
-            perms["paired"] = self._perm(rng, len(self.paired_pool))
+            perms["paired"] = rng.permutation(len(self.paired_pool))
         bs = self.cfg.batch_size
 
         def take(pool, perm, lo):
@@ -211,11 +211,6 @@ class BatchScheduler:
                 b.x_paired = np.stack([p[0] for p in pairs])[:, None, :, :]
                 b.gt_paired = np.stack([p[1] for p in pairs])[:, None, :, :]
             yield b
-
-
-def hybrid_batch_scheduler(unpaired_pools, paired_pool, cfg):
-    """Scheduler over the pools the mode needs; see BatchScheduler."""
-    return BatchScheduler(unpaired_pools, paired_pool, cfg)
 
 
 def make_pools(bundle):
@@ -255,30 +250,29 @@ def ldm_penalty(u, patch_set, dual, lam):
 # ---------------------------------------------------------------------------
 # the step
 
+def _patch_entries(unpaired, paired):
+    """Patch-set (images, codes, provenance) in the one fixed order:
+    corrected-unpaired, corrected-paired, free-unpaired, free-paired.
+
+    Each branch is an (x_hat, z_x, y, z_y) tuple, or None when the mode
+    does not draw it.
+    """
+    branches = [b for b in (unpaired, paired) if b is not None]
+    corrected = [(x_hat, z_x, CORRECTED) for x_hat, z_x, _, _ in branches]
+    free = [(y, z_y, FREE) for _, _, y, z_y in branches]
+    return tuple(zip(*(corrected + free)))
+
+
 def _ldm_entries_fresh(net, batch, cfg):
     """Patch-set entries recomputed at the current weights (values only)."""
-    images, codes, prov = [], [], []
-    if cfg.uses_adn:
-        x_hat, z_x = net.forward_corrected(Tensor(batch.x_unpaired), want_code=True)
-        images.append(x_hat)
-        codes.append(z_x)
-        prov.append(CORRECTED)
-    if cfg.uses_sup:
-        x_hat_p, z_p = net.forward_corrected(Tensor(batch.x_paired), want_code=True)
-        images.append(x_hat_p)
-        codes.append(z_p)
-        prov.append(CORRECTED)
-    if cfg.uses_adn:
-        yt = Tensor(batch.y_unpaired)
-        images.append(yt)
-        codes.append(net.free_code(yt))
-        prov.append(FREE)
-    if cfg.uses_sup:
-        gt = Tensor(batch.gt_paired)
-        images.append(gt)
-        codes.append(net.free_code(gt))
-        prov.append(FREE)
-    return images, codes, prov
+    def branch(x, y):
+        x_hat, z_x = net.forward_corrected(Tensor(x), want_code=True)
+        y = Tensor(y)
+        return x_hat, z_x, y, net.free_code(y)
+
+    return _patch_entries(
+        branch(batch.x_unpaired, batch.y_unpaired) if cfg.uses_adn else None,
+        branch(batch.x_paired, batch.gt_paired) if cfg.uses_sup else None)
 
 
 def training_step(net, batch, state, cfg, kcfg=None):
@@ -288,9 +282,9 @@ def training_step(net, batch, state, cfg, kcfg=None):
     losses = {}
     rep = StepReport(k=state.k + 1)
 
-    # forward passes and network losses, in a fixed order (sup then adn)
-    out_u = None
-    paired_fwd = None
+    # forward passes and network losses, in a fixed order (sup then adn);
+    # each branch keeps its (x_hat, z_x, y, z_y) for the patch set
+    unpaired = paired = None
     total = None
 
     if cfg.uses_sup:
@@ -299,23 +293,22 @@ def training_step(net, batch, state, cfg, kcfg=None):
         if cfg.uses_adn:  # hybrid: paired sample through the corrected branch
             if cfg.uses_ldm:
                 x_hat_p, z_p = net.forward_corrected(x_p, want_code=True)
-                z_gt = net.free_code(gt_p)
+                paired = (x_hat_p, z_p, gt_p, net.free_code(gt_p))
             else:
-                x_hat_p, z_p, z_gt = net.forward_corrected(x_p), None, None
-            paired_fwd = (x_p, x_hat_p, z_p, gt_p, z_gt)
+                x_hat_p = net.forward_corrected(x_p)
         else:
             out_p = net.forward(x_p, gt_p if cfg.uses_ldm else None)
-            paired_fwd = (x_p, out_p.x_hat, out_p.z_x_t, gt_p, out_p.z_y_t)
             x_hat_p = out_p.x_hat
+            paired = (x_hat_p, out_p.z_x_t, gt_p, out_p.z_y_t)
         l_sup = loss_sup(x_hat_p, gt_p)
         losses["loss_sup"] = float(l_sup.data)
         total = l_sup
 
-    x_u = y_u = None
     if cfg.uses_adn:
         x_u = Tensor(batch.x_unpaired)
         y_u = Tensor(batch.y_unpaired)
         out_u = net.forward(x_u, y_u)
+        unpaired = (out_u.x_hat, out_u.z_x_t, y_u, out_u.z_y_t)
         l_adn, terms = loss_adn(out_u, x_u, y_u, (net.d_clean, net.d_art),
                                 weights=cfg.adn_weights)
         for name, t in terms.items():
@@ -326,23 +319,7 @@ def training_step(net, batch, state, cfg, kcfg=None):
     solved = None
     ldm_active = cfg.uses_ldm and cfg.lambda_ldm > 0.0
     if ldm_active:
-        images, codes, prov = [], [], []
-        if out_u is not None:
-            images += [out_u.x_hat]
-            codes += [out_u.z_x_t]
-            prov += [CORRECTED]
-        if paired_fwd is not None:
-            images += [paired_fwd[1]]
-            codes += [paired_fwd[2]]
-            prov += [CORRECTED]
-        if out_u is not None:
-            images += [y_u]
-            codes += [out_u.z_y_t]
-            prov += [FREE]
-        if paired_fwd is not None:
-            images += [paired_fwd[3]]
-            codes += [paired_fwd[4]]
-            prov += [FREE]
+        images, codes, prov = _patch_entries(unpaired, paired)
         ps = build_patch_set(images, codes, net.geom, provenance=prov)
         p_now = ps.values()
         graph = gaussian_weights(p_now, kcfg)
@@ -462,8 +439,6 @@ def evaluate_pairs(net, pairs, amax, peak=None):
     for p in pairs:
         x = normalize_image(p.artifact, amax)[None, None, :, :]
         corrected = net.forward_corrected(Tensor(x))
-        if isinstance(corrected, tuple):
-            corrected = corrected[0]
         rec = denormalize_image(corrected.data[0, 0], amax)
         clean = np.asarray(p.clean, dtype=np.float64)
         artifact = np.asarray(p.artifact, dtype=np.float64)

@@ -321,6 +321,19 @@ def test_dataset_save_load_roundtrip(tmp_path):
         assert p1.metal_pixels == p2.metal_pixels
 
 
+def test_manifest_with_retired_metal_threshold_still_loads(tmp_path):
+    # Older manifests carry a metal_threshold line; the key is ignored now.
+    bundle = ct.synthesize_dataset(3, small_scan(), small_cfg())
+    ct.save_dataset(bundle, tmp_path / "ds")
+    manifest = tmp_path / "ds" / "manifest.txt"
+    assert "metal_threshold" not in manifest.read_text()
+    with open(manifest, "a") as f:
+        f.write("metal_threshold = 2.0\n")
+    back = ct.load_dataset(tmp_path / "ds")
+    assert back.cfg == bundle.cfg
+    assert np.array_equal(back.train[0].clean, bundle.train[0].clean)
+
+
 def test_manifest_records_ratio_and_metal_pixels(tmp_path):
     bundle = ct.synthesize_dataset(3, small_scan(), small_cfg(ratio=0.15))
     ct.save_dataset(bundle, tmp_path / "ds")

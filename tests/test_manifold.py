@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from patchmar import autodiff as ad
 from patchmar import manifold as mf
@@ -13,6 +14,10 @@ from patchmar.networks import GeometryConfig
 
 def random_points(rng, m, d):
     return rng.standard_normal((m, d))
+
+
+def dense_laplacian(ops):
+    return np.diag(ops.degrees) - ops.w
 
 
 # -------------------------------------------------------------- patch sets
@@ -92,16 +97,16 @@ def test_patch_set_is_differentiable_through_both_parts():
 # ---------------------------------------------------------------- weights
 
 def test_weights_identical_points():
-    ops = gaussian_weights(np.zeros((2, 3)), KernelConfig(c_t=1.0))
+    ops = gaussian_weights(np.zeros((2, 3)), KernelConfig())
     assert np.array_equal(ops.w, np.ones((2, 2)))
-    assert np.array_equal(ops.lap, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert np.array_equal(dense_laplacian(ops), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_weights_analytic_kernel_value():
     t = 0.7
     p = np.zeros((2, 4))
     p[1, 0] = np.sqrt(4 * t)
-    ops = gaussian_weights(p, KernelConfig(t=t, c_t=1.0))
+    ops = gaussian_weights(p, KernelConfig(t=t))
     assert abs(ops.w[0, 1] - np.exp(-1.0)) < 1e-12
     assert abs(ops.w[0, 1] - 0.3679) < 1e-4
 
@@ -110,10 +115,11 @@ def test_weights_random_points_laplacian_properties():
     rng = np.random.default_rng(3)
     pts = random_points(rng, 10, 6)
     ops = gaussian_weights(pts, KernelConfig())
-    row_sums = ops.lap.sum(axis=1)
+    lap = dense_laplacian(ops)
+    row_sums = lap.sum(axis=1)
     assert np.all(np.abs(row_sums) < 1e-12 * np.maximum(ops.degrees, 1.0))
     assert np.array_equal(ops.w, ops.w.T)
-    assert np.linalg.eigvalsh(ops.lap).min() >= -1e-9
+    assert np.linalg.eigvalsh(lap).min() >= -1e-9
     assert np.allclose(np.diag(ops.w), 1.0)
 
 
@@ -127,10 +133,23 @@ def test_weights_reject_bad_bandwidth():
 
 
 def test_weights_single_point():
-    ops = gaussian_weights(np.ones((1, 5)), KernelConfig(c_t=2.0))
+    ops = gaussian_weights(np.ones((1, 5)), KernelConfig())
     assert ops.w.shape == (1, 1)
-    assert ops.w[0, 0] == 2.0
-    assert ops.lap[0, 0] == 0.0
+    assert ops.w[0, 0] == 1.0
+    assert dense_laplacian(ops)[0, 0] == 0.0
+
+
+def test_weights_equal_out_of_place_kernel():
+    # W is built in place in the squareform buffer; it must equal the plain
+    # out-of-place evaluation bit for bit.
+    rng = np.random.default_rng(13)
+    pts = random_points(rng, 40, 7)
+    ops = gaussian_weights(pts, KernelConfig())
+    sq = pdist(pts, "sqeuclidean")
+    ref = np.exp(-squareform(sq) / (4.0 * ops.t))
+    np.fill_diagonal(ref, 1.0)
+    assert np.array_equal(ops.w, ref)
+    assert np.array_equal(ops.degrees, ref.sum(axis=1))
 
 
 # ------------------------------------------------------------------ solver
@@ -158,7 +177,7 @@ def test_solve_matches_dense_direct_oracle():
         v = rng.standard_normal((m, 5))
         ops = gaussian_weights(pts, cfg)
         res = solve_coordinates(ops, v, cfg)
-        a = ops.lap + cfg.mu_bar * ops.w
+        a = dense_laplacian(ops) + cfg.mu_bar * ops.w
         u_direct = np.linalg.solve(a, cfg.mu_bar * ops.w @ v)
         denom = max(np.linalg.norm(u_direct), 1e-12)
         assert np.linalg.norm(res.u - u_direct) / denom < 1e-6
@@ -166,6 +185,26 @@ def test_solve_matches_dense_direct_oracle():
         col_res = np.linalg.norm(b - a @ res.u, axis=0)
         col_b = np.linalg.norm(b, axis=0)
         assert np.all(col_res <= 1e-8 * np.maximum(col_b, 1e-300))
+
+
+@pytest.mark.parametrize("mu_bar", [0.06, 0.6, 6.0])
+def test_applied_operator_matches_dense_reference(mu_bar):
+    # The system matrix D - (1 - mu_bar) W is applied, never stored; at
+    # mu_bar = 6 the weight factor 1 - mu_bar is negative.
+    rng = np.random.default_rng(14)
+    cfg = KernelConfig(mu_bar=mu_bar)
+    pts = random_points(rng, 30, 6)
+    v = rng.standard_normal((30, 4))
+    ops = gaussian_weights(pts, cfg)
+    lap = dense_laplacian(ops)
+    a = lap + mu_bar * ops.w
+    b = mu_bar * ops.w @ v
+    res = solve_coordinates(ops, v, cfg, tol=1e-14)
+    u_direct = np.linalg.solve(a, b)
+    assert np.linalg.norm(res.u - u_direct) / np.linalg.norm(u_direct) < 1e-10
+    for u in (v, res.u):
+        e_dense = float(np.sum(u * (lap @ u)))
+        assert abs(dirichlet_energy(u, ops, normalized=False) - e_dense) < 1e-10 * e_dense
 
 
 def test_solve_nonconvergence_raises_with_residual():
@@ -235,7 +274,7 @@ def test_energy_constant_columns_are_zero():
 
 
 def test_energy_two_point_hand_value():
-    ops = gaussian_weights(np.zeros((2, 2)), KernelConfig(c_t=1.0))
+    ops = gaussian_weights(np.zeros((2, 2)), KernelConfig())
     u = np.array([[0.0], [1.0]])
     assert abs(dirichlet_energy(u, ops, normalized=False) - 1.0) < 1e-12
     assert abs(dirichlet_energy(u, ops) - 0.5) < 1e-12

@@ -57,7 +57,8 @@ def test_paired_ldm_code_shape_matches_grid():
     out = net.forward(rand_img(rng, geom), rand_img(rng, geom))
     assert out.z_x_t.shape == (1, 64, 8, 8)
     assert out.z_y_t.shape == (1, 64, 8, 8)
-    assert out.x_hat is not None and out.y_hat is not None
+    assert out.x_hat is not None
+    assert out.y_hat is None  # no LDM-Sup loss reads a decoded clean image
     assert out.x_recon is None
 
 

@@ -57,17 +57,21 @@ def test_hundred_steps_on_quadratic_reaches_minimum():
     assert abs(w_final - 3.0) < 0.1
 
 
-def test_nan_gradient_aborts_and_names_parameter():
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_nan_gradient_aborts_and_names_parameter(bad_value):
     store = ParameterStore()
     store.add("ok", Tensor(np.zeros(2), requires_grad=True))
     store.add("bad", Tensor(np.zeros(2), requires_grad=True))
     store.zero_grad()
     store["ok"].grad[...] = 1.0
-    store["bad"].grad[0] = np.nan
+    store["bad"].grad[0] = bad_value
     before_ok = store["ok"].data.copy()
-    with pytest.raises(NanGradientError, match="bad"):
+    before_bad = store["bad"].data.copy()
+    with pytest.raises(NanGradientError, match="non-finite gradient in parameter 'bad'"):
         adam_step(store, lr=0.1)
     assert np.array_equal(store["ok"].data, before_ok)
+    assert np.array_equal(store["bad"].data, before_bad)
     assert store.step_count == 0
     assert store.moment_arrays("ok") == (None, None)
 
