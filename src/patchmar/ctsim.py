@@ -8,18 +8,25 @@ nonlinearity v -> v + severity * v^2 / (1 + v) plus noise proportional to
 severity and the local value. Zero severity therefore reproduces the clean
 reconstruction bit for bit, so each synthesized artifact image differs from
 its clean partner only through this pipeline.
+
+On-disk dataset (`save_dataset` / `load_dataset`): `manifest.json` holds the
+SynthConfig (`cfg`), the ScanGeometry (`geom`), the `artifact_pool` and
+`clean_pool` indices and, per split, each pair's `index` and `metal_pixels`
+in `train` and `test`. `pairs.npz` holds the float32 image stacks
+`train_artifact`, `train_clean`, `test_artifact` and `test_clean`, in
+manifest order. `train/` and `test/` hold 8-bit PGM previews only.
 """
 
+import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .autodiff import ShapeError
-from .tensorio import dump_array, load_array
 
 
 @dataclass(frozen=True)
@@ -331,7 +338,6 @@ class SynthConfig:
     severity: float = 0.2
     noise_scale: float = 0.02
     ratio: float = 0.15
-    metal_attenuation: float = 4.0
     amax: float = 1.0
     seed: int = 0
     test_pairs: int = 8
@@ -359,21 +365,11 @@ def _make_pair(index, rng, geom, cfg):
     n = cfg.image_size
     clean_px, body = random_phantom(rng, n)
     mask = random_metal_mask(rng, n, body)
-    phantom = clean_px.copy()
-    phantom[mask] = cfg.metal_attenuation
-    metal = PhantomImage(pixels=phantom, metal_mask=mask)
-
-    sino_clean = radon_forward(clean_px, geom)
-    trace = radon_forward(metal, geom).metal_trace
-    sino = Sinogram(data=sino_clean.data, metal_trace=trace)
+    sino = radon_forward(PhantomImage(pixels=clean_px, metal_mask=mask), geom)
     corrupted = corrupt_metal(sino, cfg.severity, rng=rng, noise_scale=cfg.noise_scale)
-
-    size = n
-    clean_img = fbp(sino_clean, geom, image_size=size)
-    artifact_img = fbp(corrupted, geom, image_size=size)
     return SynthPair(index=index,
-                     artifact=artifact_img.astype(np.float32),
-                     clean=clean_img.astype(np.float32),
+                     artifact=fbp(corrupted, geom, image_size=n).astype(np.float32),
+                     clean=fbp(sino, geom, image_size=n).astype(np.float32),
                      metal_pixels=int(mask.sum()))
 
 
@@ -411,85 +407,48 @@ def write_pgm(path, img, lo=None, hi=None):
 
 
 def save_dataset(bundle, directory):
+    """Write `manifest.json`, `pairs.npz` and per-pair PGM previews."""
     os.makedirs(directory, exist_ok=True)
-    cfg, geom = bundle.cfg, bundle.geom
-    lines = [
-        f"seed = {cfg.seed}",
-        f"pairs = {len(bundle.train)}",
-        f"test_pairs = {len(bundle.test)}",
-        f"ratio = {cfg.ratio}",
-        f"severity = {cfg.severity}",
-        f"noise_scale = {cfg.noise_scale}",
-        f"amax = {cfg.amax}",
-        f"image_size = {cfg.image_size}",
-        f"metal_attenuation = {cfg.metal_attenuation}",
-        f"n_views = {geom.n_views}",
-        f"n_detectors = {geom.n_detectors}",
-        f"detector_spacing = {geom.detector_spacing}",
-        f"angular_range = {geom.angular_range!r}",
-        "artifact_pool = " + " ".join(str(i) for i in bundle.artifact_pool),
-        "clean_pool = " + " ".join(str(i) for i in bundle.clean_pool),
-    ]
+    manifest = {
+        "cfg": asdict(bundle.cfg),
+        "geom": asdict(bundle.geom),
+        "artifact_pool": bundle.artifact_pool,
+        "clean_pool": bundle.clean_pool,
+    }
+    arrays = {}
+    n = bundle.cfg.image_size
     for split, pairs in (("train", bundle.train), ("test", bundle.test)):
+        manifest[split] = [{"index": p.index, "metal_pixels": p.metal_pixels}
+                           for p in pairs]
+        for kind in ("artifact", "clean"):
+            arrays[f"{split}_{kind}"] = np.asarray(
+                [getattr(p, kind) for p in pairs], dtype=np.float32).reshape(-1, n, n)
         sub = os.path.join(directory, split)
         os.makedirs(sub, exist_ok=True)
         for p in pairs:
-            stem = f"pair{p.index:04d}"
-            dump_array(os.path.join(sub, stem + "_artifact.f32"), p.artifact)
-            dump_array(os.path.join(sub, stem + "_clean.f32"), p.clean)
-            write_pgm(os.path.join(sub, stem + "_artifact.pgm"), p.artifact, 0.0, cfg.amax)
-            write_pgm(os.path.join(sub, stem + "_clean.pgm"), p.clean, 0.0, cfg.amax)
-            lines.append(f"{split} {stem} metal_pixels = {p.metal_pixels}")
-    with open(os.path.join(directory, "manifest.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+            stem = os.path.join(sub, f"pair{p.index:04d}")
+            write_pgm(stem + "_artifact.pgm", p.artifact, 0.0, bundle.cfg.amax)
+            write_pgm(stem + "_clean.pgm", p.clean, 0.0, bundle.cfg.amax)
+    with open(os.path.join(directory, "manifest.json"), "w") as f:
+        json.dump(manifest, f, indent=1)
+    np.savez(os.path.join(directory, "pairs.npz"), **arrays)
 
 
 def load_dataset(directory):
-    manifest = os.path.join(directory, "manifest.txt")
-    meta = {}
-    pair_meta = {"train": {}, "test": {}}
-    with open(manifest) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" = ")
-            if key.startswith("train ") or key.startswith("test "):
-                split, stem, _ = key.split(" ", 2)
-                pair_meta[split][stem] = int(value)
-            else:
-                meta[key] = value
-
-    geom = ScanGeometry(n_views=int(meta["n_views"]),
-                        n_detectors=int(meta["n_detectors"]),
-                        detector_spacing=float(meta["detector_spacing"]),
-                        angular_range=float(meta["angular_range"]))
-    cfg = SynthConfig(image_size=int(meta["image_size"]),
-                      severity=float(meta["severity"]),
-                      noise_scale=float(meta["noise_scale"]),
-                      ratio=float(meta["ratio"]),
-                      metal_attenuation=float(meta["metal_attenuation"]),
-                      amax=float(meta["amax"]),
-                      seed=int(meta["seed"]),
-                      test_pairs=int(meta["test_pairs"]))
-
-    def read_split(split):
-        pairs = []
-        for stem in sorted(pair_meta[split]):
-            index = int(stem[4:])
-            sub = os.path.join(directory, split)
-            pairs.append(SynthPair(
-                index=index,
-                artifact=load_array(os.path.join(sub, stem + "_artifact.f32")),
-                clean=load_array(os.path.join(sub, stem + "_clean.f32")),
-                metal_pixels=pair_meta[split][stem]))
-        return pairs
-
-    art_pool = [int(i) for i in meta["artifact_pool"].split()]
-    clean_pool = [int(i) for i in meta["clean_pool"].split()]
-    return DatasetBundle(train=read_split("train"), test=read_split("test"),
-                         artifact_pool=art_pool, clean_pool=clean_pool,
-                         geom=geom, cfg=cfg)
+    with open(os.path.join(directory, "manifest.json")) as f:
+        manifest = json.load(f)
+    with np.load(os.path.join(directory, "pairs.npz")) as arrays:
+        splits = {
+            split: [SynthPair(index=m["index"], artifact=art, clean=clean,
+                              metal_pixels=m["metal_pixels"])
+                    for m, art, clean in zip(manifest[split], arrays[f"{split}_artifact"],
+                                             arrays[f"{split}_clean"], strict=True)]
+            for split in ("train", "test")}
+    return DatasetBundle(train=splits["train"], test=splits["test"],
+                         artifact_pool=manifest["artifact_pool"],
+                         clean_pool=manifest["clean_pool"],
+                         geom=ScanGeometry(**manifest["geom"]),
+                         cfg=SynthConfig(**manifest["cfg"]))
 
 
 def normalize_image(img, amax):

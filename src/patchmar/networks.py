@@ -19,19 +19,25 @@ self-reconstruction, cycle consistency, and artifact consistency. Artifact
 consistency uses the residual-transport reading: the artifact removed from x
 must equal the artifact added to y, i.e. L1(x - x_hat, y_art - y). An
 alternative reading re-encodes the artifact instead; it is not implemented.
+
+On-disk checkpoint (`save_checkpoint` / `load_checkpoint`): `manifest.json`
+holds the `variant` value, the `geometry` (image_h, image_w, s), `base_width`
+and the parameter `dtype`; `params.npz` holds one array per parameter, keyed
+`gen.<name>` for the generator store and `disc.<name>` for the
+discriminator store.
 """
 
 import enum
+import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
 from .optim import ParameterStore
-from .tensorio import dump_array, load_array
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,6 @@ class GeometryConfig:
     image_h: int = 64
     image_w: int = 64
     s: int = 8
-    code_channels: int = 0
 
     def __post_init__(self):
         if self.s < 2:
@@ -52,11 +57,10 @@ class GeometryConfig:
         if self.image_h % self.s or self.image_w % self.s:
             raise ValueError(
                 f"image extents {self.image_h}x{self.image_w} not divisible by s={self.s}")
-        if self.code_channels == 0:
-            object.__setattr__(self, "code_channels", self.s * self.s)
-        if self.code_channels != self.s * self.s:
-            raise ValueError(
-                f"code_channels must equal s^2={self.s * self.s}, got {self.code_channels}")
+
+    @property
+    def code_channels(self):
+        return self.s * self.s
 
     @property
     def n_down(self):
@@ -80,13 +84,6 @@ class NetworkVariant(enum.Enum):
     UNPAIRED_LDM = "UnpairedLDM"
     PAIRED = "Paired"
     PAIRED_LDM = "PairedLDM"
-
-    @classmethod
-    def from_string(cls, name):
-        for v in cls:
-            if v.value == name:
-                return v
-        raise ValueError(f"unknown network variant '{name}'")
 
     @property
     def has_codes(self):
@@ -262,8 +259,6 @@ class DisentangleNet:
     """One network instance: modules per variant plus named parameter stores."""
 
     def __init__(self, variant, geom, base_width=8, rng=None, dtype=np.float32):
-        if isinstance(variant, str):
-            variant = NetworkVariant.from_string(variant)
         self.variant = variant
         self.geom = geom
         self.base_width = base_width
@@ -444,54 +439,47 @@ def discriminator_loss(net, outputs, x, y):
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _named_params(net):
+    """Every parameter tensor, keyed `gen.<name>` or `disc.<name>`."""
+    stores = [("gen", net.gen_params), ("disc", net.disc_params)]
+    return {f"{tag}.{name}": t for tag, store in stores if store is not None
+            for name, t in store.items()}
+
+
 def save_checkpoint(net, directory):
-    """Manifest (variant, geometry, widths, parameter names) plus raw dumps."""
+    """Write `manifest.json` (variant, geometry, width, dtype) and `params.npz`."""
     os.makedirs(directory, exist_ok=True)
-    lines = [
-        f"variant = {net.variant.value}",
-        f"image_h = {net.geom.image_h}",
-        f"image_w = {net.geom.image_w}",
-        f"s = {net.geom.s}",
-        f"base_width = {net.base_width}",
-    ]
-    stores = [("gen", net.gen_params)]
-    if net.disc_params is not None:
-        stores.append(("disc", net.disc_params))
-    for tag, store in stores:
-        for name, t in store.items():
-            fname = f"{tag}.{name}.f32"
-            dump_array(os.path.join(directory, fname), t.data)
-            lines.append(f"param {tag}.{name} {fname}")
-    with open(os.path.join(directory, "manifest.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    manifest = {"variant": net.variant.value, "geometry": asdict(net.geom),
+                "base_width": net.base_width, "dtype": np.dtype(net.dtype).name}
+    with open(os.path.join(directory, "manifest.json"), "w") as f:
+        json.dump(manifest, f, indent=1)
+    np.savez(os.path.join(directory, "params.npz"),
+             **{name: t.data for name, t in _named_params(net).items()})
 
 
 def load_checkpoint(directory):
-    """Rebuild the network tagged in the manifest and load its parameters."""
-    path = os.path.join(directory, "manifest.txt")
-    meta = {}
-    params = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("param "):
-                _, name, fname = line.split()
-                params.append((name, fname))
-            else:
-                key, _, value = line.partition(" = ")
-                meta[key] = value
-    geom = GeometryConfig(image_h=int(meta["image_h"]), image_w=int(meta["image_w"]),
-                          s=int(meta["s"]))
-    net = DisentangleNet(meta["variant"], geom, base_width=int(meta["base_width"]))
-    for name, fname in params:
-        tag, _, pname = name.partition(".")
-        store = net.gen_params if tag == "gen" else net.disc_params
-        arr = load_array(os.path.join(directory, fname)).astype(net.dtype)
-        t = store[pname]
-        if arr.shape != t.data.shape:
-            raise ShapeError(f"checkpoint parameter {name} has shape {arr.shape}, "
-                             f"expected {t.data.shape}")
-        t.data = arr
+    """Rebuild the network the manifest describes and load every parameter.
+
+    The archive must hold exactly the network's parameters, each with the
+    network's shape and dtype.
+    """
+    with open(os.path.join(directory, "manifest.json")) as f:
+        manifest = json.load(f)
+    net = DisentangleNet(NetworkVariant(manifest["variant"]),
+                         GeometryConfig(**manifest["geometry"]),
+                         base_width=manifest["base_width"],
+                         dtype=np.dtype(manifest["dtype"]))
+    params = _named_params(net)
+    with np.load(os.path.join(directory, "params.npz")) as arrays:
+        missing = sorted(params.keys() - set(arrays.files))
+        extra = sorted(set(arrays.files) - params.keys())
+        if missing or extra:
+            raise ValueError(f"checkpoint {directory} does not match a "
+                             f"{net.variant.value} network: missing {missing}, extra {extra}")
+        for name, t in params.items():
+            arr = arrays[name]
+            if arr.shape != t.data.shape or arr.dtype != t.data.dtype:
+                raise ShapeError(f"checkpoint parameter {name} is {arr.dtype}{arr.shape}, "
+                                 f"expected {t.data.dtype}{t.data.shape}")
+            t.data = arr
     return net

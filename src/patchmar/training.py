@@ -36,15 +36,6 @@ from .optim import adam_step, check_grads
 
 MODES = ("Sup", "LDM-Sup", "ADN", "LDM-DN", "ADN-Sup", "LDM-DN-Sup")
 
-_VARIANT_BY_MODE = {
-    "Sup": NetworkVariant.PAIRED,
-    "LDM-Sup": NetworkVariant.PAIRED_LDM,
-    "ADN": NetworkVariant.UNPAIRED,
-    "LDM-DN": NetworkVariant.UNPAIRED_LDM,
-    "ADN-Sup": NetworkVariant.UNPAIRED_LDM,
-    "LDM-DN-Sup": NetworkVariant.UNPAIRED_LDM,
-}
-
 
 class PoolError(ValueError):
     """A pool required by the training mode is empty."""
@@ -95,7 +86,9 @@ class TrainConfig:
 
     @property
     def variant(self):
-        return _VARIANT_BY_MODE[self.mode]
+        if self.uses_adn:
+            return NetworkVariant.UNPAIRED_LDM if self.uses_ldm else NetworkVariant.UNPAIRED
+        return NetworkVariant.PAIRED_LDM if self.uses_ldm else NetworkVariant.PAIRED
 
     def kernel_config(self):
         return KernelConfig(t=self.kernel_t, t_scale=self.kernel_t_scale,

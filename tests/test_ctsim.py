@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -310,36 +311,33 @@ def test_synth_rejects_bad_args():
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
-    bundle = ct.synthesize_dataset(3, small_scan(), small_cfg())
+    geom = ct.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=0.75,
+                           angular_range=0.9 * math.pi)
+    bundle = ct.synthesize_dataset(3, geom, small_cfg())
     ct.save_dataset(bundle, tmp_path / "ds")
-    back = ct.load_dataset(tmp_path / "ds")
-    assert back.artifact_pool == bundle.artifact_pool
-    assert back.clean_pool == bundle.clean_pool
-    assert back.geom == bundle.geom
-    for p1, p2 in zip(bundle.train, back.train):
-        assert np.array_equal(p1.artifact, p2.artifact)
-        assert p1.metal_pixels == p2.metal_pixels
-
-
-def test_manifest_with_retired_metal_threshold_still_loads(tmp_path):
-    # Older manifests carry a metal_threshold line; the key is ignored now.
-    bundle = ct.synthesize_dataset(3, small_scan(), small_cfg())
-    ct.save_dataset(bundle, tmp_path / "ds")
-    manifest = tmp_path / "ds" / "manifest.txt"
-    assert "metal_threshold" not in manifest.read_text()
-    with open(manifest, "a") as f:
-        f.write("metal_threshold = 2.0\n")
     back = ct.load_dataset(tmp_path / "ds")
     assert back.cfg == bundle.cfg
-    assert np.array_equal(back.train[0].clean, bundle.train[0].clean)
+    assert back.geom == bundle.geom
+    assert back.artifact_pool == bundle.artifact_pool
+    assert back.clean_pool == bundle.clean_pool
+    for split in ("train", "test"):
+        pairs, loaded = getattr(bundle, split), getattr(back, split)
+        assert len(loaded) == len(pairs)
+        for p1, p2 in zip(pairs, loaded):
+            assert (p2.index, p2.metal_pixels) == (p1.index, p1.metal_pixels)
+            for kind in ("artifact", "clean"):
+                a1, a2 = getattr(p1, kind), getattr(p2, kind)
+                assert a2.dtype == np.float32
+                assert np.array_equal(a1, a2)
 
 
 def test_manifest_records_ratio_and_metal_pixels(tmp_path):
     bundle = ct.synthesize_dataset(3, small_scan(), small_cfg(ratio=0.15))
     ct.save_dataset(bundle, tmp_path / "ds")
-    text = (tmp_path / "ds" / "manifest.txt").read_text()
-    assert "ratio = 0.15" in text
-    assert "metal_pixels" in text
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["cfg"]["ratio"] == 0.15
+    assert [m["metal_pixels"] for m in manifest["train"]] == \
+        [p.metal_pixels for p in bundle.train]
 
 
 def test_normalize_denormalize_inverse():

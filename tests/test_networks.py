@@ -29,8 +29,6 @@ def test_geometry_validation():
         GeometryConfig(60, 64, 8)
     with pytest.raises(ValueError):
         GeometryConfig(64, 64, 6)
-    with pytest.raises(ValueError):
-        GeometryConfig(64, 64, 8, code_channels=32)
     g = GeometryConfig(64, 64, 8)
     assert g.code_channels == 64
     assert g.patch_dim == 128
@@ -224,6 +222,12 @@ def test_discriminator_loss_runs_and_detaches():
 
 # -------------------------------------------------------------- checkpoints
 
+def _param_arrays(net):
+    stores = [("gen", net.gen_params), ("disc", net.disc_params)]
+    return {f"{tag}.{name}": t.data for tag, store in stores if store is not None
+            for name, t in store.items()}
+
+
 def test_checkpoint_roundtrip_reproduces_outputs(tmp_path):
     net = make_net(NetworkVariant.UNPAIRED_LDM, seed=17)
     rng = np.random.default_rng(18)
@@ -235,3 +239,51 @@ def test_checkpoint_roundtrip_reproduces_outputs(tmp_path):
     after = net2.forward(x, y)
     assert np.array_equal(before.x_hat.data, after.x_hat.data)
     assert np.array_equal(before.z_x_t.data, after.z_x_t.data)
+
+
+@pytest.mark.parametrize("variant", list(NetworkVariant))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_roundtrip_is_bit_exact(tmp_path, variant, dtype):
+    net = DisentangleNet(variant, small_geom(), base_width=4,
+                         rng=np.random.default_rng(19), dtype=dtype)
+    save_checkpoint(net, tmp_path / "ckpt")
+    net2 = load_checkpoint(tmp_path / "ckpt")
+    assert net2.variant is variant and net2.geom == net.geom
+    assert net2.base_width == net.base_width and net2.dtype == dtype
+    want, got = _param_arrays(net), _param_arrays(net2)
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        assert got[name].dtype == dtype, name
+        assert np.array_equal(got[name], arr), name
+
+
+def _rewrite_params(directory, edit):
+    path = directory / "params.npz"
+    with np.load(path) as z:
+        arrays = dict(z)
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def test_checkpoint_missing_or_extra_parameter_rejected(tmp_path):
+    net = make_net(NetworkVariant.UNPAIRED, seed=20)
+    save_checkpoint(net, tmp_path / "ckpt")
+    _rewrite_params(tmp_path / "ckpt", lambda a: a.pop("disc.d_art.c3.bias"))
+    with pytest.raises(ValueError, match="disc.d_art.c3.bias"):
+        load_checkpoint(tmp_path / "ckpt")
+
+    save_checkpoint(net, tmp_path / "ckpt")
+    _rewrite_params(tmp_path / "ckpt",
+                    lambda a: a.update({"gen.compress_art.bias": np.zeros(16, np.float32)}))
+    with pytest.raises(ValueError, match="gen.compress_art.bias"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_wrong_shape_or_dtype_rejected(tmp_path):
+    net = make_net(NetworkVariant.PAIRED, seed=21)
+    name = "gen.dec_clean.out.bias"
+    for bad in (np.zeros(2, np.float32), np.zeros(1, np.float64)):
+        save_checkpoint(net, tmp_path / "ckpt")
+        _rewrite_params(tmp_path / "ckpt", lambda a: a.update({name: bad}))
+        with pytest.raises(ShapeError, match=name):
+            load_checkpoint(tmp_path / "ckpt")

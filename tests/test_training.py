@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from patchmar import ctsim, training
+from patchmar import autodiff, ctsim, training
 from patchmar.autodiff import Tensor
-from patchmar.manifold import CORRECTED, FREE
-from patchmar.networks import load_checkpoint
+from patchmar.manifold import CORRECTED, FREE, SolverError
+from patchmar.networks import NetworkVariant, load_checkpoint
+from patchmar.optim import NanGradientError
 
 LDM_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_ldm]
 
@@ -29,6 +30,15 @@ def first_batch(bundle, cfg):
     sched = training.BatchScheduler(unpaired if cfg.uses_adn else None,
                                     paired if cfg.uses_sup else None, cfg)
     return next(sched.epoch_batches(1))
+
+
+# --------------------------------------------------------------- variants
+
+def test_variant_builds_only_the_branches_a_mode_trains():
+    v = NetworkVariant
+    assert {m: training.TrainConfig(mode=m).variant for m in training.MODES} == {
+        "Sup": v.PAIRED, "LDM-Sup": v.PAIRED_LDM, "ADN": v.UNPAIRED,
+        "LDM-DN": v.UNPAIRED_LDM, "ADN-Sup": v.UNPAIRED, "LDM-DN-Sup": v.UNPAIRED_LDM}
 
 
 # ------------------------------------------------------------- tiny runs
@@ -110,6 +120,58 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     assert list(step.provenance) == [CORRECTED] * (entries * rows) + [FREE] * (entries * rows)
     assert np.array_equal(step.provenance, refresh.provenance)
     assert np.array_equal(step.values(), refresh.values())
+
+
+# ------------------------------------------------------- failed steps
+
+def _snapshot(net, state):
+    snap = {"k": state.k, "dual": state.dual.values.copy()}
+    for tag, store in (("gen", net.gen_params), ("disc", net.disc_params)):
+        snap[tag + ".step_count"] = store.step_count
+        for name, t in store.items():
+            m, v = store.moment_arrays(name)
+            snap[f"{tag}.{name}"] = t.data.copy()
+            snap[f"{tag}.{name}.m"], snap[f"{tag}.{name}.v"] = m.copy(), v.copy()
+    return snap
+
+
+def _inject(failure, net, monkeypatch):
+    """Make the next training step fail; returns the error it must raise."""
+    if failure == "solver_error":
+        def solve(*args, **kwargs):
+            raise SolverError(1.0, 7)
+
+        monkeypatch.setattr(training, "solve_coordinates", solve)
+        return SolverError
+    # every backward call leaves one inf gradient entry in the chosen store
+    store = net.gen_params if failure == "gen_inf_grad" else net.disc_params
+    inner = autodiff.backward
+
+    def backward(t):
+        inner(t)
+        store[store.names()[-1]].grad.flat[0] = np.inf
+
+    monkeypatch.setattr(autodiff, "backward", backward)
+    return NanGradientError
+
+
+@pytest.mark.parametrize("failure", ["gen_inf_grad", "disc_inf_grad", "solver_error"])
+def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
+    cfg = tiny_cfg("LDM-DN-Sup")
+    unpaired, paired = training.make_pools(bundle)
+    good, bad = list(training.BatchScheduler(unpaired, paired, cfg).epoch_batches(1))[:2]
+    net = training.build_network(cfg, bundle.cfg.image_size)
+    state = training.OptState()
+    training.training_step(net, good, state, cfg)
+    before = _snapshot(net, state)
+    assert before["k"] == before["gen.step_count"] == before["disc.step_count"] == 1
+
+    with pytest.raises(_inject(failure, net, monkeypatch)):
+        training.training_step(net, bad, state, cfg)
+    after = _snapshot(net, state)
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
 
 
 # ------------------------------------------------------------- evaluation
