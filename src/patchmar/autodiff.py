@@ -17,8 +17,10 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense real array, optionally tracked by the autodiff graph.
 
-    `grad` is allocated (zeros) as soon as the tensor requires gradients
-    and is accumulated into by `backward`; it is never overwritten.
+    A leaf (a tensor built with requires_grad=True, not the result of an
+    operation) has `grad` allocated as zeros at construction; `backward`
+    adds into it and never overwrites it. Operation results keep
+    `grad = None`: their gradients flow through `backward` and are dropped.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -45,11 +47,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.data.shape}")
-        return float(self.data.reshape(()))
-
     def detach(self):
         """Same values, cut off from the graph."""
         return Tensor(self.data)
@@ -60,53 +57,15 @@ class Tensor:
         else:
             self.grad.fill(0.0)
 
-    def numpy(self):
-        return self.data
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self):
-        return mean(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def _node(data, parents, backward_fn):
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = None  # lazily allocated by backward
         out._parents = tuple(parents)
         out._backward = backward_fn
     return out
@@ -126,9 +85,10 @@ def _as_tensor(x, like):
 
 
 def backward(loss):
-    """Accumulate dLoss/dt into `grad` of every reachable requires_grad tensor.
+    """Accumulate dLoss/dt into `grad` of every reachable requires_grad leaf.
 
     `loss` must hold a single element. Gradients from repeated calls add up.
+    Interior nodes (operation results) are not given a `grad`.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -159,14 +119,14 @@ def backward(loss):
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            # owned ndarray copy: closures may hand the same array to two
-            # parents, and 0-d results decay to numpy scalars
-            if node.grad is None:
-                node.grad = np.array(g)
-            else:
-                node.grad = np.asarray(node.grad + g)
         if node._backward is None:
+            if node.requires_grad:
+                # owned ndarray copy: closures may hand the same array to two
+                # parents, and 0-d results decay to numpy scalars
+                if node.grad is None:
+                    node.grad = np.array(g)
+                else:
+                    node.grad = np.asarray(node.grad + g)
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -312,10 +272,6 @@ def concat(tensors, axis=0):
         return tuple(outs)
 
     return _node(data, tuple(tensors), bwd)
-
-
-def concat_channels(tensors):
-    return concat(tensors, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def synthesize_dataset(n_pairs, geom, cfg):
 
     The unpaired artifact pool takes the artifact images of the first
     round(ratio * n_pairs) training pairs; the clean pool takes the clean
-    images of the remaining pairs, so provenance never overlaps.
+    images of the remaining pairs, so no pair feeds both pools.
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")

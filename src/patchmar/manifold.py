@@ -19,9 +19,6 @@ from scipy.spatial.distance import pdist, squareform
 
 from .autodiff import Tensor, ShapeError, concat, reshape, transpose
 
-CORRECTED = "corrected"
-FREE = "free"
-
 
 class SolverError(RuntimeError):
     """Conjugate gradients failed to reach the residual contract."""
@@ -39,22 +36,17 @@ class KernelConfig:
     """Gaussian kernel and solver coupling.
 
     t is the kernel bandwidth in squared patch-distance units; None selects
-    it per point set as t_scale * median(squared pairwise distance) / 4.
-    t_scale tunes how local the graph is: at 1.0 the median pair keeps
-    weight e^-1 (a near-dense graph and strong smoothing), small values
-    connect only close patches. mu_bar couples the smoothing term to the
-    data term.
+    it per point set as median(squared pairwise distance) / 4, so the median
+    pair keeps weight e^-1 (a near-dense graph and strong smoothing).
+    mu_bar couples the smoothing term to the data term.
     """
 
     t: float | None = None
-    t_scale: float = 1.0
     mu_bar: float = 0.6
 
     def __post_init__(self):
         if self.t is not None and not self.t > 0:
             raise ValueError(f"kernel bandwidth t must be positive, got {self.t}")
-        if not self.t_scale > 0:
-            raise ValueError(f"bandwidth scale must be positive, got {self.t_scale}")
         if not self.mu_bar > 0:
             raise ValueError(f"solver coupling mu_bar must be positive, got {self.mu_bar}")
 
@@ -69,15 +61,6 @@ class PatchSet:
     """
 
     points: Tensor
-    provenance: np.ndarray
-
-    @property
-    def m(self):
-        return self.points.shape[0]
-
-    @property
-    def d(self):
-        return self.points.shape[1]
 
     def values(self):
         """Detached float64 coordinates for graph assembly."""
@@ -109,10 +92,6 @@ class GraphOperators:
 class DualVariable:
     values: np.ndarray
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class SolveResult:
@@ -137,28 +116,22 @@ def _code_rows(code):
     return reshape(r, (n * gh * gw, c))
 
 
-def build_patch_set(images, codes, geom, provenance=None):
+def build_patch_set(images, codes, geom):
     """Assemble the patch set from per-branch image/code tensor pairs.
 
     images[i] is [N,1,H,W]; codes[i] is the matching [N,s^2,H/s,W/s]
     compressed code. Entries are stacked in list order (callers put the
-    artifact-corrected branch first), images within an entry in batch
-    order, spatial locations row-major. provenance holds one tag per entry
-    (defaults to CORRECTED).
+    artifact-corrected branches first), images within an entry in batch
+    order, spatial locations row-major.
     """
     if len(images) != len(codes):
         raise ShapeError(f"{len(images)} images vs {len(codes)} codes")
     if not images:
         raise ShapeError("empty patch-set input")
-    if provenance is None:
-        provenance = [CORRECTED] * len(images)
-    if len(provenance) != len(images):
-        raise ShapeError(f"{len(provenance)} provenance tags vs {len(images)} entries")
 
     s = geom.s
     row_blocks = []
-    tags = []
-    for img, code, tag in zip(images, codes, provenance):
+    for img, code in zip(images, codes):
         n, c, h, w = img.shape
         if c != 1:
             raise ShapeError(f"patch images must have one channel, got {c}")
@@ -171,30 +144,28 @@ def build_patch_set(images, codes, geom, provenance=None):
             raise ShapeError(f"code shape {tuple(code.shape)} does not match {expect}")
         rows = concat([_patch_rows(img, s), _code_rows(code)], axis=1)
         row_blocks.append(rows)
-        tags.extend([tag] * rows.shape[0])
 
     points = row_blocks[0] if len(row_blocks) == 1 else concat(row_blocks, axis=0)
-    return PatchSet(points=points, provenance=np.asarray(tags))
+    return PatchSet(points=points)
 
 
-def _auto_bandwidth(sq_dists, scale):
+def _auto_bandwidth(sq_dists):
     if sq_dists.size == 0:
         return 1.0
     med = float(np.median(sq_dists))
     if med <= 0.0:
         return 1.0
-    return scale * med / 4.0
+    return med / 4.0
 
 
 def gaussian_weights(points, cfg):
     """Gaussian kernel weights w_ij = exp(-||p_i - p_j||^2 / (4t)).
 
-    Accepts a PatchSet or a plain (m, d) array. Only the condensed upper
-    triangle is evaluated, so W is symmetric bit for bit; the diagonal is
-    exactly 1. Degrees are row sums. W is the only m x m array built.
+    points is an (m, d) array, such as `PatchSet.values()`. Only the
+    condensed upper triangle is evaluated, so W is symmetric bit for bit;
+    the diagonal is exactly 1. Degrees are row sums. W is the only m x m
+    array built.
     """
-    if isinstance(points, PatchSet):
-        points = points.values()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ShapeError(f"points must be an m x d matrix, got shape {pts.shape}")
@@ -207,7 +178,7 @@ def gaussian_weights(points, cfg):
         t = cfg.t if cfg.t is not None else 1.0
     else:
         sq = pdist(pts, "sqeuclidean")
-        t = cfg.t if cfg.t is not None else _auto_bandwidth(sq, cfg.t_scale)
+        t = cfg.t if cfg.t is not None else _auto_bandwidth(sq)
         w = squareform(sq)
         del sq
         np.negative(w, out=w)
@@ -321,13 +292,12 @@ def dirichlet_energy(u, ops, normalized=True):
 
 
 def normalize_dual(d_hat):
-    """Joint min-max normalization of all dual entries into [0, 1].
+    """Joint min-max normalization of all entries of a DualVariable into [0, 1].
 
     A constant dual (max == min) has no defined normalization; it maps to
     all zeros, which restores the unconstrained penalty.
     """
-    vals = d_hat.values if isinstance(d_hat, DualVariable) else np.asarray(d_hat)
-    vals = vals.astype(np.float64)
+    vals = d_hat.values.astype(np.float64)
     lo = float(vals.min())
     hi = float(vals.max())
     if hi == lo:

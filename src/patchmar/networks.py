@@ -13,7 +13,7 @@ Four wirings share the same building blocks:
 Skip connections live only on the artifact-content-encoder -> clean-decoder
 path and are additive, so the decoder runs unchanged without them.
 
-The unpaired loss is a weighted sum of five terms: least-squares adversarial
+The unpaired loss is the sum of five terms: least-squares adversarial
 terms on the corrected image and the artifact-transferred image,
 self-reconstruction, cycle consistency, and artifact consistency. Artifact
 consistency uses the residual-transport reading: the artifact removed from x
@@ -65,18 +65,6 @@ class GeometryConfig:
     @property
     def n_down(self):
         return int(math.log2(self.s))
-
-    @property
-    def grid_h(self):
-        return self.image_h // self.s
-
-    @property
-    def grid_w(self):
-        return self.image_w // self.s
-
-    @property
-    def patch_dim(self):
-        return 2 * self.s * self.s
 
 
 class NetworkVariant(enum.Enum):
@@ -222,7 +210,7 @@ class _ArtifactDecoder:
         self.out = _Conv(c, 1, 3, 1, 1, rng, dtype)
 
     def __call__(self, content, artifact):
-        f = ad.leaky_relu(self.fuse(ad.concat_channels([content, artifact])), LEAKY_SLOPE)
+        f = ad.leaky_relu(self.fuse(ad.concat([content, artifact], axis=1)), LEAKY_SLOPE)
         for up in self.ups:
             f = ad.leaky_relu(up(f), LEAKY_SLOPE)
         return ad.tanh(self.out(f))
@@ -375,25 +363,17 @@ def loss_sup(x_hat, x_gt):
     return ad.l1_loss(x_hat, x_gt)
 
 
-@dataclass(frozen=True)
-class AdnLossWeights:
-    adv_clean: float = 1.0
-    adv_art: float = 1.0
-    recon: float = 1.0
-    cycle: float = 1.0
-    artifact: float = 1.0
-
-
 def _lsgan_target(logits, value):
     return Tensor(np.full(logits.shape, value, dtype=logits.data.dtype))
 
 
-def loss_adn(outputs, x, y, discriminators, weights=None):
+def loss_adn(outputs, x, y, discriminators):
     """Generator-side unpaired loss; returns (total, per-term dict).
 
-    Terms: adv_clean = LSGAN on x_hat vs 1, adv_art = LSGAN on y_art vs 1,
-    recon = L1(y_hat, y) + L1(x_recon, x), cycle = L1(y_cycle, y),
-    artifact = L1(x - x_hat, y_art - y) (residual transport).
+    The total is the plain sum of the terms, in this order: adv_clean =
+    LSGAN on x_hat vs 1, adv_art = LSGAN on y_art vs 1, recon =
+    L1(y_hat, y) + L1(x_recon, x), cycle = L1(y_cycle, y), artifact =
+    L1(x - x_hat, y_art - y) (residual transport).
     """
     if discriminators is None or discriminators[0] is None or discriminators[1] is None:
         raise ValueError("missing discriminator for the unpaired loss")
@@ -401,8 +381,6 @@ def loss_adn(outputs, x, y, discriminators, weights=None):
     for fieldname in ("x_hat", "y_hat", "x_recon", "y_art", "y_cycle"):
         if getattr(outputs, fieldname) is None:
             raise ValueError(f"unpaired loss requires outputs.{fieldname}")
-    if weights is None:
-        weights = AdnLossWeights()
 
     logits_clean = d_clean(outputs.x_hat)
     logits_art = d_art(outputs.y_art)
@@ -414,9 +392,7 @@ def loss_adn(outputs, x, y, discriminators, weights=None):
         "artifact": ad.l1_loss(ad.sub(x, outputs.x_hat), ad.sub(outputs.y_art, y)),
     }
     total = None
-    for name in ("adv_clean", "adv_art", "recon", "cycle", "artifact"):
-        w = getattr(weights, name)
-        part = ad.scale(terms[name], w)
+    for part in terms.values():
         total = part if total is None else ad.add(total, part)
     return total, terms
 

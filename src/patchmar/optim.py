@@ -30,14 +30,8 @@ class ParameterStore:
         self._params[name] = tensor
         return tensor
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __getitem__(self, name):
         return self._params[name]
-
-    def __len__(self):
-        return len(self._params)
 
     def names(self):
         return list(self._params.keys())

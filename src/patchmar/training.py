@@ -1,6 +1,11 @@
 """Training outer loop: per-batch patch-set build, manifold solve, one Adam
 update on the penalized objective, then the dual update at the new weights.
 
+The knobs are the mode, lambda (`lambda_ldm`), mu_bar, the learning rate and
+the run shape (epochs, batch size, seed, s, base width). Adam runs at its
+fixed setting (beta1 = 0.5, beta2 = 0.999, eps = 1e-8) and the kernel
+bandwidth is chosen per patch set (median squared distance / 4).
+
 Each step with the manifold penalty active runs, in order: forward passes and
 network losses; the Gaussian weight matrix W over the patch set; the solve
 (L + mu_bar W) U = mu_bar W (P - d), with L = D - W applied from W and its
@@ -12,6 +17,10 @@ d <- minmax_normalize(d + U - P_new). A failed solve or a non-finite gradient
 aborts the step with parameters, Adam moments, dual and step counter
 untouched. Both patch-set builds take their entries from `_patch_entries`,
 so their rows come in the same order.
+
+In adversarial modes the discriminators are updated from the discriminator
+loss alone: their gradients are zeroed after the generator backward, whose
+adversarial terms reach them too.
 
 Hybrid modes draw one unpaired (x, y) sample and one paired (x, gt) sample
 per step and feed both loss paths and both patch-set branches at once.
@@ -26,12 +35,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
 from .ctsim import denormalize_image, normalize_image, psnr, ssim
-from .manifold import (CORRECTED, FREE, DualVariable, KernelConfig,
-                       build_patch_set, dirichlet_energy, gaussian_weights,
-                       normalize_dual, solve_coordinates)
-from .networks import (AdnLossWeights, DisentangleNet, GeometryConfig,
-                       NetworkVariant, discriminator_loss, loss_adn, loss_sup,
-                       save_checkpoint)
+from .manifold import (DualVariable, KernelConfig, build_patch_set,
+                       dirichlet_energy, gaussian_weights, normalize_dual,
+                       solve_coordinates)
+from .networks import (DisentangleNet, GeometryConfig, NetworkVariant,
+                       discriminator_loss, loss_adn, loss_sup, save_checkpoint)
 from .optim import adam_step, check_grads
 
 MODES = ("Sup", "LDM-Sup", "ADN", "LDM-DN", "ADN-Sup", "LDM-DN-Sup")
@@ -48,17 +56,10 @@ class TrainConfig:
     batch_size: int = 1
     lambda_ldm: float = 0.6
     mu_bar: float = 0.6
-    kernel_t: float = None  # None selects the per-batch median bandwidth
-    kernel_t_scale: float = 1.0
     seed: int = 0
     lr: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     s: int = 8
     base_width: int = 8
-    adn_weights: AdnLossWeights = field(default_factory=AdnLossWeights)
-    checkpoint_every: int = 0  # epochs; 0 = final only
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -91,8 +92,7 @@ class TrainConfig:
         return NetworkVariant.PAIRED_LDM if self.uses_ldm else NetworkVariant.PAIRED
 
     def kernel_config(self):
-        return KernelConfig(t=self.kernel_t, t_scale=self.kernel_t_scale,
-                            mu_bar=self.mu_bar)
+        return KernelConfig(mu_bar=self.mu_bar)
 
 
 @dataclass
@@ -123,14 +123,14 @@ class StepReport:
 
 CSV_COLUMNS = ("step", "epoch", "loss_total", "loss_sup", "adv_clean", "adv_art",
                "recon", "cycle", "artifact", "disc_clean", "disc_art",
-               "ldm_penalty", "dirichlet_energy", "cg_residual",
+               "ldm_penalty", "dirichlet_energy", "cg_residual", "cg_iterations",
                "dual_min", "dual_max")
 
 
 def report_row(rep):
     vals = {"step": rep.k, "epoch": rep.epoch,
             "dirichlet_energy": rep.dirichlet_energy,
-            "cg_residual": rep.cg_residual,
+            "cg_residual": rep.cg_residual, "cg_iterations": rep.cg_iterations,
             "dual_min": rep.dual_min, "dual_max": rep.dual_max}
     vals.update(rep.losses)
     out = []
@@ -220,7 +220,7 @@ def make_pools(bundle):
 # penalty
 
 def ldm_penalty(u, patch_set, dual, lam):
-    """lambda * ||U - P + d||_F^2 with U and d constant.
+    """lambda * ||U - P + d||_F^2 with U and the DualVariable d constant.
 
     Gradient reaches the network only through the patch-set tensor. lam = 0
     returns a graph-free zero so the manifold machinery leaves no trace.
@@ -233,7 +233,7 @@ def ldm_penalty(u, patch_set, dual, lam):
     u = np.asarray(u)
     if tuple(u.shape) != tuple(points.shape):
         raise ShapeError(f"u shape {u.shape} vs patch set {tuple(points.shape)}")
-    dvals = dual.values if isinstance(dual, DualVariable) else np.asarray(dual)
+    dvals = dual.values
     if tuple(dvals.shape) != tuple(u.shape):
         raise ShapeError(f"dual shape {dvals.shape} vs u {u.shape}")
     const = Tensor((u + dvals).astype(points.dtype))
@@ -244,15 +244,15 @@ def ldm_penalty(u, patch_set, dual, lam):
 # the step
 
 def _patch_entries(unpaired, paired):
-    """Patch-set (images, codes, provenance) in the one fixed order:
-    corrected-unpaired, corrected-paired, free-unpaired, free-paired.
+    """Patch-set (images, codes) in the one fixed order: corrected-unpaired,
+    corrected-paired, free-unpaired, free-paired.
 
     Each branch is an (x_hat, z_x, y, z_y) tuple, or None when the mode
     does not draw it.
     """
     branches = [b for b in (unpaired, paired) if b is not None]
-    corrected = [(x_hat, z_x, CORRECTED) for x_hat, z_x, _, _ in branches]
-    free = [(y, z_y, FREE) for _, _, y, z_y in branches]
+    corrected = [(x_hat, z_x) for x_hat, z_x, _, _ in branches]
+    free = [(y, z_y) for _, _, y, z_y in branches]
     return tuple(zip(*(corrected + free)))
 
 
@@ -302,8 +302,7 @@ def training_step(net, batch, state, cfg, kcfg=None):
         y_u = Tensor(batch.y_unpaired)
         out_u = net.forward(x_u, y_u)
         unpaired = (out_u.x_hat, out_u.z_x_t, y_u, out_u.z_y_t)
-        l_adn, terms = loss_adn(out_u, x_u, y_u, (net.d_clean, net.d_art),
-                                weights=cfg.adn_weights)
+        l_adn, terms = loss_adn(out_u, x_u, y_u, (net.d_clean, net.d_art))
         for name, t in terms.items():
             losses[name] = float(t.data)
         total = l_adn if total is None else ad.add(total, l_adn)
@@ -312,8 +311,8 @@ def training_step(net, batch, state, cfg, kcfg=None):
     solved = None
     ldm_active = cfg.uses_ldm and cfg.lambda_ldm > 0.0
     if ldm_active:
-        images, codes, prov = _patch_entries(unpaired, paired)
-        ps = build_patch_set(images, codes, net.geom, provenance=prov)
+        images, codes = _patch_entries(unpaired, paired)
+        ps = build_patch_set(images, codes, net.geom)
         p_now = ps.values()
         graph = gaussian_weights(p_now, kcfg)
         dual = state.dual
@@ -329,31 +328,30 @@ def training_step(net, batch, state, cfg, kcfg=None):
 
     losses["loss_total"] = float(total.data)
 
-    # gradients for generator and (in adversarial modes) discriminators
+    # gradients for generator and (in adversarial modes) discriminators; the
+    # generator's adversarial terms also reach the discriminator weights, so
+    # their gradients are zeroed only after the generator backward
     net.gen_params.zero_grad()
-    if net.disc_params is not None:
-        net.disc_params.zero_grad()
     ad.backward(total)
     if cfg.uses_adn:
         d_total, d_terms = discriminator_loss(net, out_u, x_u, y_u)
         for name, t in d_terms.items():
             losses[name] = float(t.data)
+        net.disc_params.zero_grad()
         ad.backward(d_total)
 
     # validate everything, then mutate
     check_grads(net.gen_params)
     if cfg.uses_adn:
         check_grads(net.disc_params)
-    adam_step(net.gen_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-              eps=cfg.adam_eps)
+    adam_step(net.gen_params, lr=cfg.lr)
     if cfg.uses_adn:
-        adam_step(net.disc_params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-                  eps=cfg.adam_eps)
+        adam_step(net.disc_params, lr=cfg.lr)
 
     # dual update against the patch set at the new weights
     if ldm_active:
-        images, codes, prov = _ldm_entries_fresh(net, batch, cfg)
-        p_new = build_patch_set(images, codes, net.geom, provenance=prov).values()
+        images, codes = _ldm_entries_fresh(net, batch, cfg)
+        p_new = build_patch_set(images, codes, net.geom).values()
         state.dual = normalize_dual(DualVariable(dual.values + solved.u - p_new))
         rep.dual_min = float(state.dual.values.min())
         rep.dual_max = float(state.dual.values.max())
@@ -382,8 +380,9 @@ def build_network(cfg, image_size):
 
 
 def train(bundle, cfg, out_dir=None):
-    """Run cfg.epochs over the bundle; optionally write metrics CSV and
-    checkpoints under out_dir. Returns the trained network and step reports."""
+    """Run cfg.epochs over the bundle. With out_dir, write `metrics.csv`
+    (one row per step, CSV_COLUMNS) and the final network to `checkpoint/`.
+    Returns the trained network, optimizer state and step reports."""
     unpaired_pools, paired_pool = make_pools(bundle)
     sched = BatchScheduler(unpaired_pools if cfg.uses_adn else None,
                            paired_pool if cfg.uses_sup else None, cfg)
@@ -408,9 +407,6 @@ def train(bundle, cfg, out_dir=None):
                 reports.append(rep)
                 if csv_file is not None:
                     csv_file.write(",".join(report_row(rep)) + "\n")
-            if (out_dir is not None and cfg.checkpoint_every > 0
-                    and epoch % cfg.checkpoint_every == 0):
-                save_checkpoint(net, os.path.join(out_dir, f"checkpoint_epoch{epoch:04d}"))
     finally:
         if csv_file is not None:
             csv_file.close()

@@ -133,7 +133,7 @@ def test_conv_adjoint_identity():
 
 def test_backward_sum_gives_ones():
     p = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4), requires_grad=True)
-    ad.backward(p.sum())
+    ad.backward(ad.tsum(p))
     assert np.array_equal(p.grad, np.ones((3, 4), dtype=np.float32))
 
 
@@ -151,7 +151,7 @@ def test_backward_l1_subgradient_values():
 def test_backward_rejects_non_scalar():
     p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ShapeError):
-        ad.backward(p * 2.0)
+        ad.backward(ad.mul(p, 2.0))
 
 
 def test_backward_accumulates_across_calls():
@@ -163,9 +163,40 @@ def test_backward_accumulates_across_calls():
     assert np.array_equal(p.grad, 2 * once)
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    # operation results get no grad; the leaves get the full gradient, and a
+    # second backward through the same graph adds to it
+    rng = np.random.default_rng(8)
+    xd = rng.standard_normal((1, 1, 6, 6))
+    arrs = [rng.standard_normal((2, 1, 3, 3)) * 0.5, rng.standard_normal(2) * 0.1]
+
+    def net(x, k, b):
+        conv = ad.conv2d(x, k, stride=1, padding=1)
+        biased = ad.add_channel_bias(conv, b)
+        act = ad.tanh(biased)
+        return [conv, biased, act, ad.frobenius_sq(act)]
+
+    leaves = [Tensor(a, requires_grad=True) for a in [xd] + arrs]
+    interior = net(*leaves)
+    ad.backward(interior[-1])
+    for t in interior:
+        assert t.requires_grad and t.grad is None
+
+    def f():
+        return float(net(Tensor(xd), *[Tensor(a) for a in arrs])[-1].data)
+
+    for leaf, g in zip(leaves, numeric_grad(f, [xd] + arrs)):
+        assert rel_err(leaf.grad, g) < 1e-4
+    once = [leaf.grad.copy() for leaf in leaves]
+    ad.backward(interior[-1])
+    for leaf, g in zip(leaves, once):
+        assert np.array_equal(leaf.grad, 2 * g)
+    assert all(t.grad is None for t in interior)
+
+
 def test_zero_grad_resets_exactly():
     p = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
-    ad.backward(p.sum())
+    ad.backward(ad.tsum(p))
     p.zero_grad()
     assert np.array_equal(p.grad, np.zeros(4, dtype=np.float32))
 
@@ -309,7 +340,7 @@ def test_scalar_add_broadcast():
     s = Tensor(np.float32(3.0), requires_grad=True)
     out = ad.add(a, s)
     assert np.allclose(out.data, 4.0)
-    ad.backward(out.sum())
+    ad.backward(ad.tsum(out))
     assert np.allclose(a.grad, 1.0)
     assert np.allclose(s.grad, 4.0)
 
@@ -318,6 +349,6 @@ def test_detach_blocks_gradient():
     a = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     d = a.detach()
     assert not d.requires_grad
-    loss = (Tensor(np.ones(3, dtype=np.float32), requires_grad=True) * d).sum()
+    loss = ad.tsum(ad.mul(Tensor(np.ones(3, dtype=np.float32), requires_grad=True), d))
     ad.backward(loss)
     assert a.grad is not None and np.allclose(a.grad, 0.0)

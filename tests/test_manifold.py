@@ -3,7 +3,6 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from patchmar import autodiff as ad
-from patchmar import manifold as mf
 from patchmar.autodiff import Tensor, ShapeError
 from patchmar.manifold import (KernelConfig, DualVariable, SolverError,
                                build_patch_set, dirichlet_energy,
@@ -27,12 +26,8 @@ def test_patch_set_counts_for_default_geometry():
     rng = np.random.default_rng(0)
     img = Tensor(rng.standard_normal((1, 1, 64, 64)).astype(np.float32))
     code = Tensor(rng.standard_normal((1, 64, 8, 8)).astype(np.float32))
-    ps = build_patch_set([img, img], [code, code], geom,
-                         provenance=[mf.CORRECTED, mf.FREE])
-    assert ps.m == 2 * 64
-    assert ps.d == 128
-    assert list(ps.provenance[:64]) == [mf.CORRECTED] * 64
-    assert list(ps.provenance[64:]) == [mf.FREE] * 64
+    ps = build_patch_set([img, img], [code, code], geom)
+    assert ps.points.shape == (2 * 64, 128)
 
 
 def test_patch_set_constant_fields():
@@ -67,7 +62,7 @@ def test_patch_set_batched_images_keep_input_order():
     imgs = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
     codes = rng.standard_normal((3, 16, 2, 2)).astype(np.float32)
     ps = build_patch_set([Tensor(imgs)], [Tensor(codes)], geom)
-    assert ps.m == 3 * 4
+    assert ps.points.shape[0] == 3 * 4
     # second image's first location starts at row 4
     patch = imgs[1, 0, :4, :4].ravel()
     assert np.array_equal(ps.points.data[4, :16], patch)
@@ -89,7 +84,7 @@ def test_patch_set_is_differentiable_through_both_parts():
     img = Tensor(np.ones((1, 1, 8, 8), dtype=np.float32), requires_grad=True)
     code = Tensor(np.ones((1, 16, 2, 2), dtype=np.float32), requires_grad=True)
     ps = build_patch_set([img], [code], geom)
-    ad.backward(ps.points.sum())
+    ad.backward(ad.tsum(ps.points))
     assert np.allclose(img.grad, 1.0)
     assert np.allclose(code.grad, 1.0)
 

@@ -5,11 +5,12 @@ import pytest
 
 from patchmar import autodiff, ctsim, training
 from patchmar.autodiff import Tensor
-from patchmar.manifold import CORRECTED, FREE, SolverError
-from patchmar.networks import NetworkVariant, load_checkpoint
+from patchmar.manifold import SolverError
+from patchmar.networks import NetworkVariant, discriminator_loss, load_checkpoint
 from patchmar.optim import NanGradientError
 
 LDM_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_ldm]
+ADN_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_adn]
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,12 @@ def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0].split(",") == list(training.CSV_COLUMNS)
     assert len(lines) == 1 + len(res.reports)
+    col = training.CSV_COLUMNS.index("cg_iterations")
+    assert col == training.CSV_COLUMNS.index("cg_residual") + 1
+    for line, rep in zip(lines[1:], res.reports):
+        field = line.split(",")[col]
+        assert field.isdigit() and int(field) > 0
+        assert int(field) == rep.cg_iterations
     net = load_checkpoint(res.checkpoint_dir)
     x = Tensor(training.make_pools(bundle)[1][0][0][None, None])
     assert np.array_equal(net.forward_corrected(x).data, res.net.forward_corrected(x).data)
@@ -89,12 +96,10 @@ def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
 def test_patch_entries_order():
     unpaired = ("x_hat_u", "z_x_u", "y_u", "z_y_u")
     paired = ("x_hat_p", "z_x_p", "y_p", "z_y_p")
-    images, codes, prov = training._patch_entries(unpaired, paired)
+    images, codes = training._patch_entries(unpaired, paired)
     assert images == ("x_hat_u", "x_hat_p", "y_u", "y_p")
     assert codes == ("z_x_u", "z_x_p", "z_y_u", "z_y_p")
-    assert prov == (CORRECTED, CORRECTED, FREE, FREE)
-    assert training._patch_entries(None, paired) == (
-        ("x_hat_p", "y_p"), ("z_x_p", "z_y_p"), (CORRECTED, FREE))
+    assert training._patch_entries(None, paired) == (("x_hat_p", "y_p"), ("z_x_p", "z_y_p"))
 
 
 @pytest.mark.parametrize("mode", LDM_MODES)
@@ -105,8 +110,8 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     built = []
     inner = training.build_patch_set
 
-    def record(images, codes, geom, provenance=None):
-        ps = inner(images, codes, geom, provenance=provenance)
+    def record(images, codes, geom):
+        ps = inner(images, codes, geom)
         built.append(ps)
         return ps
 
@@ -117,9 +122,39 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     step, refresh = built
     entries = 1 + int(cfg.uses_adn and cfg.uses_sup)
     rows = cfg.batch_size * (bundle.cfg.image_size // cfg.s) ** 2
-    assert list(step.provenance) == [CORRECTED] * (entries * rows) + [FREE] * (entries * rows)
-    assert np.array_equal(step.provenance, refresh.provenance)
+    assert step.points.shape[0] == 2 * entries * rows
     assert np.array_equal(step.values(), refresh.values())
+
+
+# ------------------------------------------------------- discriminator step
+
+@pytest.mark.parametrize("mode", ADN_MODES)
+def test_discriminator_step_sees_only_the_discriminator_loss(bundle, mode, monkeypatch):
+    # The generator loss also reaches the discriminator weights, through its
+    # adversarial terms; none of that may reach the discriminator update.
+    # With lr = 0 the step keeps the weights, so the discriminator loss can
+    # be recomputed afterwards at the weights the step used.
+    cfg = tiny_cfg(mode, lr=0.0)
+    net = training.build_network(cfg, bundle.cfg.image_size)
+    seen = {}
+    inner = training.adam_step
+
+    def spy(store, **kwargs):
+        if store is net.disc_params:
+            seen.update((name, t.grad.copy()) for name, t in store.items())
+        return inner(store, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", spy)
+    batch = first_batch(bundle, cfg)
+    training.training_step(net, batch, training.OptState(), cfg)
+    assert seen.keys() == set(net.disc_params.names())
+
+    x, y = Tensor(batch.x_unpaired), Tensor(batch.y_unpaired)
+    net.disc_params.zero_grad()
+    d_total, _ = discriminator_loss(net, net.forward(x, y), x, y)
+    autodiff.backward(d_total)
+    for name, t in net.disc_params.items():
+        assert np.array_equal(seen[name], t.grad), name
 
 
 # ------------------------------------------------------- failed steps
