@@ -9,6 +9,14 @@ severity and the local value. Zero severity therefore reproduces the clean
 reconstruction bit for bit, so each synthesized artifact image differs from
 its clean partner only through this pipeline.
 
+Projector: each ray is sampled every half pixel and interpolated bilinearly
+with zeros outside the image, but only the samples strictly inside the
+image's support box (the bounding box of its non-zero pixels, widened by
+2 px) are evaluated. Every other sample has four zero neighbours or lies
+outside the image, so it is exactly 0.0; it stays 0.0 in a full per-view
+buffer whose rows are summed, so the sinogram is bit for bit the one that
+evaluating every sample gives.
+
 On-disk dataset (`save_dataset` / `load_dataset`): `manifest.json` holds the
 SynthConfig (`cfg`), the ScanGeometry (`geom`), the `artifact_pool` and
 `clean_pool` indices and, per split, each pair's `index` and `metal_pixels`
@@ -86,6 +94,15 @@ class PhantomImage:
 
 
 _RAY_STEP = 0.5  # pixels along each ray
+# Widening of the support box; a bilinear sample reads pixels less than 1 px
+# away, so any margin above 1 px keeps every possibly non-zero sample inside.
+_SUPPORT_PAD = 2
+
+
+def _index_range(lo, hi, n):
+    # indices covering [lo, hi] on a 0..n-1 grid, padded by one against
+    # rounding in the sample coordinates
+    return max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 2, n)
 
 
 def _line_integrals(img, geom):
@@ -97,17 +114,36 @@ def _line_integrals(img, geom):
     half = h / math.sqrt(2.0)
     n_samples = int(math.ceil(2 * half / _RAY_STEP)) + 1
     ts = np.linspace(-half, half, n_samples)
+    step = ts[1] - ts[0]
     offs = geom.detector_offsets
-    sino = np.empty((geom.n_views, geom.n_detectors), dtype=np.float64)
+    sino = np.zeros((geom.n_views, geom.n_detectors), dtype=np.float64)
+    rows = np.flatnonzero(img.any(axis=1))
+    if rows.size == 0:
+        return sino
+    cols = np.flatnonzero(img.any(axis=0))
+    y_lo, y_hi = rows[0] - _SUPPORT_PAD, rows[-1] + _SUPPORT_PAD
+    x_lo, x_hi = cols[0] - _SUPPORT_PAD, cols[-1] + _SUPPORT_PAD
+    corners = [(x - c, y - c) for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
+    det_centre = (geom.n_detectors - 1) / 2.0
+    buf = np.zeros((geom.n_detectors, n_samples), dtype=np.float64)
     for vi, phi in enumerate(geom.angles):
         ux, uy = math.cos(phi), math.sin(phi)
         vx, vy = -math.sin(phi), math.cos(phi)
-        xs = c + offs[:, None] * ux + ts[None, :] * vx
-        ys = c + offs[:, None] * uy + ts[None, :] * vy
-        vals = ndimage.map_coordinates(img, [ys.ravel(), xs.ravel()],
-                                       order=1, mode="constant", cval=0.0)
-        sino[vi] = vals.reshape(geom.n_detectors, n_samples).sum(axis=1)
-    return sino * (ts[1] - ts[0])
+        # the box corners, in detector and sample index units, bound the sub-grid
+        dets = [(dx * ux + dy * uy) / geom.detector_spacing + det_centre
+                for dx, dy in corners]
+        samples = [(dx * vx + dy * vy + half) / step for dx, dy in corners]
+        d0, d1 = _index_range(min(dets), max(dets), geom.n_detectors)
+        s0, s1 = _index_range(min(samples), max(samples), n_samples)
+        xs = c + offs[d0:d1, None] * ux + ts[None, s0:s1] * vx
+        ys = c + offs[d0:d1, None] * uy + ts[None, s0:s1] * vy
+        inside = (xs > x_lo) & (xs < x_hi) & (ys > y_lo) & (ys < y_hi)
+        sub = buf[d0:d1, s0:s1]
+        sub[inside] = ndimage.map_coordinates(img, [ys[inside], xs[inside]],
+                                              order=1, mode="constant", cval=0.0)
+        sino[vi, d0:d1] = buf[d0:d1].sum(axis=1)
+        sub[...] = 0.0
+    return sino * step
 
 
 def radon_forward(img, geom):
@@ -118,10 +154,7 @@ def radon_forward(img, geom):
     """
     if isinstance(img, PhantomImage):
         data = _line_integrals(img.pixels, geom)
-        if img.metal_mask.any():
-            trace = _line_integrals(img.metal_mask.astype(np.float64), geom) > 0.0
-        else:
-            trace = np.zeros(data.shape, dtype=bool)
+        trace = _line_integrals(img.metal_mask.astype(np.float64), geom) > 0.0
         return Sinogram(data=data, metal_trace=trace)
     return Sinogram(data=_line_integrals(img, geom), metal_trace=None)
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from patchmar import ctsim as ct
 from patchmar.autodiff import ShapeError
@@ -22,9 +23,10 @@ def disk_image(n=64, r=20):
 # -------------------------------------------------------------------- radon
 
 def test_radon_zero_image_gives_zero_sinogram():
-    sino = ct.radon_forward(np.zeros((32, 32)), geom_small())
-    assert np.array_equal(sino.data, np.zeros_like(sino.data))
-    assert not sino.metal_trace.any()
+    for img in (np.zeros((32, 32)), ct.PhantomImage(pixels=np.zeros((32, 32)))):
+        sino = ct.radon_forward(img, geom_small())
+        assert np.array_equal(sino.data, np.zeros_like(sino.data))
+        assert not sino.metal_trace.any()
 
 
 def test_radon_disk_central_chord_length():
@@ -62,6 +64,69 @@ def test_radon_rotation_permutes_views():
 def test_radon_rejects_non_square():
     with pytest.raises(ShapeError):
         ct.radon_forward(np.zeros((32, 16)), geom_small())
+
+
+def reference_line_integrals(img, geom):
+    """The projector evaluating every ray sample, one view at a time."""
+    img = np.asarray(img, dtype=np.float64)
+    h = img.shape[0]
+    c = (h - 1) / 2.0
+    half = h / math.sqrt(2.0)
+    n_samples = int(math.ceil(2 * half / ct._RAY_STEP)) + 1
+    ts = np.linspace(-half, half, n_samples)
+    offs = geom.detector_offsets
+    sino = np.empty((geom.n_views, geom.n_detectors), dtype=np.float64)
+    for vi, phi in enumerate(geom.angles):
+        ux, uy = math.cos(phi), math.sin(phi)
+        vx, vy = -math.sin(phi), math.cos(phi)
+        xs = c + offs[:, None] * ux + ts[None, :] * vx
+        ys = c + offs[:, None] * uy + ts[None, :] * vy
+        vals = ndimage.map_coordinates(img, [ys.ravel(), xs.ravel()],
+                                       order=1, mode="constant", cval=0.0)
+        sino[vi] = vals.reshape(geom.n_detectors, n_samples).sum(axis=1)
+    return sino * (ts[1] - ts[0])
+
+
+PROJECTOR_GEOMS = {
+    "180x128": ct.ScanGeometry(),
+    "45x64": ct.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5),
+    "7x9": ct.ScanGeometry(n_views=7, n_detectors=9, detector_spacing=3.0,
+                           angular_range=2.0),
+}
+
+
+def assert_projector_matches_reference(images, geom):
+    for name, img in images.items():
+        got = ct._line_integrals(img, geom)
+        assert np.array_equal(got, reference_line_integrals(img, geom)), name
+
+
+@pytest.mark.parametrize("geom", PROJECTOR_GEOMS.values(), ids=PROJECTOR_GEOMS.keys())
+def test_projector_matches_reference_on_phantoms_and_masks(geom):
+    images = {}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        clean, body = ct.random_phantom(rng, 64)
+        images[f"phantom {seed}"] = clean
+        images[f"metal {seed}"] = ct.random_metal_mask(rng, 64, body).astype(np.float64)
+    assert_projector_matches_reference(images, geom)
+
+
+@pytest.mark.parametrize("geom", PROJECTOR_GEOMS.values(), ids=PROJECTOR_GEOMS.keys())
+def test_projector_matches_reference_at_borders_and_full_support(geom):
+    n = 64
+    images = {}
+    for r in (0, n // 2, n - 1):
+        for c in (0, n // 2, n - 1):
+            if (r, c) != (n // 2, n // 2):
+                mask = np.zeros((n, n))
+                mask[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2] = 1.0
+                images[f"mask at ({r}, {c})"] = mask
+    rng = np.random.default_rng(20)
+    images["fully non-zero"] = rng.uniform(0.1, 1.0, (n, n))
+    images["negative values"] = np.where(disk_image(n, 12) > 0, -0.7, 0.0)
+    images["all zero"] = np.zeros((n, n))
+    assert_projector_matches_reference(images, geom)
 
 
 # ---------------------------------------------------------------------- fbp
@@ -301,6 +366,18 @@ def test_synth_zero_severity_reproduces_clean_fbp():
     bundle = ct.synthesize_dataset(3, small_scan(), small_cfg(severity=0.0))
     for p in bundle.train:
         assert np.array_equal(p.artifact, p.clean)
+
+
+def test_synth_matches_reference_projector(monkeypatch):
+    geom = PROJECTOR_GEOMS["45x64"]
+    cfg = ct.SynthConfig(seed=3, test_pairs=1)
+    bundle = ct.synthesize_dataset(3, geom, cfg)
+    monkeypatch.setattr(ct, "_line_integrals", reference_line_integrals)
+    want = ct.synthesize_dataset(3, geom, cfg)
+    for split in ("train", "test"):
+        for p1, p2 in zip(getattr(bundle, split), getattr(want, split), strict=True):
+            assert np.array_equal(p1.artifact, p2.artifact)
+            assert np.array_equal(p1.clean, p2.clean)
 
 
 def test_synth_rejects_bad_args():
