@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from .autodiff import Tensor, ShapeError, concat, reshape, transpose
+from .autodiff import ShapeError, concat, reshape, transpose
 
 
 class SolverError(RuntimeError):
@@ -52,24 +52,8 @@ class KernelConfig:
 
 
 @dataclass
-class PatchSet:
-    """m x d matrix of patch points, one row per spatial location.
-
-    Row layout: first s^2 entries are the flattened s x s pixel patch, last
-    s^2 the compressed code vector at that location. `points` stays inside
-    the autodiff graph so penalties on it reach the network.
-    """
-
-    points: Tensor
-
-    def values(self):
-        """Detached float64 coordinates for graph assembly."""
-        return self.points.data.astype(np.float64)
-
-
-@dataclass
 class GraphOperators:
-    """Symmetric weights W and their row sums D over one PatchSet.
+    """Symmetric weights W and their row sums D over one patch set.
 
     The Laplacian L = D - W is never stored; `apply` multiplies by it and by
     the other operators of the form D - c * W.
@@ -120,7 +104,10 @@ def build_patch_set(images, codes, geom):
     """Assemble the patch set from per-branch image/code tensor pairs.
 
     images[i] is [N,1,H,W]; codes[i] is the matching [N,s^2,H/s,W/s]
-    compressed code. Entries are stacked in list order (callers put the
+    compressed code. Returns the m x d points Tensor, one row per spatial
+    location: the flattened s x s pixel patch, then the s^2 code entries at
+    that location. It stays in the autodiff graph, so penalties on it reach
+    the network. Entries are stacked in list order (callers put the
     artifact-corrected branches first), images within an entry in batch
     order, spatial locations row-major.
     """
@@ -145,8 +132,7 @@ def build_patch_set(images, codes, geom):
         rows = concat([_patch_rows(img, s), _code_rows(code)], axis=1)
         row_blocks.append(rows)
 
-    points = row_blocks[0] if len(row_blocks) == 1 else concat(row_blocks, axis=0)
-    return PatchSet(points=points)
+    return row_blocks[0] if len(row_blocks) == 1 else concat(row_blocks, axis=0)
 
 
 def _auto_bandwidth(sq_dists):
@@ -161,7 +147,7 @@ def _auto_bandwidth(sq_dists):
 def gaussian_weights(points, cfg):
     """Gaussian kernel weights w_ij = exp(-||p_i - p_j||^2 / (4t)).
 
-    points is an (m, d) array, such as `PatchSet.values()`. Only the
+    points is an (m, d) array, such as a patch set's values. Only the
     condensed upper triangle is evaluated, so W is symmetric bit for bit;
     the diagonal is exactly 1. Degrees are row sums. W is the only m x m
     array built.

@@ -20,11 +20,17 @@ consistency uses the residual-transport reading: the artifact removed from x
 must equal the artifact added to y, i.e. L1(x - x_hat, y_art - y). An
 alternative reading re-encodes the artifact instead; it is not implemented.
 
+A parameter's name is its attribute path from the network, with list
+indices as path parts (`enc_clean.downs.0.kernel`, `d_art.c3.bias`). The
+names come from one walk over the module tree, so every layer a block holds
+is trained and saved. `d_clean.*` and `d_art.*` form the discriminator
+store; everything else forms the generator store.
+
 On-disk checkpoint (`save_checkpoint` / `load_checkpoint`): `manifest.json`
 holds the `variant` value, the `geometry` (image_h, image_w, s), `base_width`
 and the parameter `dtype`; `params.npz` holds one array per parameter, keyed
 `gen.<name>` for the generator store and `disc.<name>` for the
-discriminator store.
+discriminator store, where `<name>` is that attribute path.
 """
 
 import enum
@@ -107,7 +113,30 @@ def _he_std(fan_in):
     return math.sqrt(2.0 / ((1.0 + LEAKY_SLOPE ** 2) * fan_in))
 
 
-class _Conv:
+class _Module:
+    """A layer or block: its parameters are the requires-grad Tensors among
+    its attributes, found by walking them."""
+
+    def named_params(self):
+        """(attribute path, tensor) for every parameter, recursing into
+        sub-modules and lists (`downs.0.kernel`), in assignment order."""
+        for name, value in vars(self).items():
+            yield from _walk(name, value)
+
+
+def _walk(path, value):
+    if isinstance(value, Tensor):
+        if value.requires_grad:
+            yield path, value
+    elif isinstance(value, _Module):
+        for name, item in vars(value).items():
+            yield from _walk(f"{path}.{name}", item)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _walk(f"{path}.{i}", item)
+
+
+class _Conv(_Module):
     def __init__(self, cin, cout, k, stride, pad, rng, dtype):
         std = _he_std(cin * k * k)
         self.kernel = Tensor(rng.normal(0.0, std, (cout, cin, k, k)).astype(dtype),
@@ -120,11 +149,8 @@ class _Conv:
         return ad.add_channel_bias(
             ad.conv2d(x, self.kernel, stride=self.stride, padding=self.pad), self.bias)
 
-    def params(self):
-        return [("kernel", self.kernel), ("bias", self.bias)]
 
-
-class _ConvT:
+class _ConvT(_Module):
     def __init__(self, cin, cout, k, stride, pad, rng, dtype):
         std = _he_std(cin * k * k / (stride * stride))
         self.kernel = Tensor(rng.normal(0.0, std, (cin, cout, k, k)).astype(dtype),
@@ -138,11 +164,8 @@ class _ConvT:
             ad.conv_transpose2d(x, self.kernel, stride=self.stride, padding=self.pad),
             self.bias)
 
-    def params(self):
-        return [("kernel", self.kernel), ("bias", self.bias)]
 
-
-class _Encoder:
+class _Encoder(_Module):
     """Stem conv + n_down stride-2 convs; returns latent and skip features."""
 
     def __init__(self, width, n_down, rng, dtype):
@@ -163,14 +186,8 @@ class _Encoder:
             skips.append(f)
         return f, skips[:-1]
 
-    def params(self):
-        out = [("stem." + n, t) for n, t in self.stem.params()]
-        for i, d in enumerate(self.downs):
-            out += [(f"down{i}." + n, t) for n, t in d.params()]
-        return out
 
-
-class _CleanDecoder:
+class _CleanDecoder(_Module):
     """n_down transposed convs + output conv with tanh; optional additive skips."""
 
     def __init__(self, width, n_down, rng, dtype):
@@ -189,15 +206,8 @@ class _CleanDecoder:
                 f = ad.add(f, skips[-(i + 1)])
         return ad.tanh(self.out(f))
 
-    def params(self):
-        out = []
-        for i, u in enumerate(self.ups):
-            out += [(f"up{i}." + n, t) for n, t in u.params()]
-        out += [("out." + n, t) for n, t in self.out.params()]
-        return out
 
-
-class _ArtifactDecoder:
+class _ArtifactDecoder(_Module):
     """Fuses content and artifact latents, decodes to an artifact-bearing image."""
 
     def __init__(self, width, n_down, rng, dtype):
@@ -215,15 +225,8 @@ class _ArtifactDecoder:
             f = ad.leaky_relu(up(f), LEAKY_SLOPE)
         return ad.tanh(self.out(f))
 
-    def params(self):
-        out = [("fuse." + n, t) for n, t in self.fuse.params()]
-        for i, u in enumerate(self.ups):
-            out += [(f"up{i}." + n, t) for n, t in u.params()]
-        out += [("out." + n, t) for n, t in self.out.params()]
-        return out
 
-
-class Discriminator:
+class Discriminator(_Module):
     """Three strided convs ending in a patch logit map (LSGAN, no sigmoid)."""
 
     def __init__(self, width, rng, dtype):
@@ -236,14 +239,8 @@ class Discriminator:
         f = ad.leaky_relu(self.c2(f), LEAKY_SLOPE)
         return self.c3(f)
 
-    def params(self):
-        out = []
-        for nm, block in [("c1", self.c1), ("c2", self.c2), ("c3", self.c3)]:
-            out += [(nm + "." + n, t) for n, t in block.params()]
-        return out
 
-
-class DisentangleNet:
+class DisentangleNet(_Module):
     """One network instance: modules per variant plus named parameter stores."""
 
     def __init__(self, variant, geom, base_width=8, rng=None, dtype=np.float32):
@@ -278,23 +275,10 @@ class DisentangleNet:
             self.compress_clean = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng, dtype)
 
         self.gen_params = ParameterStore()
-        for prefix, module in self._gen_modules():
-            for n, t in module.params():
-                self.gen_params.add(prefix + "." + n, t)
-        self.disc_params = None
-        if self.d_clean is not None:
-            self.disc_params = ParameterStore()
-            for prefix, module in [("d_clean", self.d_clean), ("d_art", self.d_art)]:
-                for n, t in module.params():
-                    self.disc_params.add(prefix + "." + n, t)
-
-    def _gen_modules(self):
-        mods = [("enc_art_content", self.enc_art_content), ("dec_clean", self.dec_clean)]
-        for nm in ("enc_clean", "enc_artifact", "dec_artifact", "compress_art", "compress_clean"):
-            mod = getattr(self, nm)
-            if mod is not None:
-                mods.append((nm, mod))
-        return mods
+        self.disc_params = ParameterStore() if variant.is_unpaired else None
+        for name, t in self.named_params():
+            disc = name.startswith(("d_clean.", "d_art."))
+            (self.disc_params if disc else self.gen_params).add(name, t)
 
     def _check_image(self, t, name):
         if t.data.ndim != 4 or t.shape[1] != 1:

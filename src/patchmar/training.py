@@ -14,9 +14,11 @@ J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
 d <- minmax_normalize(d + U - P_new). A failed solve or a non-finite gradient
-aborts the step with parameters, Adam moments, dual and step counter
-untouched. Both patch-set builds take their entries from `_patch_entries`,
-so their rows come in the same order.
+aborts the step with parameters, Adam moments and step counts, and dual
+untouched; the generator store's Adam step count is the step number. Both
+patch-set builds take their entries from `_patch_entries`, so their rows
+come in the same order. The step's graph, its patch set and W are freed
+before the dual refresh builds its own graph.
 
 In adversarial modes the discriminators are updated from the discriminator
 loss alone: their gradients are zeroed after the generator backward, whose
@@ -105,7 +107,6 @@ class Batch:
 
 @dataclass
 class OptState:
-    k: int = 0
     dual: DualVariable = None
 
 
@@ -158,78 +159,68 @@ class BatchScheduler:
 
     def __init__(self, unpaired_pools, paired_pool, cfg):
         self.cfg = cfg
-        self.art_pool, self.clean_pool = (None, None)
-        self.paired_pool = None
+        self.art_pool = self.clean_pool = self.x_pool = self.gt_pool = None
         if cfg.uses_adn:
-            if (not unpaired_pools or not unpaired_pools[0] or not unpaired_pools[1]):
+            if not unpaired_pools or not len(unpaired_pools[0]) or not len(unpaired_pools[1]):
                 raise PoolError(f"mode {cfg.mode} requires non-empty unpaired pools")
             self.art_pool, self.clean_pool = unpaired_pools
         if cfg.uses_sup:
-            if not paired_pool:
+            if not paired_pool or not len(paired_pool[0]):
                 raise PoolError(f"mode {cfg.mode} requires a non-empty paired pool")
-            self.paired_pool = paired_pool
+            self.x_pool, self.gt_pool = paired_pool
 
     @property
     def steps_per_epoch(self):
-        sizes = []
-        if self.art_pool is not None:
-            sizes += [len(self.art_pool), len(self.clean_pool)]
-        if self.paired_pool is not None:
-            sizes.append(len(self.paired_pool))
-        return math.ceil(max(sizes) / self.cfg.batch_size)
+        pools = (self.art_pool, self.clean_pool, self.x_pool)
+        return math.ceil(max(len(p) for p in pools if p is not None) / self.cfg.batch_size)
 
     def epoch_batches(self, epoch):
         rng = np.random.default_rng(np.random.SeedSequence([self.cfg.seed, 7, epoch]))
-        perms = {}
+        art = clean = paired = None
         if self.art_pool is not None:
-            perms["art"] = rng.permutation(len(self.art_pool))
-            perms["clean"] = rng.permutation(len(self.clean_pool))
-        if self.paired_pool is not None:
-            perms["paired"] = rng.permutation(len(self.paired_pool))
+            art = rng.permutation(len(self.art_pool))
+            clean = rng.permutation(len(self.clean_pool))
+        if self.x_pool is not None:
+            paired = rng.permutation(len(self.x_pool))
         bs = self.cfg.batch_size
 
-        def take(pool, perm, lo):
-            picks = [pool[perm[(lo + i) % len(pool)]] for i in range(bs)]
-            return np.stack(picks)[:, None, :, :]
-
         for step in range(self.steps_per_epoch):
-            lo = step * bs
+            idx = np.arange(step * bs, (step + 1) * bs)
             b = Batch()
-            if self.art_pool is not None:
-                b.x_unpaired = take(self.art_pool, perms["art"], lo)
-                b.y_unpaired = take(self.clean_pool, perms["clean"], lo)
-            if self.paired_pool is not None:
-                pairs = [self.paired_pool[perms["paired"][(lo + i) % len(self.paired_pool)]]
-                         for i in range(bs)]
-                b.x_paired = np.stack([p[0] for p in pairs])[:, None, :, :]
-                b.gt_paired = np.stack([p[1] for p in pairs])[:, None, :, :]
+            if art is not None:
+                b.x_unpaired = self.art_pool[art[idx % len(art)]]
+                b.y_unpaired = self.clean_pool[clean[idx % len(clean)]]
+            if paired is not None:
+                pick = paired[idx % len(paired)]
+                b.x_paired, b.gt_paired = self.x_pool[pick], self.gt_pool[pick]
             yield b
 
 
 def make_pools(bundle):
-    """Normalized training pools from a synthesized dataset bundle."""
-    amax = bundle.cfg.amax
-    art = [normalize_image(bundle.train[i].artifact, amax) for i in bundle.artifact_pool]
-    clean = [normalize_image(bundle.train[i].clean, amax) for i in bundle.clean_pool]
-    paired = [(normalize_image(p.artifact, amax), normalize_image(p.clean, amax))
-              for p in bundle.train]
-    return (art, clean), paired
+    """Normalized training pools from a synthesized dataset bundle, each a
+    float32 [N,1,H,W] stack: (artifact, clean), (x, gt)."""
+    amax, size = bundle.cfg.amax, bundle.cfg.image_size
+
+    def stack(images):
+        return np.array([normalize_image(im, amax) for im in images],
+                        dtype=np.float32).reshape(-1, 1, size, size)
+
+    train = bundle.train
+    return ((stack([train[i].artifact for i in bundle.artifact_pool]),
+             stack([train[i].clean for i in bundle.clean_pool])),
+            (stack([p.artifact for p in train]), stack([p.clean for p in train])))
 
 
 # ---------------------------------------------------------------------------
 # penalty
 
-def ldm_penalty(u, patch_set, dual, lam):
+def ldm_penalty(u, points, dual, lam):
     """lambda * ||U - P + d||_F^2 with U and the DualVariable d constant.
 
-    Gradient reaches the network only through the patch-set tensor. lam = 0
-    returns a graph-free zero so the manifold machinery leaves no trace.
+    Gradient reaches the network only through the patch-set tensor `points`.
     """
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
-    points = patch_set.points
-    if lam == 0.0:
-        return Tensor(np.zeros((), dtype=points.dtype))
     u = np.asarray(u)
     if tuple(u.shape) != tuple(points.shape):
         raise ShapeError(f"u shape {u.shape} vs patch set {tuple(points.shape)}")
@@ -268,12 +259,14 @@ def _ldm_entries_fresh(net, batch, cfg):
         branch(batch.x_paired, batch.gt_paired) if cfg.uses_sup else None)
 
 
-def training_step(net, batch, state, cfg, kcfg=None):
-    """One outer iteration; returns a StepReport. Mutations happen only after
-    every fallible stage (solve, gradient validation) has passed."""
-    kcfg = kcfg or cfg.kernel_config()
-    losses = {}
-    rep = StepReport(k=state.k + 1)
+def _gradients(net, batch, dual, cfg, kcfg, rep):
+    """Forward passes, losses, the manifold solve and both backward passes.
+
+    Fills rep's losses and solver fields and returns (dual, U); U is None
+    when the penalty is off. The step's graph, its patch set and W are
+    locals here, so they are freed when this returns.
+    """
+    losses = rep.losses
 
     # forward passes and network losses, in a fixed order (sup then adn);
     # each branch keeps its (x_hat, z_x, y, z_y) for the patch set
@@ -308,23 +301,23 @@ def training_step(net, batch, state, cfg, kcfg=None):
         total = l_adn if total is None else ad.add(total, l_adn)
 
     # manifold stage (fallible: the solve may raise, leaving state untouched)
-    solved = None
-    ldm_active = cfg.uses_ldm and cfg.lambda_ldm > 0.0
-    if ldm_active:
+    u = None
+    if cfg.uses_ldm and cfg.lambda_ldm > 0.0:
         images, codes = _patch_entries(unpaired, paired)
-        ps = build_patch_set(images, codes, net.geom)
-        p_now = ps.values()
+        points = build_patch_set(images, codes, net.geom)
+        p_now = points.data.astype(np.float64)
         graph = gaussian_weights(p_now, kcfg)
-        dual = state.dual
         if dual is None or dual.values.shape != p_now.shape:
             dual = DualVariable(values=np.zeros_like(p_now))
         solved = solve_coordinates(graph, p_now - dual.values, kcfg)
-        penalty = ldm_penalty(solved.u, ps, dual, cfg.lambda_ldm)
-        losses["ldm_penalty"] = float(penalty.data)
-        total = penalty if total is None else ad.add(total, penalty)
         rep.dirichlet_energy = dirichlet_energy(p_now, graph)
+        del graph  # the backward passes do not need W
+        u = solved.u
         rep.cg_residual = solved.residual
         rep.cg_iterations = solved.iterations
+        penalty = ldm_penalty(u, points, dual, cfg.lambda_ldm)
+        losses["ldm_penalty"] = float(penalty.data)
+        total = penalty if total is None else ad.add(total, penalty)
 
     losses["loss_total"] = float(total.data)
 
@@ -339,6 +332,15 @@ def training_step(net, batch, state, cfg, kcfg=None):
             losses[name] = float(t.data)
         net.disc_params.zero_grad()
         ad.backward(d_total)
+    return dual, u
+
+
+def training_step(net, batch, state, cfg, kcfg=None):
+    """One outer iteration; returns a StepReport. Mutations happen only after
+    every fallible stage (solve, gradient validation) has passed."""
+    kcfg = kcfg or cfg.kernel_config()
+    rep = StepReport()
+    dual, u = _gradients(net, batch, state.dual, cfg, kcfg, rep)
 
     # validate everything, then mutate
     check_grads(net.gen_params)
@@ -347,17 +349,15 @@ def training_step(net, batch, state, cfg, kcfg=None):
     adam_step(net.gen_params, lr=cfg.lr)
     if cfg.uses_adn:
         adam_step(net.disc_params, lr=cfg.lr)
+    rep.k = net.gen_params.step_count
 
     # dual update against the patch set at the new weights
-    if ldm_active:
+    if u is not None:
         images, codes = _ldm_entries_fresh(net, batch, cfg)
-        p_new = build_patch_set(images, codes, net.geom).values()
-        state.dual = normalize_dual(DualVariable(dual.values + solved.u - p_new))
+        p_new = build_patch_set(images, codes, net.geom).data.astype(np.float64)
+        state.dual = normalize_dual(DualVariable(dual.values + u - p_new))
         rep.dual_min = float(state.dual.values.min())
         rep.dual_max = float(state.dual.values.max())
-
-    state.k += 1
-    rep.losses = losses
     return rep
 
 

@@ -27,7 +27,7 @@ def test_patch_set_counts_for_default_geometry():
     img = Tensor(rng.standard_normal((1, 1, 64, 64)).astype(np.float32))
     code = Tensor(rng.standard_normal((1, 64, 8, 8)).astype(np.float32))
     ps = build_patch_set([img, img], [code, code], geom)
-    assert ps.points.shape == (2 * 64, 128)
+    assert ps.shape == (2 * 64, 128)
 
 
 def test_patch_set_constant_fields():
@@ -36,7 +36,7 @@ def test_patch_set_constant_fields():
     code = Tensor(np.full((1, 16, 4, 4), -1.25, dtype=np.float32))
     ps = build_patch_set([img], [code], geom)
     expected = np.concatenate([np.full(16, 0.5), np.full(16, -1.25)]).astype(np.float32)
-    for row in ps.points.data:
+    for row in ps.data:
         assert np.array_equal(row, expected)
 
 
@@ -49,7 +49,7 @@ def test_patch_set_rows_match_direct_slicing():
     s, gw = 4, 4
     for i in range(8):
         for j in range(gw):
-            row = ps.points.data[i * gw + j]
+            row = ps.data[i * gw + j]
             patch = img[0, 0, i * s:(i + 1) * s, j * s:(j + 1) * s].ravel()
             vec = code[0, :, i, j]
             assert np.array_equal(row[:16], patch)
@@ -62,10 +62,10 @@ def test_patch_set_batched_images_keep_input_order():
     imgs = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
     codes = rng.standard_normal((3, 16, 2, 2)).astype(np.float32)
     ps = build_patch_set([Tensor(imgs)], [Tensor(codes)], geom)
-    assert ps.points.shape[0] == 3 * 4
+    assert ps.shape[0] == 3 * 4
     # second image's first location starts at row 4
     patch = imgs[1, 0, :4, :4].ravel()
-    assert np.array_equal(ps.points.data[4, :16], patch)
+    assert np.array_equal(ps.data[4, :16], patch)
 
 
 def test_patch_set_geometry_mismatch_rejected():
@@ -84,7 +84,7 @@ def test_patch_set_is_differentiable_through_both_parts():
     img = Tensor(np.ones((1, 1, 8, 8), dtype=np.float32), requires_grad=True)
     code = Tensor(np.ones((1, 16, 2, 2), dtype=np.float32), requires_grad=True)
     ps = build_patch_set([img], [code], geom)
-    ad.backward(ad.tsum(ps.points))
+    ad.backward(ad.tsum(ps))
     assert np.allclose(img.grad, 1.0)
     assert np.allclose(code.grad, 1.0)
 

@@ -33,6 +33,29 @@ def test_geometry_validation():
     assert g.code_channels == 64
 
 
+# ---------------------------------------------------------- parameter names
+
+def _resolve(net, name):
+    obj = net
+    for part in name.split("."):
+        obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("variant", list(NetworkVariant))
+def test_parameter_names_are_attribute_paths(variant):
+    net = make_net(variant)
+    stores = [s for s in (net.gen_params, net.disc_params) if s is not None]
+    names = [name for store in stores for name in store.names()]
+    assert len(names) == len(set(names))
+    for store in stores:
+        for name, t in store.items():
+            assert _resolve(net, name) is t, name
+    disc = [name for name in names if name.startswith(("d_clean.", "d_art."))]
+    assert (net.disc_params.names() if net.disc_params else []) == disc
+    assert bool(disc) == variant.is_unpaired
+
+
 # ---------------------------------------------------------------- variants
 
 def test_paired_variant_has_only_x_hat():

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ def test_variant_builds_only_the_branches_a_mode_trains():
         "LDM-DN": v.UNPAIRED_LDM, "ADN-Sup": v.UNPAIRED, "LDM-DN-Sup": v.UNPAIRED_LDM}
 
 
+# --------------------------------------------------------------- batches
+
+def test_batches_take_each_pool_in_its_permutation_order(bundle):
+    cfg = tiny_cfg("ADN-Sup", batch_size=3)
+    (art, clean), (x, gt) = training.make_pools(bundle)
+    amax = bundle.cfg.amax
+    assert np.array_equal(x[:, 0], [ctsim.normalize_image(p.artifact, amax) for p in bundle.train])
+    for pool in (art, clean, x, gt):
+        assert pool.dtype == np.float32 and pool.shape[1:] == (1, 16, 16)
+    # permutations are drawn per epoch in the order artifact, clean, paired
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, 1]))
+    perms = [rng.permutation(len(p)) for p in (art, clean, x)]
+    sched = training.BatchScheduler((art, clean), (x, gt), cfg)
+    for step, b in enumerate(sched.epoch_batches(1)):
+        for got, pool, perm in ((b.x_unpaired, art, perms[0]), (b.y_unpaired, clean, perms[1]),
+                                (b.x_paired, x, perms[2]), (b.gt_paired, gt, perms[2])):
+            want = np.stack([pool[perm[(3 * step + i) % len(perm)]] for i in range(3)])
+            assert np.array_equal(got, want)
+
+
 # ------------------------------------------------------------- tiny runs
 
 @pytest.mark.parametrize("mode", training.MODES)
@@ -50,7 +71,7 @@ def test_tiny_run_per_mode_is_finite_and_deterministic(bundle, mode):
     res = training.train(bundle, cfg)
     assert len(res.reports) == 2 * training.BatchScheduler(
         *training.make_pools(bundle), cfg).steps_per_epoch
-    assert res.state.k == len(res.reports)
+    assert res.net.gen_params.step_count == len(res.reports)
     for rep in res.reports:
         assert all(math.isfinite(v) for v in rep.losses.values()), rep.losses
         assert ("loss_sup" in rep.losses) == cfg.uses_sup
@@ -87,7 +108,7 @@ def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
         assert field.isdigit() and int(field) > 0
         assert int(field) == rep.cg_iterations
     net = load_checkpoint(res.checkpoint_dir)
-    x = Tensor(training.make_pools(bundle)[1][0][0][None, None])
+    x = Tensor(training.make_pools(bundle)[1][0][:1])
     assert np.array_equal(net.forward_corrected(x).data, res.net.forward_corrected(x).data)
 
 
@@ -122,8 +143,39 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     step, refresh = built
     entries = 1 + int(cfg.uses_adn and cfg.uses_sup)
     rows = cfg.batch_size * (bundle.cfg.image_size // cfg.s) ** 2
-    assert step.points.shape[0] == 2 * entries * rows
-    assert np.array_equal(step.values(), refresh.values())
+    assert step.shape[0] == 2 * entries * rows
+    assert np.array_equal(step.data, refresh.data)
+
+
+@pytest.mark.parametrize("mode", LDM_MODES)
+def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, monkeypatch):
+    # The dual refresh builds a graph of its own; the step's graph, patch
+    # set and W must be gone by then, or the two add up in peak memory.
+    cfg = tiny_cfg(mode)
+    refs, alive = [], []
+    build, weights, fresh = (training.build_patch_set, training.gaussian_weights,
+                             training._ldm_entries_fresh)
+
+    def record_build(images, codes, geom):
+        points = build(images, codes, geom)
+        refs.append(weakref.ref(points.data))
+        return points
+
+    def record_weights(points, kcfg):
+        ops = weights(points, kcfg)
+        refs.extend([weakref.ref(points), weakref.ref(ops.w)])
+        return ops
+
+    def check(*args):
+        alive.extend(r() is not None for r in refs)
+        return fresh(*args)
+
+    monkeypatch.setattr(training, "build_patch_set", record_build)
+    monkeypatch.setattr(training, "gaussian_weights", record_weights)
+    monkeypatch.setattr(training, "_ldm_entries_fresh", check)
+    net = training.build_network(cfg, bundle.cfg.image_size)
+    training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg)
+    assert alive == [False, False, False]
 
 
 # ------------------------------------------------------- discriminator step
@@ -160,7 +212,7 @@ def test_discriminator_step_sees_only_the_discriminator_loss(bundle, mode, monke
 # ------------------------------------------------------- failed steps
 
 def _snapshot(net, state):
-    snap = {"k": state.k, "dual": state.dual.values.copy()}
+    snap = {"dual": state.dual.values.copy()}
     for tag, store in (("gen", net.gen_params), ("disc", net.disc_params)):
         snap[tag + ".step_count"] = store.step_count
         for name, t in store.items():
@@ -199,7 +251,7 @@ def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     state = training.OptState()
     training.training_step(net, good, state, cfg)
     before = _snapshot(net, state)
-    assert before["k"] == before["gen.step_count"] == before["disc.step_count"] == 1
+    assert before["gen.step_count"] == before["disc.step_count"] == 1
 
     with pytest.raises(_inject(failure, net, monkeypatch)):
         training.training_step(net, bad, state, cfg)
