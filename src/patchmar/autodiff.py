@@ -52,10 +52,7 @@ class Tensor:
         return Tensor(self.data)
 
     def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -76,12 +73,6 @@ def _check_same_shape(a, b, op):
         raise ShapeError(f"{op}: shape {a.data.shape} vs {b.data.shape}")
     if a.data.dtype != b.data.dtype:
         raise ShapeError(f"{op}: dtype {a.data.dtype} vs {b.data.dtype}")
-
-
-def _as_tensor(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
 def backward(loss):
@@ -121,12 +112,8 @@ def backward(loss):
             continue
         if node._backward is None:
             if node.requires_grad:
-                # owned ndarray copy: closures may hand the same array to two
-                # parents, and 0-d results decay to numpy scalars
-                if node.grad is None:
-                    node.grad = np.array(g)
-                else:
-                    node.grad = np.asarray(node.grad + g)
+                # 0-d sums decay to numpy scalars
+                node.grad = np.asarray(node.grad + g)
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -142,14 +129,6 @@ def backward(loss):
 # elementwise ops
 
 def add(a, b):
-    b = _as_tensor(b, a)
-    if b.data.shape == () and a.data.shape != ():
-        data = a.data + b.data
-
-        def bwd(g):
-            return g, np.asarray(g.sum(dtype=np.float64), dtype=b.data.dtype)
-
-        return _node(data, (a, b), bwd)
     _check_same_shape(a, b, "add")
 
     def bwd(g):
@@ -159,24 +138,12 @@ def add(a, b):
 
 
 def sub(a, b):
-    b = _as_tensor(b, a)
     _check_same_shape(a, b, "sub")
 
     def bwd(g):
         return g, -g
 
     return _node(a.data - b.data, (a, b), bwd)
-
-
-def mul(a, b):
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
-    _check_same_shape(a, b, "mul")
-
-    def bwd(g):
-        return g * b.data, g * a.data
-
-    return _node(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, c):
@@ -276,27 +243,6 @@ def concat(tensors, axis=0):
 
 # ---------------------------------------------------------------------------
 # reductions and losses (float64 accumulation)
-
-def tsum(a):
-    val = a.data.sum(dtype=np.float64)
-    dtype = a.data.dtype
-
-    def bwd(g):
-        return (np.full(a.data.shape, float(g), dtype=dtype),)
-
-    return _node(np.asarray(val, dtype=dtype), (a,), bwd)
-
-
-def mean(a):
-    n = a.data.size
-    val = a.data.sum(dtype=np.float64) / n
-    dtype = a.data.dtype
-
-    def bwd(g):
-        return (np.full(a.data.shape, float(g) / n, dtype=dtype),)
-
-    return _node(np.asarray(val, dtype=dtype), (a,), bwd)
-
 
 def l1_loss(a, b):
     """Mean absolute difference."""

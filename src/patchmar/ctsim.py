@@ -150,7 +150,9 @@ def radon_forward(img, geom):
     """Parallel-beam line integrals; linear in the image.
 
     Accepts a PhantomImage (its metal mask is forward projected into the
-    trace) or a plain array (empty trace).
+    trace) or a plain array (empty trace). The plain array is the bare
+    operator, with which its linearity and agreement with a reference
+    projector are checked.
     """
     if isinstance(img, PhantomImage):
         data = _line_integrals(img.pixels, geom)
@@ -171,18 +173,18 @@ def _ramp_kernel(n, spacing):
     return h
 
 
-def fbp(sino, geom, image_size=None, clamp_negative=True):
+def fbp(sino, geom, image_size, clamp_negative=True):
     """Ramp-filtered backprojection onto an image_size x image_size grid.
 
     The reconstruction is linear in the sinogram before the final
     non-negativity clamp; pass clamp_negative=False for the raw values.
+    The pipeline always clamps; the switch exists so that the linearity
+    can be checked.
     """
     data = sino.data if isinstance(sino, Sinogram) else np.asarray(sino, dtype=np.float64)
     if data.shape != (geom.n_views, geom.n_detectors):
         raise ShapeError(f"sinogram shape {data.shape} does not match geometry "
                          f"({geom.n_views}, {geom.n_detectors})")
-    if image_size is None:
-        image_size = int(math.floor(geom.n_detectors * geom.detector_spacing / math.sqrt(2.0)))
 
     npad = 1
     while npad < 2 * geom.n_detectors:
@@ -210,11 +212,12 @@ def fbp(sino, geom, image_size=None, clamp_negative=True):
     return recon
 
 
-def corrupt_metal(sino, severity, rng=None, noise_scale=0.02):
+def corrupt_metal(sino, severity, rng, noise_scale=0.02):
     """Beam-hardening surrogate inside the metal trace; identity outside.
 
     Trace values get v + severity * v^2/(1+v) plus zero-mean noise with
-    standard deviation severity * noise_scale * v.
+    standard deviation severity * noise_scale * v, drawn from rng. With
+    noise_scale = 0 nothing is drawn, so rng is left as it was.
     """
     if severity < 0:
         raise ValueError(f"severity must be non-negative, got {severity}")
@@ -223,7 +226,7 @@ def corrupt_metal(sino, severity, rng=None, noise_scale=0.02):
     if severity > 0 and tr.any():
         v = data[tr]
         bump = severity * v * v / (1.0 + np.abs(v))
-        if rng is not None and noise_scale > 0:
+        if noise_scale > 0:
             bump = bump + severity * noise_scale * np.abs(v) * rng.standard_normal(v.size)
         data[tr] = v + bump
     return Sinogram(data=data, metal_trace=tr.copy())
@@ -279,27 +282,26 @@ def psnr(a, b, peak):
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def ssim(a, b, data_range=None, k1=0.01, k2=0.03, window=8):
-    """Mean structural similarity over all sliding window x window patches.
+SSIM_K1, SSIM_K2, SSIM_WINDOW = 0.01, 0.03, 8  # fixed, not per call
 
-    Uniform window, population statistics, C1 = (k1*L)^2, C2 = (k2*L)^2
-    with L = data_range (max minus min of both images when not given).
+
+def ssim(a, b, data_range):
+    """Mean structural similarity over all sliding SSIM_WINDOW-square patches.
+
+    Uniform window, population statistics, C1 = (SSIM_K1*L)^2,
+    C2 = (SSIM_K2*L)^2 with L = data_range.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"ssim: shape {a.shape} vs {b.shape}")
-    if a.shape[0] < window or a.shape[1] < window:
-        raise ShapeError(f"ssim: image smaller than {window}x{window} window")
-    if data_range is None:
-        data_range = float(max(a.max(), b.max()) - min(a.min(), b.min()))
-        if data_range == 0.0:
-            data_range = 1.0
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    if min(a.shape) < SSIM_WINDOW:
+        raise ShapeError(f"ssim: image smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
 
     def win_mean(x):
-        view = np.lib.stride_tricks.sliding_window_view(x, (window, window))
+        view = np.lib.stride_tricks.sliding_window_view(x, (SSIM_WINDOW, SSIM_WINDOW))
         return view.mean(axis=(2, 3))
 
     mu_a = win_mean(a)
@@ -428,10 +430,9 @@ def synthesize_dataset(n_pairs, geom, cfg):
                          clean_pool=clean_pool, geom=geom, cfg=cfg)
 
 
-def write_pgm(path, img, lo=None, hi=None):
+def write_pgm(path, img, lo, hi):
+    """8-bit binary PGM of img, mapping [lo, hi] to [0, 255] with clipping."""
     img = np.asarray(img, dtype=np.float64)
-    lo = img.min() if lo is None else lo
-    hi = img.max() if hi is None else hi
     span = hi - lo if hi > lo else 1.0
     quant = np.clip((img - lo) / span * 255.0, 0, 255).astype(np.uint8)
     with open(path, "wb") as f:

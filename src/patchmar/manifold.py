@@ -33,20 +33,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Gaussian kernel and solver coupling.
+    """Solver coupling: mu_bar weights the smoothing term against the data term.
 
-    t is the kernel bandwidth in squared patch-distance units; None selects
-    it per point set as median(squared pairwise distance) / 4, so the median
-    pair keeps weight e^-1 (a near-dense graph and strong smoothing).
-    mu_bar couples the smoothing term to the data term.
+    The kernel bandwidth is not configurable: `gaussian_weights` fixes it per
+    point set as median(squared pairwise distance) / 4, so the median pair
+    keeps weight e^-1 (a near-dense graph and strong smoothing).
     """
 
-    t: float | None = None
     mu_bar: float = 0.6
 
     def __post_init__(self):
-        if self.t is not None and not self.t > 0:
-            raise ValueError(f"kernel bandwidth t must be positive, got {self.t}")
         if not self.mu_bar > 0:
             raise ValueError(f"solver coupling mu_bar must be positive, got {self.mu_bar}")
 
@@ -144,13 +140,14 @@ def _auto_bandwidth(sq_dists):
     return med / 4.0
 
 
-def gaussian_weights(points, cfg):
+def gaussian_weights(points):
     """Gaussian kernel weights w_ij = exp(-||p_i - p_j||^2 / (4t)).
 
-    points is an (m, d) array, such as a patch set's values. Only the
-    condensed upper triangle is evaluated, so W is symmetric bit for bit;
-    the diagonal is exactly 1. Degrees are row sums. W is the only m x m
-    array built.
+    points is an (m, d) array, such as a patch set's values. The bandwidth t
+    is median(squared pairwise distance) / 4, or 1 when that median is 0 or
+    there is no pair. Only the condensed upper triangle is evaluated, so W
+    is symmetric bit for bit; the diagonal is exactly 1. Degrees are row
+    sums. W is the only m x m array built.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -159,18 +156,14 @@ def gaussian_weights(points, cfg):
     if m < 1:
         raise ShapeError("need at least one point")
 
-    if m == 1:
-        w = np.ones((1, 1))
-        t = cfg.t if cfg.t is not None else 1.0
-    else:
-        sq = pdist(pts, "sqeuclidean")
-        t = cfg.t if cfg.t is not None else _auto_bandwidth(sq)
-        w = squareform(sq)
-        del sq
-        np.negative(w, out=w)
-        w /= 4.0 * t
-        np.exp(w, out=w)
-        np.fill_diagonal(w, 1.0)
+    sq = pdist(pts, "sqeuclidean")
+    t = _auto_bandwidth(sq)
+    w = squareform(sq)
+    del sq
+    np.negative(w, out=w)
+    w /= 4.0 * t
+    np.exp(w, out=w)
+    np.fill_diagonal(w, 1.0)
     return GraphOperators(w=w, degrees=w.sum(axis=1), t=t)
 
 
@@ -178,14 +171,13 @@ def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
     """Jacobi-preconditioned CG for A X = B, all columns at once; apply_a(P)
     returns A @ P.
 
-    Returns (X, recurrence-converged mask, iterations used)."""
-    m, d = b.shape
+    Returns (X, iterations used)."""
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = np.linalg.norm(b, axis=0)
     active = bnorm > 0.0
     if not active.any():
-        return x, np.ones(d, dtype=bool), 0
+        return x, 0
     z = diag_inv[:, None] * r
     p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
@@ -207,7 +199,7 @@ def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
         beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
         p = z + p * beta
         rz = rz_new
-    return x, ~active, it
+    return x, it
 
 
 def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
@@ -219,13 +211,14 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     side; otherwise SolverError carries the worst column residual. The
     true residual is re-checked after the recurrence converges, with a
     restart if rounding drift ate the contract.
+
+    v is an (m, k) block. tol and max_iter are fixed for the training step;
+    they are arguments so that a failing solve can be forced.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
     m = ops.m
-    if v.shape[0] != m:
-        raise ShapeError(f"v has {v.shape[0]} rows, graph has {m} points")
+    if v.ndim != 2 or v.shape[0] != m:
+        raise ShapeError(f"v must be an (m, k) block over {m} points, got shape {v.shape}")
     if max_iter is None:
         max_iter = 10 * m
 
@@ -246,7 +239,7 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     budget = max_iter
     total_it = 0
     for _ in range(3):
-        dx, _, used = _pcg_multi(apply_a, r, diag_inv, tol * 0.5, budget)
+        dx, used = _pcg_multi(apply_a, r, diag_inv, tol * 0.5, budget)
         x += dx
         total_it += used
         budget -= used
@@ -261,20 +254,17 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     raise SolverError(worst, total_it)
 
 
-def dirichlet_energy(u, ops, normalized=True):
-    """sum over columns of u^T L u, divided by the point count by default.
+def dirichlet_energy(u, ops):
+    """Sum over the columns of an (m, k) block u of u^T L u, divided by m.
 
     Clamped at zero: for constant columns the exact value is 0 and matrix
     rounding can land a hair below it.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.shape[0] != ops.m:
-        raise ShapeError(f"u has {u.shape[0]} rows, graph has {ops.m} points")
+    if u.ndim != 2 or u.shape[0] != ops.m:
+        raise ShapeError(f"u must be an (m, k) block over {ops.m} points, got shape {u.shape}")
     e = float(np.sum(u * ops.apply(u)))
-    e = max(e, 0.0)
-    return e / ops.m if normalized else e
+    return max(e, 0.0) / ops.m
 
 
 def normalize_dual(d_hat):

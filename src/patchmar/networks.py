@@ -248,7 +248,7 @@ class DisentangleNet(_Module):
         self.geom = geom
         self.base_width = base_width
         self.dtype = dtype
-        if rng is None:
+        if rng is None:  # load_checkpoint builds without one, then overwrites every weight
             rng = np.random.default_rng(0)
         n_down = geom.n_down
 

@@ -1,8 +1,16 @@
-"""Named parameter collection and Adam updates."""
+"""Named parameter collection and Adam updates.
+
+Adam runs at one fixed setting, BETA1, BETA2 and EPS below; only the
+learning rate is set by the caller.
+"""
 
 import numpy as np
 
 from .autodiff import Tensor
+
+BETA1 = 0.5
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class NanGradientError(RuntimeError):
@@ -30,6 +38,9 @@ class ParameterStore:
         self._params[name] = tensor
         return tensor
 
+    # read accessors: the update itself needs only items(); these let a
+    # store's parameters and moments be inspected by name
+
     def __getitem__(self, name):
         return self._params[name]
 
@@ -56,7 +67,7 @@ def check_grads(store):
             raise NanGradientError(name)
 
 
-def adam_step(store, lr=1e-4, beta1=0.5, beta2=0.999, eps=1e-8):
+def adam_step(store, lr):
     """One bias-corrected Adam update over every parameter in the store.
 
     Validates all gradients before touching any state, so a NaN or inf
@@ -66,8 +77,8 @@ def adam_step(store, lr=1e-4, beta1=0.5, beta2=0.999, eps=1e-8):
     check_grads(store)
     store.step_count += 1
     t = store.step_count
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in store.items():
         g = p.grad
         m = store._m.get(name)
@@ -75,8 +86,8 @@ def adam_step(store, lr=1e-4, beta1=0.5, beta2=0.999, eps=1e-8):
             m = store._m[name] = np.zeros_like(p.data)
             store._v[name] = np.zeros_like(p.data)
         v = store._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

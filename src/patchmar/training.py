@@ -2,9 +2,11 @@
 update on the penalized objective, then the dual update at the new weights.
 
 The knobs are the mode, lambda (`lambda_ldm`), mu_bar, the learning rate and
-the run shape (epochs, batch size, seed, s, base width). Adam runs at its
-fixed setting (beta1 = 0.5, beta2 = 0.999, eps = 1e-8) and the kernel
-bandwidth is chosen per patch set (median squared distance / 4).
+the run shape (epochs, batch size, seed, s, base width). Nothing else is
+settable: Adam runs at its fixed setting (beta1 = 0.5, beta2 = 0.999,
+eps = 1e-8), the kernel bandwidth is chosen per patch set (median squared
+distance / 4), and evaluation measures PSNR/SSIM against each clean image's
+dynamic range.
 
 Each step with the manifold penalty active runs, in order: forward passes and
 network losses; the Gaussian weight matrix W over the patch set; the solve
@@ -306,8 +308,8 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
         images, codes = _patch_entries(unpaired, paired)
         points = build_patch_set(images, codes, net.geom)
         p_now = points.data.astype(np.float64)
-        graph = gaussian_weights(p_now, kcfg)
-        if dual is None or dual.values.shape != p_now.shape:
+        graph = gaussian_weights(p_now)
+        if dual is None:  # every batch has the same size, so the shape holds
             dual = DualVariable(values=np.zeros_like(p_now))
         solved = solve_coordinates(graph, p_now - dual.values, kcfg)
         rep.dirichlet_energy = dirichlet_energy(p_now, graph)
@@ -337,7 +339,11 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
 
 def training_step(net, batch, state, cfg, kcfg=None):
     """One outer iteration; returns a StepReport. Mutations happen only after
-    every fallible stage (solve, gradient validation) has passed."""
+    every fallible stage (solve, gradient validation) has passed.
+
+    kcfg defaults to cfg.kernel_config(). `train` builds it once per run and
+    passes it, and wrappers of this function pass it on positionally, so it
+    stays an argument."""
     kcfg = kcfg or cfg.kernel_config()
     rep = StepReport()
     dual, u = _gradients(net, batch, state.dual, cfg, kcfg, rep)
@@ -384,8 +390,7 @@ def train(bundle, cfg, out_dir=None):
     (one row per step, CSV_COLUMNS) and the final network to `checkpoint/`.
     Returns the trained network, optimizer state and step reports."""
     unpaired_pools, paired_pool = make_pools(bundle)
-    sched = BatchScheduler(unpaired_pools if cfg.uses_adn else None,
-                           paired_pool if cfg.uses_sup else None, cfg)
+    sched = BatchScheduler(unpaired_pools, paired_pool, cfg)
     net = build_network(cfg, bundle.cfg.image_size)
     state = OptState()
     kcfg = cfg.kernel_config()
@@ -419,11 +424,12 @@ def train(bundle, cfg, out_dir=None):
                        metrics_path=metrics_path, checkpoint_dir=ckpt_dir)
 
 
-def evaluate_pairs(net, pairs, amax, peak=None):
+def evaluate_pairs(net, pairs, amax):
     """Per-pair PSNR/SSIM of corrected and uncorrected images vs ground truth.
 
-    `net` needs a forward_corrected(Tensor) method. peak defaults per image
-    to the clean image's dynamic range."""
+    `net` needs a forward_corrected(Tensor) method. The peak (PSNR) and data
+    range (SSIM) of each pair are fixed to its clean image's dynamic range,
+    or 1.0 for a constant clean image."""
     rows = []
     for p in pairs:
         x = normalize_image(p.artifact, amax)[None, None, :, :]
@@ -431,7 +437,7 @@ def evaluate_pairs(net, pairs, amax, peak=None):
         rec = denormalize_image(corrected.data[0, 0], amax)
         clean = np.asarray(p.clean, dtype=np.float64)
         artifact = np.asarray(p.artifact, dtype=np.float64)
-        pk = peak if peak is not None else float(clean.max() - clean.min()) or 1.0
+        pk = float(clean.max() - clean.min()) or 1.0
         rows.append({
             "index": p.index,
             "psnr_artifact": psnr(artifact, clean, pk),

@@ -188,7 +188,7 @@ def test_corrupt_rejects_negative_severity():
     g = geom_small()
     sino = ct.Sinogram(data=np.zeros((g.n_views, g.n_detectors)), metal_trace=None)
     with pytest.raises(ValueError):
-        ct.corrupt_metal(sino, -0.5)
+        ct.corrupt_metal(sino, -0.5, np.random.default_rng(0))
 
 
 def test_corrupt_lowers_fbp_psnr():

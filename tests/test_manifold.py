@@ -3,6 +3,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from patchmar import autodiff as ad
+from patchmar import manifold
 from patchmar.autodiff import Tensor, ShapeError
 from patchmar.manifold import (KernelConfig, DualVariable, SolverError,
                                build_patch_set, dirichlet_energy,
@@ -84,24 +85,26 @@ def test_patch_set_is_differentiable_through_both_parts():
     img = Tensor(np.ones((1, 1, 8, 8), dtype=np.float32), requires_grad=True)
     code = Tensor(np.ones((1, 16, 2, 2), dtype=np.float32), requires_grad=True)
     ps = build_patch_set([img], [code], geom)
-    ad.backward(ad.tsum(ps))
-    assert np.allclose(img.grad, 1.0)
-    assert np.allclose(code.grad, 1.0)
+    ad.backward(ad.frobenius_sq(ps))  # gradient 2 * ps = 2 everywhere
+    assert np.allclose(img.grad, 2.0)
+    assert np.allclose(code.grad, 2.0)
 
 
 # ---------------------------------------------------------------- weights
 
 def test_weights_identical_points():
-    ops = gaussian_weights(np.zeros((2, 3)), KernelConfig())
+    ops = gaussian_weights(np.zeros((2, 3)))
     assert np.array_equal(ops.w, np.ones((2, 2)))
     assert np.array_equal(dense_laplacian(ops), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_weights_analytic_kernel_value():
-    t = 0.7
+    # two points have one distance, which is the median, so t = sq / 4 and
+    # the pair keeps weight e^-1
     p = np.zeros((2, 4))
-    p[1, 0] = np.sqrt(4 * t)
-    ops = gaussian_weights(p, KernelConfig(t=t))
+    p[1, 0] = np.sqrt(2.8)
+    ops = gaussian_weights(p)
+    assert abs(ops.t - 0.7) < 1e-12
     assert abs(ops.w[0, 1] - np.exp(-1.0)) < 1e-12
     assert abs(ops.w[0, 1] - 0.3679) < 1e-4
 
@@ -109,7 +112,7 @@ def test_weights_analytic_kernel_value():
 def test_weights_random_points_laplacian_properties():
     rng = np.random.default_rng(3)
     pts = random_points(rng, 10, 6)
-    ops = gaussian_weights(pts, KernelConfig())
+    ops = gaussian_weights(pts)
     lap = dense_laplacian(ops)
     row_sums = lap.sum(axis=1)
     assert np.all(np.abs(row_sums) < 1e-12 * np.maximum(ops.degrees, 1.0))
@@ -118,19 +121,17 @@ def test_weights_random_points_laplacian_properties():
     assert np.allclose(np.diag(ops.w), 1.0)
 
 
-def test_weights_reject_bad_bandwidth():
-    with pytest.raises(ValueError):
-        KernelConfig(t=0.0)
-    with pytest.raises(ValueError):
-        KernelConfig(t=-1.0)
-    with pytest.raises(ValueError):
-        KernelConfig(mu_bar=0.0)
+def test_kernel_config_rejects_bad_mu_bar():
+    for mu_bar in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            KernelConfig(mu_bar=mu_bar)
 
 
 def test_weights_single_point():
-    ops = gaussian_weights(np.ones((1, 5)), KernelConfig())
+    ops = gaussian_weights(np.ones((1, 5)))
     assert ops.w.shape == (1, 1)
     assert ops.w[0, 0] == 1.0
+    assert ops.degrees.tolist() == [1.0] and ops.t == 1.0
     assert dense_laplacian(ops)[0, 0] == 0.0
 
 
@@ -139,7 +140,7 @@ def test_weights_equal_out_of_place_kernel():
     # out-of-place evaluation bit for bit.
     rng = np.random.default_rng(13)
     pts = random_points(rng, 40, 7)
-    ops = gaussian_weights(pts, KernelConfig())
+    ops = gaussian_weights(pts)
     sq = pdist(pts, "sqeuclidean")
     ref = np.exp(-squareform(sq) / (4.0 * ops.t))
     np.fill_diagonal(ref, 1.0)
@@ -150,14 +151,14 @@ def test_weights_equal_out_of_place_kernel():
 # ------------------------------------------------------------------ solver
 
 def test_solve_single_point_returns_v():
-    ops = gaussian_weights(np.ones((1, 3)), KernelConfig())
+    ops = gaussian_weights(np.ones((1, 3)))
     v = np.array([[1.0, -2.0, 3.0]])
     res = solve_coordinates(ops, v, KernelConfig())
     assert np.allclose(res.u, v, atol=1e-12)
 
 
 def test_solve_identical_points_constant_v():
-    ops = gaussian_weights(np.zeros((4, 2)), KernelConfig())
+    ops = gaussian_weights(np.zeros((4, 2)))
     v = np.full((4, 3), 2.5)
     res = solve_coordinates(ops, v, KernelConfig(mu_bar=0.6))
     assert np.allclose(res.u, v, atol=1e-8)
@@ -170,7 +171,7 @@ def test_solve_matches_dense_direct_oracle():
         m = int(rng.integers(5, 21))
         pts = random_points(rng, m, 8)
         v = rng.standard_normal((m, 5))
-        ops = gaussian_weights(pts, cfg)
+        ops = gaussian_weights(pts)
         res = solve_coordinates(ops, v, cfg)
         a = dense_laplacian(ops) + cfg.mu_bar * ops.w
         u_direct = np.linalg.solve(a, cfg.mu_bar * ops.w @ v)
@@ -190,7 +191,7 @@ def test_applied_operator_matches_dense_reference(mu_bar):
     cfg = KernelConfig(mu_bar=mu_bar)
     pts = random_points(rng, 30, 6)
     v = rng.standard_normal((30, 4))
-    ops = gaussian_weights(pts, cfg)
+    ops = gaussian_weights(pts)
     lap = dense_laplacian(ops)
     a = lap + mu_bar * ops.w
     b = mu_bar * ops.w @ v
@@ -199,24 +200,81 @@ def test_applied_operator_matches_dense_reference(mu_bar):
     assert np.linalg.norm(res.u - u_direct) / np.linalg.norm(u_direct) < 1e-10
     for u in (v, res.u):
         e_dense = float(np.sum(u * (lap @ u)))
-        assert abs(dirichlet_energy(u, ops, normalized=False) - e_dense) < 1e-10 * e_dense
+        assert abs(dirichlet_energy(u, ops) * ops.m - e_dense) < 1e-10 * e_dense
 
 
 def test_solve_nonconvergence_raises_with_residual():
     rng = np.random.default_rng(5)
     pts = random_points(rng, 30, 4)
-    ops = gaussian_weights(pts, KernelConfig())
+    ops = gaussian_weights(pts)
     v = rng.standard_normal((30, 2))
     with pytest.raises(SolverError) as err:
         solve_coordinates(ops, v, KernelConfig(mu_bar=1e-6), max_iter=1)
     assert err.value.worst_residual > 1e-8
 
 
+def _restart_setup():
+    rng = np.random.default_rng(15)
+    cfg = KernelConfig()
+    ops = gaussian_weights(random_points(rng, 20, 5))
+    v = rng.standard_normal((20, 3))
+    a = dense_laplacian(ops) + cfg.mu_bar * ops.w
+    return ops, v, cfg, a, cfg.mu_bar * ops.w @ v
+
+
+def _worst_residual(a, b, u):
+    return float((np.linalg.norm(b - a @ u, axis=0) / np.linalg.norm(b, axis=0)).max())
+
+
+def _drifting_pcg(monkeypatch, every_call):
+    """Offset the first CG correction by a relative 1e-6 (and, with
+    every_call, each later one by that same vector); returns the
+    (correction, iterations) of every call."""
+    inner = manifold._pcg_multi
+    calls, error = [], []
+
+    def pcg(*args):
+        dx, used = inner(*args)
+        if not calls:
+            error.append(1e-6 * dx)
+        if every_call or not calls:
+            dx = dx + error[0]
+        calls.append((dx, used))
+        return dx, used
+
+    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
+    return calls
+
+
+def test_solve_restarts_when_the_true_residual_misses_tol(monkeypatch):
+    ops, v, cfg, a, b = _restart_setup()
+    calls = _drifting_pcg(monkeypatch, every_call=False)
+    res = solve_coordinates(ops, v, cfg)
+    assert len(calls) == 2
+    assert _worst_residual(a, b, calls[0][0]) > 1e-8
+    assert res.residual <= 1e-8
+    assert _worst_residual(a, b, res.u) <= 1e-8
+    assert calls[1][1] > 0
+    assert res.iterations == calls[0][1] + calls[1][1]
+
+
+def test_solve_raises_when_every_restart_drifts(monkeypatch):
+    ops, v, cfg, a, b = _restart_setup()
+    calls = _drifting_pcg(monkeypatch, every_call=True)
+    with pytest.raises(SolverError) as err:
+        solve_coordinates(ops, v, cfg)
+    assert len(calls) == 3
+    worst = _worst_residual(a, b, sum(dx for dx, _ in calls))
+    assert worst > 1e-8
+    assert err.value.worst_residual == pytest.approx(worst, rel=1e-6)
+    assert err.value.iterations == sum(used for _, used in calls)
+
+
 def test_solve_large_mu_bar_pins_u_to_v():
     rng = np.random.default_rng(6)
     pts = random_points(rng, 25, 6)
     v = rng.standard_normal((25, 4))
-    ops = gaussian_weights(pts, KernelConfig())
+    ops = gaussian_weights(pts)
     res = solve_coordinates(ops, v, KernelConfig(mu_bar=1e6))
     assert np.linalg.norm(res.u - v) / np.linalg.norm(v) <= 1e-3
 
@@ -225,7 +283,7 @@ def test_solve_small_mu_bar_flattens_columns():
     rng = np.random.default_rng(7)
     pts = random_points(rng, 25, 6)
     v = rng.standard_normal((25, 4))
-    ops = gaussian_weights(pts, KernelConfig())
+    ops = gaussian_weights(pts)
     res = solve_coordinates(ops, v, KernelConfig(mu_bar=1e-6))
     v_range = v.max(axis=0) - v.min(axis=0)
     u_range = res.u.max(axis=0) - res.u.min(axis=0)
@@ -237,24 +295,24 @@ def test_solve_reduces_dirichlet_energy():
     for mu_bar in (0.06, 0.6, 6.0):
         pts = random_points(rng, 20, 5)
         v = rng.standard_normal((20, 3))
-        ops = gaussian_weights(pts, KernelConfig())
+        ops = gaussian_weights(pts)
         res = solve_coordinates(ops, v, KernelConfig(mu_bar=mu_bar))
         assert dirichlet_energy(res.u, ops) <= dirichlet_energy(v, ops) + 1e-12
 
 
 def test_solve_permutation_equivariance():
     rng = np.random.default_rng(9)
-    cfg = KernelConfig(t=1.0, mu_bar=0.6)
+    cfg = KernelConfig()
     pts = random_points(rng, 15, 4)
     v = rng.standard_normal((15, 3))
     perm = rng.permutation(15)
-    u1 = solve_coordinates(gaussian_weights(pts, cfg), v, cfg).u
-    u2 = solve_coordinates(gaussian_weights(pts[perm], cfg), v[perm], cfg).u
+    u1 = solve_coordinates(gaussian_weights(pts), v, cfg).u
+    u2 = solve_coordinates(gaussian_weights(pts[perm]), v[perm], cfg).u
     assert np.allclose(u2, u1[perm], atol=1e-7)
 
 
 def test_solve_shape_mismatch_rejected():
-    ops = gaussian_weights(np.zeros((3, 2)), KernelConfig())
+    ops = gaussian_weights(np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         solve_coordinates(ops, np.zeros((4, 2)), KernelConfig())
 
@@ -263,29 +321,29 @@ def test_solve_shape_mismatch_rejected():
 
 def test_energy_constant_columns_are_zero():
     rng = np.random.default_rng(10)
-    ops = gaussian_weights(random_points(rng, 12, 4), KernelConfig())
+    ops = gaussian_weights(random_points(rng, 12, 4))
     u = np.tile(rng.standard_normal(3), (12, 1))
     assert dirichlet_energy(u, ops) < 1e-10
 
 
 def test_energy_two_point_hand_value():
-    ops = gaussian_weights(np.zeros((2, 2)), KernelConfig())
+    ops = gaussian_weights(np.zeros((2, 2)))
     u = np.array([[0.0], [1.0]])
-    assert abs(dirichlet_energy(u, ops, normalized=False) - 1.0) < 1e-12
+    assert abs(dirichlet_energy(u, ops) * ops.m - 1.0) < 1e-12
     assert abs(dirichlet_energy(u, ops) - 0.5) < 1e-12
 
 
 def test_energy_matches_pairwise_sum_oracle():
     rng = np.random.default_rng(11)
     pts = random_points(rng, 14, 5)
-    ops = gaussian_weights(pts, KernelConfig())
+    ops = gaussian_weights(pts)
     u = rng.standard_normal((14, 6))
     oracle = 0.0
     for i in range(14):
         for j in range(14):
             oracle += ops.w[i, j] * np.sum((u[i] - u[j]) ** 2)
     oracle /= 2.0
-    assert abs(dirichlet_energy(u, ops, normalized=False) - oracle) < 1e-8 * max(oracle, 1.0)
+    assert abs(dirichlet_energy(u, ops) * ops.m - oracle) < 1e-8 * max(oracle, 1.0)
 
 
 # ------------------------------------------------------------ dual variable

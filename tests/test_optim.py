@@ -38,7 +38,7 @@ def test_first_step_is_bias_corrected_unit_step():
     store = make_store(0.0)
     store.zero_grad()
     store["w"].grad[...] = 1.0
-    adam_step(store, lr=0.1, beta1=0.5, beta2=0.999, eps=1e-8)
+    adam_step(store, lr=0.1)
     assert abs(float(store["w"].data) - (-0.1)) < 1e-6
 
 
@@ -50,7 +50,7 @@ def test_hundred_steps_on_quadratic_reaches_minimum():
         w = store["w"]
         loss = ad.mse_loss(w, Tensor(np.asarray(3.0)))
         ad.backward(loss)
-        adam_step(store, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam_step(store, lr=lr)
     w_final = float(store["w"].data)
     w_oracle = adam_oracle(0.0, lambda w: 2 * (w - 3.0), lr, b1, b2, eps, 100)
     assert abs(w_final - w_oracle) < 1e-9
@@ -80,7 +80,7 @@ def test_missing_gradient_rejected():
     store = make_store(1.0)
     store["w"].grad = None
     with pytest.raises(ValueError, match="no gradient"):
-        adam_step(store)
+        adam_step(store, lr=0.1)
 
 
 def test_step_count_increases_and_moments_shape_match():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from patchmar import autodiff, ctsim, training
-from patchmar.autodiff import Tensor
-from patchmar.manifold import SolverError
+from patchmar.autodiff import ShapeError, Tensor
+from patchmar.manifold import DualVariable, SolverError
 from patchmar.networks import NetworkVariant, discriminator_loss, load_checkpoint
 from patchmar.optim import NanGradientError
 
@@ -28,9 +28,7 @@ def tiny_cfg(mode, **kw):
 
 
 def first_batch(bundle, cfg):
-    unpaired, paired = training.make_pools(bundle)
-    sched = training.BatchScheduler(unpaired if cfg.uses_adn else None,
-                                    paired if cfg.uses_sup else None, cfg)
+    sched = training.BatchScheduler(*training.make_pools(bundle), cfg)
     return next(sched.epoch_batches(1))
 
 
@@ -112,6 +110,35 @@ def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
     assert np.array_equal(net.forward_corrected(x).data, res.net.forward_corrected(x).data)
 
 
+# ---------------------------------------------------------------- penalty
+
+def test_ldm_penalty_value_and_gradient_match_float64_oracle():
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal((12, 5)).astype(np.float32)
+    u = rng.standard_normal((12, 5))
+    d = rng.uniform(size=(12, 5))
+    lam = 0.6
+    points = Tensor(p, requires_grad=True)
+    penalty = training.ldm_penalty(u, points, DualVariable(d), lam)
+    resid = u + d - p.astype(np.float64)
+    assert float(penalty.data) == pytest.approx(lam * np.sum(resid * resid), rel=1e-6)
+    autodiff.backward(penalty)
+    assert points.grad.dtype == np.float32
+    np.testing.assert_allclose(points.grad, -2.0 * lam * resid, rtol=1e-5, atol=1e-6)
+
+
+def test_ldm_penalty_rejects_mismatched_shapes_and_negative_lambda():
+    points = Tensor(np.zeros((4, 3), dtype=np.float32), requires_grad=True)
+    u = np.zeros((4, 3))
+    dual = DualVariable(np.zeros((4, 3)))
+    with pytest.raises(ShapeError, match="patch set"):
+        training.ldm_penalty(np.zeros((4, 2)), points, dual, 0.6)
+    with pytest.raises(ShapeError, match="dual"):
+        training.ldm_penalty(u, points, DualVariable(np.zeros((3, 3))), 0.6)
+    with pytest.raises(ValueError, match="lambda"):
+        training.ldm_penalty(u, points, dual, -0.1)
+
+
 # ------------------------------------------------------- patch-set order
 
 def test_patch_entries_order():
@@ -161,8 +188,8 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
         refs.append(weakref.ref(points.data))
         return points
 
-    def record_weights(points, kcfg):
-        ops = weights(points, kcfg)
+    def record_weights(points):
+        ops = weights(points)
         refs.extend([weakref.ref(points), weakref.ref(ops.w)])
         return ops
 
@@ -271,3 +298,26 @@ def test_evaluate_pairs_one_finite_row_per_pair(bundle):
         assert row["index"] == pair.index
         for key in ("psnr_artifact", "psnr_corrected", "ssim_artifact", "ssim_corrected"):
             assert math.isfinite(row[key]), key
+
+
+def test_evaluate_pairs_peak_is_the_clean_range(bundle):
+    # a constant clean image has no range, so its peak falls back to 1.0
+    net = training.build_network(tiny_cfg("Sup"), bundle.cfg.image_size)
+    amax = bundle.cfg.amax
+    ref = bundle.test[0]
+    flat = ctsim.SynthPair(index=99, artifact=ref.artifact,
+                           clean=np.full_like(ref.clean, 0.3), metal_pixels=0)
+    pairs = list(bundle.test) + [flat]
+    peaks = [float(p.clean.max()) - float(p.clean.min()) for p in bundle.test] + [1.0]
+    assert all(0.0 < pk != 1.0 for pk in peaks[:-1])
+    rows = training.evaluate_pairs(net, pairs, amax)
+    for row, pair, peak in zip(rows, pairs, peaks, strict=True):
+        x = ctsim.normalize_image(pair.artifact, amax)[None, None]
+        rec = ctsim.denormalize_image(net.forward_corrected(Tensor(x)).data[0, 0], amax)
+        assert row == {
+            "index": pair.index,
+            "psnr_artifact": ctsim.psnr(pair.artifact, pair.clean, peak),
+            "psnr_corrected": ctsim.psnr(rec, pair.clean, peak),
+            "ssim_artifact": ctsim.ssim(pair.artifact, pair.clean, peak),
+            "ssim_corrected": ctsim.ssim(rec, pair.clean, peak),
+        }
