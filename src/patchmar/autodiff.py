@@ -112,8 +112,9 @@ def backward(loss):
             continue
         if node._backward is None:
             if node.requires_grad:
-                # 0-d sums decay to numpy scalars
-                node.grad = np.asarray(node.grad + g)
+                # in place, 0-d leaves included; "safe" casting raises rather
+                # than round a gradient wider than the leaf's dtype
+                np.add(node.grad, g, out=node.grad, casting="safe")
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:

@@ -82,12 +82,10 @@ class Sinogram:
 @dataclass
 class PhantomImage:
     pixels: np.ndarray
-    metal_mask: np.ndarray = None
+    metal_mask: np.ndarray
 
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.metal_mask is None:
-            self.metal_mask = np.zeros(self.pixels.shape, dtype=bool)
         self.metal_mask = np.asarray(self.metal_mask, dtype=bool)
         if self.metal_mask.shape != self.pixels.shape:
             raise ShapeError("metal mask shape does not match pixels")
@@ -212,7 +210,7 @@ def fbp(sino, geom, image_size, clamp_negative=True):
     return recon
 
 
-def corrupt_metal(sino, severity, rng, noise_scale=0.02):
+def corrupt_metal(sino, severity, rng, noise_scale):
     """Beam-hardening surrogate inside the metal trace; identity outside.
 
     Trace values get v + severity * v^2/(1+v) plus zero-mean noise with

@@ -23,7 +23,8 @@ def disk_image(n=64, r=20):
 # -------------------------------------------------------------------- radon
 
 def test_radon_zero_image_gives_zero_sinogram():
-    for img in (np.zeros((32, 32)), ct.PhantomImage(pixels=np.zeros((32, 32)))):
+    blank = np.zeros((32, 32))
+    for img in (blank, ct.PhantomImage(pixels=blank, metal_mask=blank.astype(bool))):
         sino = ct.radon_forward(img, geom_small())
         assert np.array_equal(sino.data, np.zeros_like(sino.data))
         assert not sino.metal_trace.any()
@@ -166,7 +167,7 @@ def _metal_setup(rng, severity, geom=None):
     sino_clean = ct.radon_forward(clean, geom)
     trace = ct.radon_forward(phantom, geom).metal_trace
     sino = ct.Sinogram(data=sino_clean.data, metal_trace=trace)
-    return geom, clean, sino, ct.corrupt_metal(sino, severity, rng=rng)
+    return geom, clean, sino, ct.corrupt_metal(sino, severity, rng=rng, noise_scale=0.02)
 
 
 def test_corrupt_severity_zero_is_identity():
@@ -180,7 +181,7 @@ def test_corrupt_empty_trace_is_identity():
     rng = np.random.default_rng(4)
     sino = ct.Sinogram(data=rng.uniform(0, 5, (g.n_views, g.n_detectors)),
                        metal_trace=None)
-    out = ct.corrupt_metal(sino, 1.0, rng=rng)
+    out = ct.corrupt_metal(sino, 1.0, rng=rng, noise_scale=0.02)
     assert np.array_equal(out.data, sino.data)
 
 
@@ -188,7 +189,7 @@ def test_corrupt_rejects_negative_severity():
     g = geom_small()
     sino = ct.Sinogram(data=np.zeros((g.n_views, g.n_detectors)), metal_trace=None)
     with pytest.raises(ValueError):
-        ct.corrupt_metal(sino, -0.5, np.random.default_rng(0))
+        ct.corrupt_metal(sino, -0.5, np.random.default_rng(0), 0.02)
 
 
 def test_corrupt_lowers_fbp_psnr():

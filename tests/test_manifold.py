@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -135,17 +137,72 @@ def test_weights_single_point():
     assert dense_laplacian(ops)[0, 0] == 0.0
 
 
-def test_weights_equal_out_of_place_kernel():
-    # W is built in place in the squareform buffer; it must equal the plain
-    # out-of-place evaluation bit for bit.
-    rng = np.random.default_rng(13)
-    pts = random_points(rng, 40, 7)
-    ops = gaussian_weights(pts)
+def _difference_form_weights(pts):
+    """Reference W and t from pdist's difference-form distances."""
     sq = pdist(pts, "sqeuclidean")
-    ref = np.exp(-squareform(sq) / (4.0 * ops.t))
+    med = float(np.median(sq)) if sq.size else 0.0
+    t = med / 4.0 if med > 0.0 else 1.0
+    ref = np.exp(-squareform(sq) / (4.0 * t))
     np.fill_diagonal(ref, 1.0)
-    assert np.array_equal(ops.w, ref)
-    assert np.array_equal(ops.degrees, ref.sum(axis=1))
+    return ref, t
+
+
+def _points_with_duplicates(m, kind):
+    rng = np.random.default_rng(13 + m)
+    pts = 2.0 + 3.0 * rng.standard_normal((m, 16))
+    if kind == "copies":  # every third row repeats the row before it
+        pts[2::3] = pts[1::3][:len(pts[2::3])]
+    elif kind == "one point":  # every pair is a duplicate: t = 1, W = 1
+        pts[:] = pts[0]
+    else:  # one outlier, then a duplicate majority: a zero median from m = 5
+        pts[2:] = pts[1:2]
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["copies", "one point", "one outlier"])
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 200])
+def test_weights_match_difference_form(m, kind):
+    # The GEMM-form distances round differently from pdist's difference form
+    # (by ~1e-15 on W), so the difference form is the reference up to a
+    # tolerance; symmetry and the unit diagonal stay exact. The sizes
+    # straddle the 64-row block height.
+    pts = _points_with_duplicates(m, kind)
+    ops = gaussian_weights(pts)
+    ref, t = _difference_form_weights(pts)
+    assert np.array_equal(ops.w, ops.w.T)
+    assert np.all(np.diag(ops.w) == 1.0)
+    assert abs(ops.t - t) <= 1e-14 * t
+    assert np.abs(ops.w - ref).max() <= 1e-13
+    ref_degrees = ref.sum(axis=1)
+    assert np.all(np.abs(ops.degrees - ref_degrees) <= 1e-13 * ref_degrees)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 1001])
+def test_bandwidth_is_numpy_median_over_four(n):
+    # the median comes from one in-place partition; it must equal np.median
+    # bit for bit at odd and even counts, and a zero median gives t = 1
+    x = np.random.default_rng(17 + n).random(n)
+    expect = float(np.median(x)) / 4.0 if n else 1.0
+    assert manifold._auto_bandwidth(x.copy()) == expect
+    x[:n // 2 + 1] = 0.0
+    assert manifold._auto_bandwidth(x) == 1.0
+
+
+def test_weights_peak_memory_is_w():
+    # W's own buffer is the only m x m allocation; holding pdist's condensed
+    # distances next to it would put the peak at 1.5 x W.
+    m = 1024
+    pts = np.random.default_rng(16).standard_normal((m, 128))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ops = gaussian_weights(pts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ops.w.shape == (m, m) and ops.w.dtype == np.float64
+    assert peak <= 1.1 * m * m * 8
 
 
 # ------------------------------------------------------------------ solver
