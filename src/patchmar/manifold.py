@@ -120,10 +120,9 @@ def build_patch_set(images, codes, geom):
         n, c, h, w = img.shape
         if c != 1:
             raise ShapeError(f"patch images must have one channel, got {c}")
-        if h != geom.image_h or w != geom.image_w:
-            raise ShapeError(
-                f"image extent {h}x{w} does not match geometry "
-                f"{geom.image_h}x{geom.image_w}")
+        if h != geom.image_size or w != geom.image_size:
+            raise ShapeError(f"image extent {h}x{w} does not match geometry "
+                             f"{geom.image_size}x{geom.image_size}")
         expect = (n, s * s, h // s, w // s)
         if code.shape != expect:
             raise ShapeError(f"code shape {tuple(code.shape)} does not match {expect}")
@@ -282,13 +281,13 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     true residual is re-checked after the recurrence converges, with a
     restart if rounding drift ate the contract.
 
-    v is an (m, k) block. tol and max_iter are fixed for the training step;
-    they are arguments so that a failing solve can be forced.
+    v is an (m, k) block with k >= 1. tol and max_iter are fixed for the
+    training step; they are arguments so that a failing solve can be forced.
     """
     v = np.asarray(v, dtype=np.float64)
     m = ops.m
-    if v.ndim != 2 or v.shape[0] != m:
-        raise ShapeError(f"v must be an (m, k) block over {m} points, got shape {v.shape}")
+    if v.ndim != 2 or v.shape[0] != m or v.shape[1] == 0:
+        raise ShapeError(f"v must be an (m, k >= 1) block over {m} points, got shape {v.shape}")
     if max_iter is None:
         max_iter = 10 * m
 
@@ -316,7 +315,7 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
         r = b - apply_a(x)
         res = np.linalg.norm(r, axis=0)
         rel = np.where(bnorm > 0.0, res / np.where(bnorm > 0.0, bnorm, 1.0), 0.0)
-        worst = float(rel.max()) if rel.size else 0.0
+        worst = float(rel.max())
         if worst <= tol:
             return SolveResult(u=x, residual=worst, iterations=total_it)
         if budget <= 0:

@@ -26,11 +26,14 @@ names come from one walk over the module tree, so every layer a block holds
 is trained and saved. `d_clean.*` and `d_art.*` form the discriminator
 store; everything else forms the generator store.
 
+Parameters are float32 (`autodiff.DEFAULT_DTYPE`).
+
 On-disk checkpoint (`save_checkpoint` / `load_checkpoint`): `manifest.json`
-holds the `variant` value, the `geometry` (image_h, image_w, s), `base_width`
-and the parameter `dtype`; `params.npz` holds one array per parameter, keyed
-`gen.<name>` for the generator store and `disc.<name>` for the
-discriminator store, where `<name>` is that attribute path.
+holds the `variant` value, the `geometry` (`image_size`, `s`) and
+`base_width`; `params.npz` holds one array per parameter, keyed by its
+attribute path, in `named_params()` order. Loading rebuilds the network the
+manifest describes and rejects an archive with a missing or extra name, or
+an array whose shape or dtype differs from the network's.
 """
 
 import enum
@@ -48,11 +51,15 @@ from .optim import ParameterStore
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """Image extents and the code down-sampling step s (code has s^2 channels)."""
+    """Square image extent and the code down-sampling step s (code has s^2
+    channels).
 
-    image_h: int = 64
-    image_w: int = 64
-    s: int = 8
+    Images are `image_size` x `image_size`: ctsim's projector and FBP work
+    on square images only, so no other shape reaches the networks.
+    """
+
+    image_size: int
+    s: int
 
     def __post_init__(self):
         if self.s < 2:
@@ -60,9 +67,8 @@ class GeometryConfig:
         n = math.log2(self.s)
         if n != int(n):
             raise ValueError(f"down-sampling step must be a power of two, got {self.s}")
-        if self.image_h % self.s or self.image_w % self.s:
-            raise ValueError(
-                f"image extents {self.image_h}x{self.image_w} not divisible by s={self.s}")
+        if self.image_size % self.s:
+            raise ValueError(f"image extent {self.image_size} not divisible by s={self.s}")
 
     @property
     def code_channels(self):
@@ -136,12 +142,15 @@ def _walk(path, value):
             yield from _walk(f"{path}.{i}", item)
 
 
+def _param(values):
+    return Tensor(values.astype(ad.DEFAULT_DTYPE), requires_grad=True)
+
+
 class _Conv(_Module):
-    def __init__(self, cin, cout, k, stride, pad, rng, dtype):
+    def __init__(self, cin, cout, k, stride, pad, rng):
         std = _he_std(cin * k * k)
-        self.kernel = Tensor(rng.normal(0.0, std, (cout, cin, k, k)).astype(dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.kernel = _param(rng.normal(0.0, std, (cout, cin, k, k)))
+        self.bias = _param(np.zeros(cout))
         self.stride = stride
         self.pad = pad
 
@@ -151,11 +160,10 @@ class _Conv(_Module):
 
 
 class _ConvT(_Module):
-    def __init__(self, cin, cout, k, stride, pad, rng, dtype):
+    def __init__(self, cin, cout, k, stride, pad, rng):
         std = _he_std(cin * k * k / (stride * stride))
-        self.kernel = Tensor(rng.normal(0.0, std, (cin, cout, k, k)).astype(dtype),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=dtype), requires_grad=True)
+        self.kernel = _param(rng.normal(0.0, std, (cin, cout, k, k)))
+        self.bias = _param(np.zeros(cout))
         self.stride = stride
         self.pad = pad
 
@@ -168,13 +176,13 @@ class _ConvT(_Module):
 class _Encoder(_Module):
     """Stem conv + n_down stride-2 convs; returns latent and skip features."""
 
-    def __init__(self, width, n_down, rng, dtype):
-        self.stem = _Conv(1, width, 3, 1, 1, rng, dtype)
+    def __init__(self, width, n_down, rng):
+        self.stem = _Conv(1, width, 3, 1, 1, rng)
         self.downs = []
         c = width
         for _ in range(n_down):
             # 4x4 stride-2 halving keeps receptive-field centers on patch centers
-            self.downs.append(_Conv(c, 2 * c, 4, 2, 1, rng, dtype))
+            self.downs.append(_Conv(c, 2 * c, 4, 2, 1, rng))
             c *= 2
         self.latent_channels = c
 
@@ -190,13 +198,13 @@ class _Encoder(_Module):
 class _CleanDecoder(_Module):
     """n_down transposed convs + output conv with tanh; optional additive skips."""
 
-    def __init__(self, width, n_down, rng, dtype):
+    def __init__(self, width, n_down, rng):
         self.ups = []
         c = width * (2 ** n_down)
         for _ in range(n_down):
-            self.ups.append(_ConvT(c, c // 2, 4, 2, 1, rng, dtype))
+            self.ups.append(_ConvT(c, c // 2, 4, 2, 1, rng))
             c //= 2
-        self.out = _Conv(c, 1, 3, 1, 1, rng, dtype)
+        self.out = _Conv(c, 1, 3, 1, 1, rng)
 
     def __call__(self, latent, skips=None):
         f = latent
@@ -207,32 +215,27 @@ class _CleanDecoder(_Module):
         return ad.tanh(self.out(f))
 
 
-class _ArtifactDecoder(_Module):
-    """Fuses content and artifact latents, decodes to an artifact-bearing image."""
+class _ArtifactDecoder(_CleanDecoder):
+    """Fuses content and artifact latents, then decodes them to an
+    artifact-bearing image on the clean decoder's up-path, without skips."""
 
-    def __init__(self, width, n_down, rng, dtype):
+    def __init__(self, width, n_down, rng):
         c = width * (2 ** n_down)
-        self.fuse = _Conv(2 * c, c, 3, 1, 1, rng, dtype)
-        self.ups = []
-        for _ in range(n_down):
-            self.ups.append(_ConvT(c, c // 2, 4, 2, 1, rng, dtype))
-            c //= 2
-        self.out = _Conv(c, 1, 3, 1, 1, rng, dtype)
+        self.fuse = _Conv(2 * c, c, 3, 1, 1, rng)  # first in parameter and RNG draw order
+        super().__init__(width, n_down, rng)
 
     def __call__(self, content, artifact):
         f = ad.leaky_relu(self.fuse(ad.concat([content, artifact], axis=1)), LEAKY_SLOPE)
-        for up in self.ups:
-            f = ad.leaky_relu(up(f), LEAKY_SLOPE)
-        return ad.tanh(self.out(f))
+        return super().__call__(f)
 
 
 class Discriminator(_Module):
     """Three strided convs ending in a patch logit map (LSGAN, no sigmoid)."""
 
-    def __init__(self, width, rng, dtype):
-        self.c1 = _Conv(1, width, 4, 2, 1, rng, dtype)
-        self.c2 = _Conv(width, 2 * width, 4, 2, 1, rng, dtype)
-        self.c3 = _Conv(2 * width, 1, 3, 1, 1, rng, dtype)
+    def __init__(self, width, rng):
+        self.c1 = _Conv(1, width, 4, 2, 1, rng)
+        self.c2 = _Conv(width, 2 * width, 4, 2, 1, rng)
+        self.c3 = _Conv(2 * width, 1, 3, 1, 1, rng)
 
     def __call__(self, img):
         f = ad.leaky_relu(self.c1(img), LEAKY_SLOPE)
@@ -243,17 +246,14 @@ class Discriminator(_Module):
 class DisentangleNet(_Module):
     """One network instance: modules per variant plus named parameter stores."""
 
-    def __init__(self, variant, geom, base_width=8, rng=None, dtype=np.float32):
+    def __init__(self, variant, geom, base_width, rng):
         self.variant = variant
         self.geom = geom
         self.base_width = base_width
-        self.dtype = dtype
-        if rng is None:  # load_checkpoint builds without one, then overwrites every weight
-            rng = np.random.default_rng(0)
         n_down = geom.n_down
 
-        self.enc_art_content = _Encoder(base_width, n_down, rng, dtype)
-        self.dec_clean = _CleanDecoder(base_width, n_down, rng, dtype)
+        self.enc_art_content = _Encoder(base_width, n_down, rng)
+        self.dec_clean = _CleanDecoder(base_width, n_down, rng)
         self.enc_clean = None
         self.enc_artifact = None
         self.dec_artifact = None
@@ -264,15 +264,15 @@ class DisentangleNet(_Module):
 
         latent_c = self.enc_art_content.latent_channels
         if variant.is_unpaired or variant is NetworkVariant.PAIRED_LDM:
-            self.enc_clean = _Encoder(base_width, n_down, rng, dtype)
+            self.enc_clean = _Encoder(base_width, n_down, rng)
         if variant.is_unpaired:
-            self.enc_artifact = _Encoder(base_width, n_down, rng, dtype)
-            self.dec_artifact = _ArtifactDecoder(base_width, n_down, rng, dtype)
-            self.d_clean = Discriminator(base_width, rng, dtype)
-            self.d_art = Discriminator(base_width, rng, dtype)
+            self.enc_artifact = _Encoder(base_width, n_down, rng)
+            self.dec_artifact = _ArtifactDecoder(base_width, n_down, rng)
+            self.d_clean = Discriminator(base_width, rng)
+            self.d_art = Discriminator(base_width, rng)
         if variant.has_codes:
-            self.compress_art = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng, dtype)
-            self.compress_clean = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng, dtype)
+            self.compress_art = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng)
+            self.compress_clean = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng)
 
         self.gen_params = ParameterStore()
         self.disc_params = ParameterStore() if variant.is_unpaired else None
@@ -283,10 +283,10 @@ class DisentangleNet(_Module):
     def _check_image(self, t, name):
         if t.data.ndim != 4 or t.shape[1] != 1:
             raise ShapeError(f"{name} must be [N,1,H,W], got {tuple(t.shape)}")
-        if t.shape[2] != self.geom.image_h or t.shape[3] != self.geom.image_w:
-            raise ShapeError(
-                f"{name} extent {t.shape[2]}x{t.shape[3]} does not match geometry "
-                f"{self.geom.image_h}x{self.geom.image_w}")
+        n = self.geom.image_size
+        if t.shape[2:] != (n, n):
+            raise ShapeError(f"{name} extent {t.shape[2]}x{t.shape[3]} does not match "
+                             f"geometry {n}x{n}")
 
     def forward_corrected(self, x, want_code=False):
         """Artifact-corrected branch only: x -> x_hat (and its code if asked)."""
@@ -399,22 +399,15 @@ def discriminator_loss(net, outputs, x, y):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _named_params(net):
-    """Every parameter tensor, keyed `gen.<name>` or `disc.<name>`."""
-    stores = [("gen", net.gen_params), ("disc", net.disc_params)]
-    return {f"{tag}.{name}": t for tag, store in stores if store is not None
-            for name, t in store.items()}
-
-
 def save_checkpoint(net, directory):
-    """Write `manifest.json` (variant, geometry, width, dtype) and `params.npz`."""
+    """Write `manifest.json` (variant, geometry, width) and `params.npz`."""
     os.makedirs(directory, exist_ok=True)
     manifest = {"variant": net.variant.value, "geometry": asdict(net.geom),
-                "base_width": net.base_width, "dtype": np.dtype(net.dtype).name}
+                "base_width": net.base_width}
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1)
     np.savez(os.path.join(directory, "params.npz"),
-             **{name: t.data for name, t in _named_params(net).items()})
+             **{name: t.data for name, t in net.named_params()})
 
 
 def load_checkpoint(directory):
@@ -425,11 +418,11 @@ def load_checkpoint(directory):
     """
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
+    # any generator will do: every weight is overwritten below
     net = DisentangleNet(NetworkVariant(manifest["variant"]),
                          GeometryConfig(**manifest["geometry"]),
-                         base_width=manifest["base_width"],
-                         dtype=np.dtype(manifest["dtype"]))
-    params = _named_params(net)
+                         manifest["base_width"], np.random.default_rng(0))
+    params = dict(net.named_params())
     with np.load(os.path.join(directory, "params.npz")) as arrays:
         missing = sorted(params.keys() - set(arrays.files))
         extra = sorted(set(arrays.files) - params.keys())

@@ -59,10 +59,8 @@ class ParameterStore:
 
 
 def check_grads(store):
-    """Raise if any gradient is missing or non-finite. Mutates nothing."""
+    """Raise if any gradient is non-finite. Mutates nothing."""
     for name, p in store.items():
-        if p.grad is None:
-            raise ValueError(f"parameter '{name}' has no gradient; call zero_grad + backward first")
         if not np.isfinite(p.grad).all():
             raise NanGradientError(name)
 

@@ -68,10 +68,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'; expected one of {MODES}")
-        if self.lambda_ldm < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lambda_ldm}")
-        if self.mu_bar <= 0:
-            raise ValueError(f"mu_bar must be positive, got {self.mu_bar}")
+        # a comparison with NaN is False, so NaN fails each range test
+        if not 0.0 <= self.lambda_ldm < math.inf:
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lambda_ldm}")
+        if not 0.0 < self.mu_bar < math.inf:
+            raise ValueError(f"mu_bar must be finite and positive, got {self.mu_bar}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -380,9 +383,8 @@ class TrainResult:
 
 
 def build_network(cfg, image_size):
-    geom = GeometryConfig(image_size, image_size, cfg.s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    return DisentangleNet(cfg.variant, geom, base_width=cfg.base_width, rng=rng)
+    return DisentangleNet(cfg.variant, GeometryConfig(image_size, cfg.s), cfg.base_width, rng)
 
 
 def train(bundle, cfg, out_dir=None):

@@ -25,7 +25,7 @@ def dense_laplacian(ops):
 # -------------------------------------------------------------- patch sets
 
 def test_patch_set_counts_for_default_geometry():
-    geom = GeometryConfig(64, 64, 8)
+    geom = GeometryConfig(64, 8)
     rng = np.random.default_rng(0)
     img = Tensor(rng.standard_normal((1, 1, 64, 64)).astype(np.float32))
     code = Tensor(rng.standard_normal((1, 64, 8, 8)).astype(np.float32))
@@ -34,7 +34,7 @@ def test_patch_set_counts_for_default_geometry():
 
 
 def test_patch_set_constant_fields():
-    geom = GeometryConfig(16, 16, 4)
+    geom = GeometryConfig(16, 4)
     img = Tensor(np.full((1, 1, 16, 16), 0.5, dtype=np.float32))
     code = Tensor(np.full((1, 16, 4, 4), -1.25, dtype=np.float32))
     ps = build_patch_set([img], [code], geom)
@@ -44,12 +44,12 @@ def test_patch_set_constant_fields():
 
 
 def test_patch_set_rows_match_direct_slicing():
-    geom = GeometryConfig(32, 16, 4)
+    geom = GeometryConfig(32, 4)
     rng = np.random.default_rng(1)
-    img = rng.standard_normal((1, 1, 32, 16)).astype(np.float32)
-    code = rng.standard_normal((1, 16, 8, 4)).astype(np.float32)
+    img = rng.standard_normal((1, 1, 32, 32)).astype(np.float32)
+    code = rng.standard_normal((1, 16, 8, 8)).astype(np.float32)
     ps = build_patch_set([Tensor(img)], [Tensor(code)], geom)
-    s, gw = 4, 4
+    s, gw = 4, 8
     for i in range(8):
         for j in range(gw):
             row = ps.data[i * gw + j]
@@ -60,7 +60,7 @@ def test_patch_set_rows_match_direct_slicing():
 
 
 def test_patch_set_batched_images_keep_input_order():
-    geom = GeometryConfig(8, 8, 4)
+    geom = GeometryConfig(8, 4)
     rng = np.random.default_rng(2)
     imgs = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
     codes = rng.standard_normal((3, 16, 2, 2)).astype(np.float32)
@@ -72,7 +72,7 @@ def test_patch_set_batched_images_keep_input_order():
 
 
 def test_patch_set_geometry_mismatch_rejected():
-    geom = GeometryConfig(16, 16, 4)
+    geom = GeometryConfig(16, 4)
     img = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
     bad_code = Tensor(np.zeros((1, 16, 2, 4), dtype=np.float32))
     with pytest.raises(ShapeError):
@@ -83,7 +83,7 @@ def test_patch_set_geometry_mismatch_rejected():
 
 
 def test_patch_set_is_differentiable_through_both_parts():
-    geom = GeometryConfig(8, 8, 4)
+    geom = GeometryConfig(8, 4)
     img = Tensor(np.ones((1, 1, 8, 8), dtype=np.float32), requires_grad=True)
     code = Tensor(np.ones((1, 16, 2, 2), dtype=np.float32), requires_grad=True)
     ps = build_patch_set([img], [code], geom)
@@ -370,8 +370,9 @@ def test_solve_permutation_equivariance():
 
 def test_solve_shape_mismatch_rejected():
     ops = gaussian_weights(np.zeros((3, 2)))
-    with pytest.raises(ShapeError):
-        solve_coordinates(ops, np.zeros((4, 2)), KernelConfig())
+    for v in (np.zeros((4, 2)), np.zeros((3, 0))):
+        with pytest.raises(ShapeError):
+            solve_coordinates(ops, v, KernelConfig())
 
 
 # -------------------------------------------------------- dirichlet energy

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from patchmar.networks import (BranchOutputs, DisentangleNet,
 
 
 def small_geom():
-    return GeometryConfig(32, 32, 4)
+    return GeometryConfig(32, 4)
 
 
 def make_net(variant, seed=0, geom=None):
@@ -19,17 +21,17 @@ def make_net(variant, seed=0, geom=None):
 
 
 def rand_img(rng, geom):
-    return Tensor(rng.uniform(-1, 1, (1, 1, geom.image_h, geom.image_w)).astype(np.float32))
+    return Tensor(rng.uniform(-1, 1, (1, 1, geom.image_size, geom.image_size)).astype(np.float32))
 
 
 # ---------------------------------------------------------------- geometry
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        GeometryConfig(60, 64, 8)
+        GeometryConfig(60, 8)
     with pytest.raises(ValueError):
-        GeometryConfig(64, 64, 6)
-    g = GeometryConfig(64, 64, 8)
+        GeometryConfig(64, 6)
+    g = GeometryConfig(64, 8)
     assert g.code_channels == 64
 
 
@@ -69,7 +71,7 @@ def test_paired_variant_has_only_x_hat():
 
 
 def test_paired_ldm_code_shape_matches_grid():
-    geom = GeometryConfig(64, 64, 8)
+    geom = GeometryConfig(64, 8)
     net = DisentangleNet(NetworkVariant.PAIRED_LDM, geom, base_width=4,
                          rng=np.random.default_rng(2))
     rng = np.random.default_rng(3)
@@ -103,7 +105,7 @@ def test_unpaired_requires_clean_input():
 
 def test_indivisible_extents_rejected_at_construction():
     with pytest.raises(ValueError):
-        GeometryConfig(30, 30, 4)
+        GeometryConfig(30, 4)
 
 
 def test_wrong_input_extent_rejected_at_forward():
@@ -123,7 +125,7 @@ def test_forward_is_shape_stable_and_deterministic():
 
 
 def test_code_location_tracks_perturbed_patch():
-    geom = GeometryConfig(64, 64, 8)
+    geom = GeometryConfig(64, 8)
     net = DisentangleNet(NetworkVariant.UNPAIRED_LDM, geom, base_width=4,
                          rng=np.random.default_rng(7))
     rng = np.random.default_rng(8)
@@ -231,9 +233,7 @@ def test_discriminator_loss_runs_and_detaches():
 # -------------------------------------------------------------- checkpoints
 
 def _param_arrays(net):
-    stores = [("gen", net.gen_params), ("disc", net.disc_params)]
-    return {f"{tag}.{name}": t.data for tag, store in stores if store is not None
-            for name, t in store.items()}
+    return {name: t.data for name, t in net.named_params()}
 
 
 def test_checkpoint_roundtrip_reproduces_outputs(tmp_path):
@@ -250,14 +250,18 @@ def test_checkpoint_roundtrip_reproduces_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("variant", list(NetworkVariant))
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dtype", [ad.DEFAULT_DTYPE])  # the only parameter dtype
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path, variant, dtype):
-    net = DisentangleNet(variant, small_geom(), base_width=4,
-                         rng=np.random.default_rng(19), dtype=dtype)
+    net = make_net(variant, seed=19)
     save_checkpoint(net, tmp_path / "ckpt")
+    with np.load(tmp_path / "ckpt" / "params.npz") as arrays:
+        assert arrays.files == [name for name, _ in net.named_params()]
+    with open(tmp_path / "ckpt" / "manifest.json") as f:
+        assert json.load(f) == {"variant": variant.value,
+                                "geometry": {"image_size": 32, "s": 4}, "base_width": 4}
     net2 = load_checkpoint(tmp_path / "ckpt")
     assert net2.variant is variant and net2.geom == net.geom
-    assert net2.base_width == net.base_width and net2.dtype == dtype
+    assert net2.base_width == net.base_width
     want, got = _param_arrays(net), _param_arrays(net2)
     assert list(got) == list(want)
     for name, arr in want.items():
@@ -276,20 +280,20 @@ def _rewrite_params(directory, edit):
 def test_checkpoint_missing_or_extra_parameter_rejected(tmp_path):
     net = make_net(NetworkVariant.UNPAIRED, seed=20)
     save_checkpoint(net, tmp_path / "ckpt")
-    _rewrite_params(tmp_path / "ckpt", lambda a: a.pop("disc.d_art.c3.bias"))
-    with pytest.raises(ValueError, match="disc.d_art.c3.bias"):
+    _rewrite_params(tmp_path / "ckpt", lambda a: a.pop("d_art.c3.bias"))
+    with pytest.raises(ValueError, match=r"missing \['d_art\.c3\.bias'\]"):
         load_checkpoint(tmp_path / "ckpt")
 
     save_checkpoint(net, tmp_path / "ckpt")
     _rewrite_params(tmp_path / "ckpt",
-                    lambda a: a.update({"gen.compress_art.bias": np.zeros(16, np.float32)}))
-    with pytest.raises(ValueError, match="gen.compress_art.bias"):
+                    lambda a: a.update({"compress_art.bias": np.zeros(16, np.float32)}))
+    with pytest.raises(ValueError, match=r"extra \['compress_art\.bias'\]"):
         load_checkpoint(tmp_path / "ckpt")
 
 
 def test_checkpoint_wrong_shape_or_dtype_rejected(tmp_path):
     net = make_net(NetworkVariant.PAIRED, seed=21)
-    name = "gen.dec_clean.out.bias"
+    name = "dec_clean.out.bias"
     for bad in (np.zeros(2, np.float32), np.zeros(1, np.float64)):
         save_checkpoint(net, tmp_path / "ckpt")
         _rewrite_params(tmp_path / "ckpt", lambda a: a.update({name: bad}))

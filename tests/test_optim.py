@@ -76,13 +76,6 @@ def test_nan_gradient_aborts_and_names_parameter(bad_value):
     assert store.moment_arrays("ok") == (None, None)
 
 
-def test_missing_gradient_rejected():
-    store = make_store(1.0)
-    store["w"].grad = None
-    with pytest.raises(ValueError, match="no gradient"):
-        adam_step(store, lr=0.1)
-
-
 def test_step_count_increases_and_moments_shape_match():
     store = make_store(np.ones((2, 3)))
     for i in range(3):

@@ -41,6 +41,15 @@ def test_variant_builds_only_the_branches_a_mode_trains():
         "LDM-DN": v.UNPAIRED_LDM, "ADN-Sup": v.UNPAIRED, "LDM-DN-Sup": v.UNPAIRED_LDM}
 
 
+@pytest.mark.parametrize("knob,value", [
+    ("lambda_ldm", math.nan), ("lambda_ldm", math.inf), ("lambda_ldm", -0.1),
+    ("mu_bar", math.nan), ("mu_bar", math.inf), ("mu_bar", 0.0),
+    ("lr", math.nan), ("lr", math.inf), ("lr", -1.0)])
+def test_config_rejects_non_finite_or_out_of_range_knobs(knob, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        training.TrainConfig(**{knob: value})
+
+
 # --------------------------------------------------------------- batches
 
 def test_batches_take_each_pool_in_its_permutation_order(bundle):
