@@ -292,6 +292,13 @@ def frobenius_sq(a):
 # convolutions
 
 def _im2col(xp, kh, kw, stride, hout, wout):
+    """Per-image column matrix [N, C*kh*kw, hout*wout] of padded input xp.
+
+    Row (c, i, j) of image n holds tap (i, j) of channel c at every output
+    position, so the copy out of the strided view walks each row along the
+    input's own rows, and a conv is one batched `kernel @ cols` whose result
+    is already [N, F, hout*wout].
+    """
     n, c, _, _ = xp.shape
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
@@ -300,26 +307,35 @@ def _im2col(xp, kh, kw, stride, hout, wout):
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
     )
-    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3))
-    return cols.reshape(n * hout * wout, c * kh * kw)
+    return np.ascontiguousarray(view).reshape(n, c * kh * kw, hout * wout)
 
 
 def _col2im(dcols, xshape, kh, kw, stride, padding, hout, wout):
+    """Adjoint of `_im2col`: add per-image columns [N, C*kh*kw, hout*wout]
+    back onto a new C-contiguous [N,C,H,W] array.
+
+    Each row ends in all hout*wout output positions, so tap (i, j) of every
+    channel, `d6[:, :, i, j]`, reads whole contiguous rows; each tap is
+    added onto a strided window of the padded image.
+    """
     n, c, h, w = xshape
     dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, hout, wout, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    d6 = dcols.reshape(n, c, kh, kw, hout, wout)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += d6[:, :, i, j]
     if padding:
-        return dxp[:, :, padding:padding + h, padding:padding + w]
+        return np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + w])
     return dxp
 
 
 def _pad_nchw(x, padding):
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + h, padding:padding + w] = x
+    return xp
 
 
 def _validate_conv(x, kernel, stride, padding, op):
@@ -351,19 +367,27 @@ def conv2d(x, kernel, stride=1, padding=0):
 
     cols = _im2col(_pad_nchw(x.data, padding), kh, kw, stride, hout, wout)
     kmat = kernel.data.reshape(f, -1)
-    out = (cols @ kmat.T).reshape(n, hout, wout, f).transpose(0, 3, 1, 2)
+    out = np.matmul(kmat, cols).reshape(n, f, hout, wout)
 
     def bwd(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * hout * wout, f)
+        g3 = g.reshape(n, f, hout * wout)
         gk = None
         gx = None
         if kernel.requires_grad:
-            gk = (gmat.T @ cols).reshape(f, c, kh, kw)
-        if x.requires_grad:
-            gx = _col2im(gmat @ kmat, (n, c, h, w), kh, kw, stride, padding, hout, wout)
+            gk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
+        if x.requires_grad and stride == 1 and f < c and kh == kw and padding < kh:
+            # at stride 1 the input gradient is g correlated with the flipped,
+            # channel-swapped kernel: its columns have f*kh*kw rows, fewer
+            # than the c*kh*kw rows that _col2im would scatter
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            gcols = _im2col(_pad_nchw(g, kh - 1 - padding), kh, kw, 1, h, w)
+            gx = np.matmul(kflip, gcols).reshape(n, c, h, w)
+        elif x.requires_grad:
+            gx = _col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride, padding,
+                         hout, wout)
         return gx, gk
 
-    return _node(np.ascontiguousarray(out), (x, kernel), bwd)
+    return _node(out, (x, kernel), bwd)
 
 
 def conv_transpose2d(x, kernel, stride=1, padding=0):
@@ -385,18 +409,17 @@ def conv_transpose2d(x, kernel, stride=1, padding=0):
         raise ShapeError(f"conv_transpose2d: output width {wout} is not positive")
 
     kmat = kernel.data.reshape(cin, -1)
-    xmat = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(n * h * w, cin)
-    out = _col2im(xmat @ kmat, (n, cout, hout, wout), kh, kw, stride, padding, h, w)
+    x3 = x.data.reshape(n, cin, h * w)
+    out = _col2im(np.matmul(kmat.T, x3), (n, cout, hout, wout), kh, kw, stride, padding, h, w)
 
     def bwd(g):
         cols_g = _im2col(_pad_nchw(g, padding), kh, kw, stride, h, w)
         gx = None
         gk = None
         if x.requires_grad:
-            gx = (cols_g @ kmat.T).reshape(n, h, w, cin).transpose(0, 3, 1, 2)
-            gx = np.ascontiguousarray(gx)
+            gx = np.matmul(kmat, cols_g).reshape(n, cin, h, w)
         if kernel.requires_grad:
-            gk = (xmat.T @ cols_g).reshape(cin, cout, kh, kw)
+            gk = np.matmul(x3, cols_g.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, kh, kw)
         return gx, gk
 
     return _node(out, (x, kernel), bwd)

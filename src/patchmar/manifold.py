@@ -65,9 +65,17 @@ class GraphOperators:
     def m(self):
         return self.w.shape[0]
 
-    def apply(self, x, c=1.0):
-        """(D - c * W) @ x for an (m, k) block; c = 1 applies the Laplacian."""
-        return self.degrees[:, None] * x - c * (self.w @ x)
+    def apply(self, x, c=1.0, out=None, scratch=None):
+        """(D - c * W) @ x for an (m, k) block; c = 1 applies the Laplacian.
+
+        `out` receives the product and `scratch` holds D @ x; either may be
+        omitted. Given, each is an (m, k) float64 block that overlaps
+        neither x nor the other.
+        """
+        wx = np.matmul(self.w, x, out=out)
+        wx *= c
+        dx = np.multiply(self.degrees[:, None], x, out=scratch)
+        return np.subtract(dx, wx, out=wx)
 
 
 @dataclass
@@ -237,9 +245,12 @@ def gaussian_weights(points):
 
 
 def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
-    """Jacobi-preconditioned CG for A X = B, all columns at once; apply_a(P)
-    returns A @ P.
+    """Jacobi-preconditioned CG for A X = B, all columns at once;
+    apply_a(P, out, scratch) writes A @ P into out and may overwrite scratch.
 
+    The m x k blocks X, R, Z, P and AP are allocated once and updated in
+    place. Z is dead from the P update to the next preconditioning step and
+    AP after the residual update, so they also hold the temporaries there.
     Returns (X, iterations used)."""
     x = np.zeros_like(b)
     r = b.copy()
@@ -249,24 +260,28 @@ def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
         return x, 0
     z = diag_inv[:, None] * r
     p = z.copy()
+    ap = np.empty_like(b)
     rz = np.einsum("ij,ij->j", r, z)
     it = 0
     while it < max_iter:
         it += 1
-        ap = apply_a(p)
+        apply_a(p, ap, z)
         pap = np.einsum("ij,ij->j", p, ap)
         safe = np.where(active & (pap > 0.0), pap, 1.0)
         alpha = np.where(active & (pap > 0.0), rz / safe, 0.0)
-        x += p * alpha
-        r -= ap * alpha
-        rnorm = np.linalg.norm(r, axis=0)
+        x += np.multiply(p, alpha, out=z)
+        ap *= alpha
+        r -= ap
+        # np.linalg.norm(r, axis=0), with r * r in AP
+        rnorm = np.sqrt(np.add.reduce(np.multiply(r, r, out=ap), axis=0))
         active = rnorm > tol * bnorm
         if not active.any():
             break
-        z = diag_inv[:, None] * r
+        np.multiply(diag_inv[:, None], r, out=z)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
-        p = z + p * beta
+        p *= beta
+        p += z
         rz = rz_new
     return x, it
 
@@ -293,8 +308,8 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
 
     c = 1.0 - cfg.mu_bar
 
-    def apply_a(x):
-        return ops.apply(x, c)
+    def apply_a(x, out=None, scratch=None):
+        return ops.apply(x, c, out, scratch)
 
     b = cfg.mu_bar * (ops.w @ v)
     diag = ops.degrees - c  # w_ii = 1

@@ -77,6 +77,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.base_width < 1:
+            raise ValueError(f"base width must be >= 1, got {self.base_width}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 

@@ -131,6 +131,104 @@ def test_conv_adjoint_identity():
     assert np.isclose(np.vdot(cx, y), np.vdot(x, ty.data), rtol=1e-10)
 
 
+# Reference: the row-per-output-pixel im2col layout [N*hout*wout, C*kh*kw]
+# that the per-image layout replaced, kept to pin the rewrite's numbers.
+
+def _ref_im2col(xp, kh, kw, stride, hout, wout):
+    n, c, _, _ = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, kh, kw, hout, wout),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride), writeable=False)
+    cols = np.ascontiguousarray(view.transpose(0, 4, 5, 1, 2, 3))
+    return cols.reshape(n * hout * wout, c * kh * kw)
+
+
+def _ref_col2im(dcols, xshape, kh, kw, stride, padding, hout, wout):
+    n, c, h, w = xshape
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    d6 = dcols.reshape(n, hout, wout, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += d6[:, :, i, j]
+    if padding:
+        return dxp[:, :, padding:padding + h, padding:padding + w]
+    return dxp
+
+
+def _ref_pad(x, padding):
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _ref_conv2d(x, k, g, stride, padding):
+    """(output, input gradient, kernel gradient) for upstream gradient g."""
+    n, c, h, w = x.shape
+    f, _, kh, kw = k.shape
+    hout = (h + 2 * padding - kh) // stride + 1
+    wout = (w + 2 * padding - kw) // stride + 1
+    cols = _ref_im2col(_ref_pad(x, padding), kh, kw, stride, hout, wout)
+    kmat = k.reshape(f, -1)
+    out = (cols @ kmat.T).reshape(n, hout, wout, f).transpose(0, 3, 1, 2)
+    gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * hout * wout, f)
+    gk = (gmat.T @ cols).reshape(f, c, kh, kw)
+    gx = _ref_col2im(gmat @ kmat, (n, c, h, w), kh, kw, stride, padding, hout, wout)
+    return out, gx, gk
+
+
+def _ref_conv_transpose2d(x, k, g, stride, padding):
+    n, cin, h, w = x.shape
+    _, cout, kh, kw = k.shape
+    hout = (h - 1) * stride - 2 * padding + kh
+    wout = (w - 1) * stride - 2 * padding + kw
+    kmat = k.reshape(cin, -1)
+    xmat = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, cin)
+    out = _ref_col2im(xmat @ kmat, (n, cout, hout, wout), kh, kw, stride, padding, h, w)
+    cols_g = _ref_im2col(_ref_pad(g, padding), kh, kw, stride, h, w)
+    gx = (cols_g @ kmat.T).reshape(n, h, w, cin).transpose(0, 3, 1, 2)
+    gk = (xmat.T @ cols_g).reshape(cin, cout, kh, kw)
+    return out, gx, gk
+
+
+# Every conv and transposed-conv shape DisentangleNet builds, named as the
+# benchmark names them: k{kernel.shape[0]}x{kernel.shape[1]}x{kh}s{stride}i{input extent}.
+# Kernels of extent 1 are unpadded, the rest pad by 1.
+NETWORK_CONV_SHAPES = [
+    ("conv2d", 8, 1, 3, 1, 64), ("conv2d", 16, 8, 4, 2, 64), ("conv2d", 32, 16, 4, 2, 32),
+    ("conv2d", 64, 32, 4, 2, 16), ("conv2d", 1, 8, 3, 1, 64), ("conv2d", 64, 64, 1, 1, 8),
+    ("conv2d", 64, 128, 3, 1, 8), ("conv2d", 8, 1, 4, 2, 64), ("conv2d", 16, 8, 4, 2, 32),
+    ("conv2d", 1, 16, 3, 1, 16), ("conv_transpose2d", 64, 32, 4, 2, 8),
+    ("conv_transpose2d", 32, 16, 4, 2, 16), ("conv_transpose2d", 16, 8, 4, 2, 32),
+]
+# float32 results are compared by relative Frobenius error
+CONV_RTOL = {np.float32: 2e-5, np.float64: 1e-12}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind,k0,k1,kh,stride,extent", NETWORK_CONV_SHAPES,
+                         ids=[f"{s[0]}.k{s[1]}x{s[2]}x{s[3]}s{s[4]}i{s[5]}"
+                              for s in NETWORK_CONV_SHAPES])
+def test_conv_matches_row_layout_reference(kind, k0, k1, kh, stride, extent, n, dtype):
+    padding = 0 if kh == 1 else 1
+    cin = k1 if kind == "conv2d" else k0
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{k0}x{k1}x{kh}s{stride}i{extent}n{n}".encode()))
+    x = rng.standard_normal((n, cin, extent, extent)).astype(dtype)
+    k = rng.standard_normal((k0, k1, kh, kh)).astype(dtype)
+    tx, tk = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    out = getattr(ad, kind)(tx, tk, stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    gx, gk = out._backward(g)
+    reference = _ref_conv2d if kind == "conv2d" else _ref_conv_transpose2d
+    want_out, want_gx, want_gk = reference(x, k, g, stride, padding)
+
+    rtol = CONV_RTOL[dtype]
+    for got, want in [(out.data, want_out), (gx, want_gx), (gk, want_gk)]:
+        assert got.dtype == dtype
+        assert got.shape == want.shape
+        assert rel_err(got.astype(np.float64), want.astype(np.float64)) < rtol
+    assert out.data.flags.c_contiguous
+
+
 # ----------------------------------------------------------------- backward
 
 def test_backward_sum_gives_ones():

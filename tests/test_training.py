@@ -50,6 +50,12 @@ def test_config_rejects_non_finite_or_out_of_range_knobs(knob, value):
         training.TrainConfig(**{knob: value})
 
 
+@pytest.mark.parametrize("width", [0, -2])
+def test_config_rejects_base_width_below_one(width):
+    with pytest.raises(ValueError, match="base width"):
+        training.TrainConfig(base_width=width)
+
+
 # --------------------------------------------------------------- batches
 
 def test_batches_take_each_pool_in_its_permutation_order(bundle):
