@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 Small dynamic-graph engine: each operation returns a new Tensor that
-remembers its parents and a closure computing parent gradients. Reductions
-accumulate in float64 regardless of the tensor dtype.
+remembers its parents and a closure computing parent gradients, except
+inside `no_graph`. Reductions accumulate in float64 regardless of the tensor
+dtype.
 """
+
+import contextlib
 
 import numpy as np
 
@@ -59,9 +62,28 @@ class Tensor:
         return f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype}{flag})"
 
 
+# False inside `no_graph`
+_record = True
+
+
+@contextlib.contextmanager
+def no_graph():
+    """Operations run inside build no graph: their results link no parents,
+    keep no backward closure (nor the arrays it holds, such as a conv's
+    column matrix) and do not require grad, so nothing downstream of them
+    joins the graph either. Values are the same as outside."""
+    global _record
+    saved = _record
+    _record = False
+    try:
+        yield
+    finally:
+        _record = saved
+
+
 def _node(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _record and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

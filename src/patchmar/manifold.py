@@ -5,7 +5,9 @@ the Gaussian weight matrix W over it, and solves the coupled smoothing system
 
     (L + mu_bar * W) U = mu_bar * W * V,    L = D - W,
 
-column by column with preconditioned conjugate gradients. W and its row sums
+column by column with conjugate gradients, preconditioned by the same
+operator with W replaced by a Nystrom approximation from ceil(sqrt(m))
+landmark rows, applied through the Woodbury identity. W and its row sums
 D are the only stored graph: the Laplacian and the system matrix
 L + mu_bar * W = D - (1 - mu_bar) * W are applied from them, never assembled.
 W is built from blockwise GEMM-form distances in two sweeps, one for the
@@ -15,6 +17,7 @@ The Dirichlet energy sum_cols u^T L u (= sum_ij w_ij ||u_i - u_j||^2 / 2),
 normalized by the point count, serves as the manifold-dimension diagnostic.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,13 +247,59 @@ def gaussian_weights(points):
     return GraphOperators(w=w, degrees=w.sum(axis=1), t=t)
 
 
-def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
-    """Jacobi-preconditioned CG for A X = B, all columns at once;
-    apply_a(P, out, scratch) writes A @ P into out and may overwrite scratch.
+def _nystrom_preconditioner(ops, c):
+    """precondition(R, out, scratch) writing M^-1 R, M = D - c * F F^T.
 
-    The m x k blocks X, R, Z, P and AP are allocated once and updated in
-    place. Z is dead from the P update to the next preconditioning step and
-    AP after the residual update, so they also hold the temporaries there.
+    F F^T = W[:, S] (W_SS + delta I)^-1 W[S, :] is a Nystrom approximation of
+    W from r = ceil(sqrt(m)) landmark rows S, drawn by a fixed generator so
+    that the solve is deterministic. The shift delta = r^2 * eps (w_ii = 1,
+    so ||W_SS|| <= r) keeps the Cholesky factor of W_SS finite when
+    landmarks coincide. D^-1/2 W D^-1/2 has one eigenvalue 1 and a few more
+    well above the bulk, which CG preconditioned by D alone spends its
+    iterations on; M takes them out (Frangella, Tropp & Udell, SIAM J.
+    Matrix Anal. Appl. 2023). Set-up costs O(m * r^2), about m^2 flops, and
+    each application O(m * r * k); one W product costs O(m^2 * k).
+
+    Woodbury gives M^-1 R = D^-1 R + c * H (H^T R) with H = D^-1 F L_K^-T,
+    where L_K is the Cholesky factor of K = I - c * F^T D^-1 F. The
+    eigenvalues of F^T D^-1 F lie in [0, 1] and c = 1 - mu_bar < 1, so K is
+    positive definite; at mu_bar = 1, c = 0 and M = D is the system matrix.
+    scratch, an (m, k) block overlapping neither R nor out, holds the m x k
+    product.
+    """
+    m = ops.m
+    r = math.isqrt(m - 1) + 1
+    idx = np.sort(np.random.default_rng(0).permutation(m)[:r])
+    w_s = ops.w[idx]
+    w_ss = w_s[:, idx]
+    w_ss[np.diag_indices(r)] += r * r * np.finfo(np.float64).eps
+    # an explicit r x r inverse times the r x m block: np.linalg.solve with
+    # m right-hand sides took ~10 ms at m = 4096 against ~1.5 ms for this
+    ft = np.linalg.inv(np.linalg.cholesky(w_ss)) @ w_s  # F^T, r x m
+    dft = ft / ops.degrees  # (D^-1 F)^T
+    k = np.eye(r) - c * (dft @ ft.T)
+    ht = np.linalg.inv(np.linalg.cholesky(k)) @ dft  # H^T, r x m
+    d_inv = 1.0 / ops.degrees[:, None]
+
+    def precondition(res, out, scratch):
+        t = ht @ res
+        t *= c
+        np.matmul(ht.T, t, out=scratch)
+        np.multiply(d_inv, res, out=out)
+        out += scratch
+        return out
+
+    return precondition
+
+
+def _pcg_multi(apply_a, b, precondition, tol, max_iter):
+    """Preconditioned CG for A X = B, all columns at once.
+
+    apply_a(P, out, scratch) writes A @ P into out, and precondition(R, out,
+    scratch) writes M^-1 R into out; either may overwrite scratch. The m x k
+    blocks X, R, Z, P and AP are allocated once and updated in place. Z is
+    dead from the P update to the next preconditioning step and AP after the
+    residual update, so they also hold the temporaries there.
     Returns (X, iterations used)."""
     x = np.zeros_like(b)
     r = b.copy()
@@ -258,9 +307,10 @@ def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
     active = bnorm > 0.0
     if not active.any():
         return x, 0
-    z = diag_inv[:, None] * r
-    p = z.copy()
+    z = np.empty_like(b)
     ap = np.empty_like(b)
+    precondition(r, z, ap)
+    p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
     it = 0
     while it < max_iter:
@@ -277,7 +327,7 @@ def _pcg_multi(apply_a, b, diag_inv, tol, max_iter):
         active = rnorm > tol * bnorm
         if not active.any():
             break
-        np.multiply(diag_inv[:, None], r, out=z)
+        precondition(r, z, ap)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
         p *= beta
@@ -290,11 +340,13 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     """Solve (L + mu_bar W) U = mu_bar W V column-independently.
 
     The system matrix L + mu_bar W = D - (1 - mu_bar) W is applied, not
-    assembled; it is symmetric positive definite for mu_bar > 0. Each
-    column must reach relative residual <= tol against its right-hand
-    side; otherwise SolverError carries the worst column residual. The
-    true residual is re-checked after the recurrence converges, with a
-    restart if rounding drift ate the contract.
+    assembled; it is symmetric positive definite for mu_bar > 0. CG is
+    preconditioned by D - (1 - mu_bar) F F^T, F F^T a Nystrom approximation
+    of W (see `_nystrom_preconditioner`), so the system solved stays the
+    exact dense one. Each column must reach relative residual <= tol
+    against its right-hand side; otherwise SolverError carries the worst
+    column residual. The true residual is re-checked after the recurrence
+    converges, with a restart if rounding drift ate the contract.
 
     v is an (m, k) block with k >= 1. tol and max_iter are fixed for the
     training step; they are arguments so that a failing solve can be forced.
@@ -311,20 +363,21 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     def apply_a(x, out=None, scratch=None):
         return ops.apply(x, c, out, scratch)
 
-    b = cfg.mu_bar * (ops.w @ v)
-    diag = ops.degrees - c  # w_ii = 1
-    if (diag <= 0.0).any():
+    if (ops.degrees - c <= 0.0).any():  # the diagonal of A; w_ii = 1
         raise SolverError(np.inf, 0)
-    diag_inv = 1.0 / diag
+    b = cfg.mu_bar * (ops.w @ v)
+    precondition = _nystrom_preconditioner(ops, c)
 
     bnorm = np.linalg.norm(b, axis=0)
-    x = np.zeros_like(b)
+    x = None
     r = b  # true residual of x; each restart solves for the correction
     budget = max_iter
     total_it = 0
     for _ in range(3):
-        dx, used = _pcg_multi(apply_a, r, diag_inv, tol * 0.5, budget)
-        x += dx
+        dx, used = _pcg_multi(apply_a, r, precondition, tol * 0.5, budget)
+        # the first correction becomes x; a restart adds into a new array,
+        # so no correction _pcg_multi returned is changed afterwards
+        x = dx if x is None else x + dx
         total_it += used
         budget -= used
         r = b - apply_a(x)

@@ -20,7 +20,8 @@ aborts the step with parameters, Adam moments and step counts, and dual
 untouched; the generator store's Adam step count is the step number. Both
 patch-set builds take their entries from `_patch_entries`, so their rows
 come in the same order. The step's graph, its patch set and W are freed
-before the dual refresh builds its own graph.
+before the dual refresh, whose forward passes build no graph (as in
+`evaluate_pairs`).
 
 In adversarial modes the discriminators are updated from the discriminator
 loss alone: their gradients are zeroed after the generator backward, whose
@@ -255,15 +256,17 @@ def _patch_entries(unpaired, paired):
 
 
 def _ldm_entries_fresh(net, batch, cfg):
-    """Patch-set entries recomputed at the current weights (values only)."""
+    """Patch-set entries recomputed at the current weights, values only:
+    the forward passes build no autodiff graph."""
     def branch(x, y):
         x_hat, z_x = net.forward_corrected(Tensor(x), want_code=True)
         y = Tensor(y)
         return x_hat, z_x, y, net.free_code(y)
 
-    return _patch_entries(
-        branch(batch.x_unpaired, batch.y_unpaired) if cfg.uses_adn else None,
-        branch(batch.x_paired, batch.gt_paired) if cfg.uses_sup else None)
+    with ad.no_graph():
+        return _patch_entries(
+            branch(batch.x_unpaired, batch.y_unpaired) if cfg.uses_adn else None,
+            branch(batch.x_paired, batch.gt_paired) if cfg.uses_sup else None)
 
 
 def _gradients(net, batch, dual, cfg, kcfg, rep):
@@ -433,11 +436,13 @@ def evaluate_pairs(net, pairs, amax):
 
     `net` needs a forward_corrected(Tensor) method. The peak (PSNR) and data
     range (SSIM) of each pair are fixed to its clean image's dynamic range,
-    or 1.0 for a constant clean image."""
+    or 1.0 for a constant clean image. The forward passes build no autodiff
+    graph."""
     rows = []
     for p in pairs:
         x = normalize_image(p.artifact, amax)[None, None, :, :]
-        corrected = net.forward_corrected(Tensor(x))
+        with ad.no_graph():
+            corrected = net.forward_corrected(Tensor(x))
         rec = denormalize_image(corrected.data[0, 0], amax)
         clean = np.asarray(p.clean, dtype=np.float64)
         artifact = np.asarray(p.artifact, dtype=np.float64)

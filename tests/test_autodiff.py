@@ -450,3 +450,34 @@ def test_detach_blocks_gradient():
     loss = ad.frobenius_sq(ad.sub(Tensor(np.ones(3, dtype=np.float32), requires_grad=True), d))
     ad.backward(loss)
     assert a.grad is not None and np.allclose(a.grad, 0.0)
+
+
+def _mixed_graph(x, k, kt, bias):
+    h = ad.leaky_relu(ad.add_channel_bias(ad.conv2d(x, k, stride=1, padding=1), bias))
+    up = ad.tanh(ad.conv_transpose2d(h, kt, stride=2, padding=1))
+    flat = ad.transpose(ad.reshape(up, (2, -1)), (1, 0))
+    both = ad.concat([flat, ad.scale(flat, 0.5)], axis=1)
+    losses = ad.add(ad.mse_loss(both, ad.sub(both, both)), ad.l1_loss(both, both))
+    return both, ad.add(losses, ad.frobenius_sq(both))
+
+
+def test_no_graph_links_nothing_and_keeps_values():
+    rng = np.random.default_rng(23)
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    args = (leaf(2, 3, 6, 6), leaf(4, 3, 3, 3), leaf(4, 2, 4, 4), leaf(4))
+    graphed = _mixed_graph(*args)
+    with ad.no_graph():
+        free = _mixed_graph(*args)
+    for g, f in zip(graphed, free):
+        assert g.requires_grad and g._parents and g._backward is not None
+        assert not f.requires_grad and f._parents == () and f._backward is None
+        assert np.array_equal(f.data, g.data) and f.dtype == g.dtype
+    # recording resumes on exit, also when the block raises
+    with pytest.raises(ShapeError):
+        with ad.no_graph():
+            ad.add(args[3], args[0])
+    again = _mixed_graph(*args)[1]
+    assert again._parents and again._backward is not None

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist, squareform
 
 from patchmar import autodiff as ad
-from patchmar import manifold
+from patchmar import ctsim, manifold, training
 from patchmar.autodiff import Tensor, ShapeError
 from patchmar.manifold import (KernelConfig, DualVariable, SolverError,
                                build_patch_set, dirichlet_energy,
@@ -373,6 +373,175 @@ def test_solve_shape_mismatch_rejected():
     for v in (np.zeros((4, 2)), np.zeros((3, 0))):
         with pytest.raises(ShapeError):
             solve_coordinates(ops, v, KernelConfig())
+
+
+# ------------------------------------------- Nystrom against Jacobi CG
+
+def _jacobi_pcg_multi(apply_a, b, diag_inv, tol, max_iter):
+    """The Jacobi-preconditioned CG that the Nystrom preconditioner replaced,
+    kept as the reference: M = diag(A)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    bnorm = np.linalg.norm(b, axis=0)
+    active = bnorm > 0.0
+    if not active.any():
+        return x, 0
+    z = diag_inv[:, None] * r
+    p = z.copy()
+    ap = np.empty_like(b)
+    rz = np.einsum("ij,ij->j", r, z)
+    it = 0
+    while it < max_iter:
+        it += 1
+        apply_a(p, ap, z)
+        pap = np.einsum("ij,ij->j", p, ap)
+        safe = np.where(active & (pap > 0.0), pap, 1.0)
+        alpha = np.where(active & (pap > 0.0), rz / safe, 0.0)
+        x += np.multiply(p, alpha, out=z)
+        ap *= alpha
+        r -= ap
+        rnorm = np.sqrt(np.add.reduce(np.multiply(r, r, out=ap), axis=0))
+        active = rnorm > tol * bnorm
+        if not active.any():
+            break
+        np.multiply(diag_inv[:, None], r, out=z)
+        rz_new = np.einsum("ij,ij->j", r, z)
+        beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
+        p *= beta
+        p += z
+        rz = rz_new
+    return x, it
+
+
+def _jacobi_solve(ops, v, cfg, tol=1e-8):
+    """(U, iterations) of the replaced solve: one Jacobi CG pass at tol / 2,
+    as solve_coordinates ran it before any restart."""
+    c = 1.0 - cfg.mu_bar
+
+    def apply_a(x, out=None, scratch=None):
+        return ops.apply(x, c, out, scratch)
+
+    b = cfg.mu_bar * (ops.w @ v)
+    return _jacobi_pcg_multi(apply_a, b, 1.0 / (ops.degrees - c), tol * 0.5, 10 * ops.m)
+
+
+def _dup_points(m, kind):
+    rng = np.random.default_rng(19 + m)
+    pts = 2.0 + 3.0 * rng.standard_normal((m, 16))
+    if kind == "all equal":
+        pts[:] = pts[0]
+    elif kind == "two clusters":  # rows alternate between two points
+        pts[:] = pts[np.arange(m) % min(2, m)]
+    elif kind == "every third":  # every third row repeats the row before it
+        pts[2::3] = pts[1::3][:len(pts[2::3])]
+    return pts
+
+
+def _nystrom_low_rank(ops):
+    """F F^T by the documented landmark rule, through a dense solve."""
+    m = ops.m
+    r = int(np.ceil(np.sqrt(m)))
+    s = np.sort(np.random.default_rng(0).permutation(m)[:r])
+    w_ss = ops.w[np.ix_(s, s)] + r * r * np.finfo(np.float64).eps * np.eye(r)
+    return ops.w[:, s] @ np.linalg.solve(w_ss, ops.w[s])
+
+
+# m = 63, 64, 65 straddle a square, where the landmark count ceil(sqrt(m))
+# steps from 8 to 9; the duplicate-heavy sets also run at m = 257, past
+# 16^2, with 17 landmarks.
+_EQUIV_CASES = ([(m, "random") for m in (1, 63, 64, 65)]
+                + [(m, kind) for m in (63, 64, 65, 257)
+                   for kind in ("all equal", "two clusters", "every third")])
+
+
+@pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
+@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
+def test_nystrom_solve_matches_jacobi_reference(m, kind, mu_bar):
+    cfg = KernelConfig(mu_bar=mu_bar)
+    ops = gaussian_weights(_dup_points(m, kind))
+    v = np.random.default_rng(20).standard_normal((m, 4))
+    res = solve_coordinates(ops, v, cfg)
+    a = dense_laplacian(ops) + mu_bar * ops.w
+    b = mu_bar * ops.w @ v
+    assert res.residual <= 1e-8
+    assert _worst_residual(a, b, res.u) <= 1e-8
+    u_ref, _ = _jacobi_solve(ops, v, cfg)
+    assert _worst_residual(a, b, u_ref) <= 1e-8
+    assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
+    if mu_bar == 1.0:  # c = 0: the preconditioner is D, the system matrix
+        assert res.iterations == 1
+
+
+@pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
+@pytest.mark.parametrize("m,kind", [(1, "random"), (65, "random"), (65, "two clusters"),
+                                    (257, "every third"), (257, "all equal")])
+def test_woodbury_apply_matches_dense_preconditioner(m, kind, mu_bar):
+    c = 1.0 - mu_bar
+    ops = gaussian_weights(_dup_points(m, kind))
+    r = np.random.default_rng(21).standard_normal((m, 3))
+    expect = np.linalg.solve(np.diag(ops.degrees) - c * _nystrom_low_rank(ops), r)
+    out, scratch = np.empty_like(r), np.empty_like(r)
+    got = manifold._nystrom_preconditioner(ops, c)(r, out, scratch)
+    assert got is out
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_solve_is_deterministic():
+    rng = np.random.default_rng(22)
+    ops = gaussian_weights(random_points(rng, 300, 8))
+    v = rng.standard_normal((300, 5))
+    first = solve_coordinates(ops, v, KernelConfig())
+    second = solve_coordinates(ops, v, KernelConfig())
+    assert np.array_equal(first.u, second.u)
+    assert first.iterations == second.iterations
+
+
+def test_nystrom_takes_no_more_iterations_than_jacobi_on_ldm_sup_patch_sets(monkeypatch):
+    # real patch sets: two LDM-Sup steps at batch 4 on 64 x 64 images
+    # (m = 512), the second with a non-zero dual
+    geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
+    data = ctsim.synthesize_dataset(4, geom, ctsim.SynthConfig(seed=1, test_pairs=0))
+    cfg = training.TrainConfig(mode="LDM-Sup", batch_size=4, seed=0)
+    systems = []
+
+    def solve(ops, v, kcfg):
+        res = solve_coordinates(ops, v, kcfg)
+        systems.append((ops, v, kcfg, res))
+        return res
+
+    monkeypatch.setattr(training, "solve_coordinates", solve)
+    net = training.build_network(cfg, data.cfg.image_size)
+    sched = training.BatchScheduler(*training.make_pools(data), cfg)
+    state = training.OptState()
+    batch = next(sched.epoch_batches(1))
+    for _ in range(2):
+        training.training_step(net, batch, state, cfg)
+    assert len(systems) == 2
+    for ops, v, kcfg, res in systems:
+        assert ops.m == 512
+        u_ref, ref_iterations = _jacobi_solve(ops, v, kcfg)
+        assert res.iterations <= ref_iterations
+        assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
+
+
+def test_solve_peak_memory_bound():
+    # b, the solution and the CG's four working blocks are six (m, k)
+    # blocks, next to the Nystrom factor's m x r; a zero block for the first
+    # correction to be added into would make seven
+    m, k = 1024, 128
+    rng = np.random.default_rng(18)
+    ops = gaussian_weights(rng.standard_normal((m, k)))
+    v = rng.standard_normal((m, k))
+    solve_coordinates(ops, v, KernelConfig())  # first-use allocations
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solve_coordinates(ops, v, KernelConfig())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.75 * m * k * 8
 
 
 # -------------------------------------------------------- dirichlet energy

@@ -191,8 +191,9 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
 
 @pytest.mark.parametrize("mode", LDM_MODES)
 def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, monkeypatch):
-    # The dual refresh builds a graph of its own; the step's graph, patch
-    # set and W must be gone by then, or the two add up in peak memory.
+    # The dual refresh's forward passes allocate activations of their own;
+    # the step's graph, patch set and W must be gone by then, or the two add
+    # up in peak memory.
     cfg = tiny_cfg(mode)
     refs, alive = [], []
     build, weights, fresh = (training.build_patch_set, training.gaussian_weights,
@@ -218,6 +219,48 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     net = training.build_network(cfg, bundle.cfg.image_size)
     training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg)
     assert alive == [False, False, False]
+
+
+def _graph_free(t):
+    return not t.requires_grad and t._parents == () and t._backward is None
+
+
+@pytest.mark.parametrize("mode", LDM_MODES)
+def test_dual_refresh_builds_no_graph_and_keeps_values(bundle, mode):
+    cfg = tiny_cfg(mode)
+    net = training.build_network(cfg, bundle.cfg.image_size)
+    batch = first_batch(bundle, cfg)
+    images, codes = training._ldm_entries_fresh(net, batch, cfg)
+    # the same forward passes with the graph built
+    branches = []
+    if cfg.uses_adn:
+        branches.append((batch.x_unpaired, batch.y_unpaired))
+    if cfg.uses_sup:
+        branches.append((batch.x_paired, batch.gt_paired))
+    graphed = [net.forward_corrected(Tensor(x), want_code=True) for x, _ in branches]
+    expect_images = [x_hat for x_hat, _ in graphed] + [Tensor(y) for _, y in branches]
+    expect_codes = [z for _, z in graphed] + [net.free_code(Tensor(y)) for _, y in branches]
+    assert graphed[0][0]._parents
+    assert len(images) == len(expect_images) and len(codes) == len(expect_codes)
+    for got, want in zip(images + codes, expect_images + expect_codes):
+        assert _graph_free(got)
+        assert np.array_equal(got.data, want.data)
+
+
+def test_evaluate_pairs_forward_builds_no_graph(bundle, monkeypatch):
+    net = training.build_network(tiny_cfg("Sup"), bundle.cfg.image_size)
+    outs = []
+    inner = net.forward_corrected
+
+    def record(x):
+        out = inner(x)
+        outs.append(out)
+        return out
+
+    monkeypatch.setattr(net, "forward_corrected", record)
+    training.evaluate_pairs(net, bundle.test, bundle.cfg.amax)
+    assert len(outs) == len(bundle.test)
+    assert all(_graph_free(out) for out in outs)
 
 
 # ------------------------------------------------------- discriminator step
