@@ -1,6 +1,6 @@
 """Desk-scale CT pipeline: parallel-beam projector, filtered backprojection,
 metal-trace corruption, the per-view linear-interpolation baseline, procedural
-phantom/dataset synthesis, and PSNR/SSIM metrics.
+phantoms, in-memory dataset synthesis, and PSNR/SSIM metrics.
 
 Corruption model: the clean sinogram is modified only inside the metal trace
 (the forward projection of the metal mask) with a monotone concave
@@ -16,20 +16,10 @@ image's support box (the bounding box of its non-zero pixels, widened by
 outside the image, so it is exactly 0.0; it stays 0.0 in a full per-view
 buffer whose rows are summed, so the sinogram is bit for bit the one that
 evaluating every sample gives.
-
-On-disk dataset (`save_dataset` / `load_dataset`): `manifest.json` holds the
-SynthConfig (`cfg`), the ScanGeometry (`geom`), the `artifact_pool` and
-`clean_pool` indices and, per split, each pair's `index` and `metal_pixels`
-in `train` and `test`. `pairs.npz` holds the float32 image stacks
-`train_artifact`, `train_clean`, `test_artifact` and `test_clean`, in
-manifest order. `train/` and `test/` hold 8-bit PGM previews only.
 """
 
-import json
 import math
-import os
-import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -71,8 +61,6 @@ class Sinogram:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.metal_trace is None:
-            self.metal_trace = np.zeros(self.data.shape, dtype=bool)
         self.metal_trace = np.asarray(self.metal_trace, dtype=bool)
         if self.metal_trace.shape != self.data.shape:
             raise ShapeError(
@@ -144,19 +132,12 @@ def _line_integrals(img, geom):
     return sino * step
 
 
-def radon_forward(img, geom):
-    """Parallel-beam line integrals; linear in the image.
-
-    Accepts a PhantomImage (its metal mask is forward projected into the
-    trace) or a plain array (empty trace). The plain array is the bare
-    operator, with which its linearity and agreement with a reference
-    projector are checked.
-    """
-    if isinstance(img, PhantomImage):
-        data = _line_integrals(img.pixels, geom)
-        trace = _line_integrals(img.metal_mask.astype(np.float64), geom) > 0.0
-        return Sinogram(data=data, metal_trace=trace)
-    return Sinogram(data=_line_integrals(img, geom), metal_trace=None)
+def radon_forward(phantom, geom):
+    """Parallel-beam line integrals of a PhantomImage, linear in its pixels.
+    The rays with a positive integral through its metal mask form the trace."""
+    data = _line_integrals(phantom.pixels, geom)
+    trace = _line_integrals(phantom.metal_mask.astype(np.float64), geom) > 0.0
+    return Sinogram(data=data, metal_trace=trace)
 
 
 def _ramp_kernel(n, spacing):
@@ -171,15 +152,11 @@ def _ramp_kernel(n, spacing):
     return h
 
 
-def fbp(sino, geom, image_size, clamp_negative=True):
-    """Ramp-filtered backprojection onto an image_size x image_size grid.
-
-    The reconstruction is linear in the sinogram before the final
-    non-negativity clamp; pass clamp_negative=False for the raw values.
-    The pipeline always clamps; the switch exists so that the linearity
-    can be checked.
-    """
-    data = sino.data if isinstance(sino, Sinogram) else np.asarray(sino, dtype=np.float64)
+def fbp(sino, geom, image_size):
+    """Ramp-filtered backprojection of a Sinogram onto an image_size-square
+    grid, clamped at zero. It is linear before the clamp, so scaling the
+    sinogram by c >= 0 scales the image by c."""
+    data = sino.data
     if data.shape != (geom.n_views, geom.n_detectors):
         raise ShapeError(f"sinogram shape {data.shape} does not match geometry "
                          f"({geom.n_views}, {geom.n_detectors})")
@@ -205,8 +182,7 @@ def fbp(sino, geom, image_size, clamp_negative=True):
         recon += np.interp(s.ravel(), det_idx, filtered[vi], left=0.0, right=0.0) \
             .reshape(image_size, image_size)
     recon *= geom.angular_range / geom.n_views
-    if clamp_negative:
-        np.maximum(recon, 0.0, out=recon)
+    np.maximum(recon, 0.0, out=recon)
     return recon
 
 
@@ -231,35 +207,18 @@ def corrupt_metal(sino, severity, rng, noise_scale):
 
 
 def li_correct(sino):
-    """Replace trace detectors per view by linear interpolation from the
-    nearest untraced neighbors; views fully inside the trace fall back to
-    the average of the nearest correctable neighbor views, with a warning.
-    Untraced bins are returned bit for bit unchanged."""
+    """Linear-interpolation (LI) baseline: each view's traced bins are
+    interpolated from its untraced bins, which are returned bit for bit.
+    Raises ValueError naming the views that lie fully inside the trace."""
     data = sino.data.copy()
     tr = sino.metal_trace
-    n_views, n_det = data.shape
-    idx = np.arange(n_det)
-    full = []
-    for vi in range(n_views):
+    full = np.flatnonzero(tr.all(axis=1))
+    if full.size:
+        raise ValueError(f"views {full.tolist()} lie fully inside the metal trace")
+    idx = np.arange(data.shape[1])
+    for vi in np.flatnonzero(tr.any(axis=1)):
         row_tr = tr[vi]
-        if not row_tr.any():
-            continue
-        if row_tr.all():
-            full.append(vi)
-            continue
         data[vi, row_tr] = np.interp(idx[row_tr], idx[~row_tr], data[vi, ~row_tr])
-    if full:
-        warnings.warn(f"{len(full)} view(s) fully inside the metal trace; "
-                      f"using neighbor-view averages", RuntimeWarning)
-        ok = np.setdiff1d(np.arange(n_views), np.asarray(full))
-        if ok.size == 0:
-            raise ValueError("every view lies fully inside the metal trace")
-        for vi in full:
-            below = ok[ok < vi]
-            above = ok[ok > vi]
-            picks = [p for p in (below[-1] if below.size else None,
-                                 above[0] if above.size else None) if p is not None]
-            data[vi] = np.mean([data[p] for p in picks], axis=0)
     return Sinogram(data=data, metal_trace=tr.copy())
 
 
@@ -381,7 +340,6 @@ class SynthPair:
     index: int
     artifact: np.ndarray
     clean: np.ndarray
-    metal_pixels: int
 
 
 @dataclass
@@ -390,7 +348,6 @@ class DatasetBundle:
     test: list
     artifact_pool: list
     clean_pool: list
-    geom: ScanGeometry
     cfg: SynthConfig
 
 
@@ -402,8 +359,7 @@ def _make_pair(index, rng, geom, cfg):
     corrupted = corrupt_metal(sino, cfg.severity, rng=rng, noise_scale=cfg.noise_scale)
     return SynthPair(index=index,
                      artifact=fbp(corrupted, geom, image_size=n).astype(np.float32),
-                     clean=fbp(sino, geom, image_size=n).astype(np.float32),
-                     metal_pixels=int(mask.sum()))
+                     clean=fbp(sino, geom, image_size=n).astype(np.float32))
 
 
 def synthesize_dataset(n_pairs, geom, cfg):
@@ -425,62 +381,7 @@ def synthesize_dataset(n_pairs, geom, cfg):
     artifact_pool = list(range(0, n_art))
     clean_pool = list(range(n_art, n_pairs))
     return DatasetBundle(train=train, test=test, artifact_pool=artifact_pool,
-                         clean_pool=clean_pool, geom=geom, cfg=cfg)
-
-
-def write_pgm(path, img, lo, hi):
-    """8-bit binary PGM of img, mapping [lo, hi] to [0, 255] with clipping."""
-    img = np.asarray(img, dtype=np.float64)
-    span = hi - lo if hi > lo else 1.0
-    quant = np.clip((img - lo) / span * 255.0, 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(quant.tobytes())
-
-
-def save_dataset(bundle, directory):
-    """Write `manifest.json`, `pairs.npz` and per-pair PGM previews."""
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "cfg": asdict(bundle.cfg),
-        "geom": asdict(bundle.geom),
-        "artifact_pool": bundle.artifact_pool,
-        "clean_pool": bundle.clean_pool,
-    }
-    arrays = {}
-    n = bundle.cfg.image_size
-    for split, pairs in (("train", bundle.train), ("test", bundle.test)):
-        manifest[split] = [{"index": p.index, "metal_pixels": p.metal_pixels}
-                           for p in pairs]
-        for kind in ("artifact", "clean"):
-            arrays[f"{split}_{kind}"] = np.asarray(
-                [getattr(p, kind) for p in pairs], dtype=np.float32).reshape(-1, n, n)
-        sub = os.path.join(directory, split)
-        os.makedirs(sub, exist_ok=True)
-        for p in pairs:
-            stem = os.path.join(sub, f"pair{p.index:04d}")
-            write_pgm(stem + "_artifact.pgm", p.artifact, 0.0, bundle.cfg.amax)
-            write_pgm(stem + "_clean.pgm", p.clean, 0.0, bundle.cfg.amax)
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1)
-    np.savez(os.path.join(directory, "pairs.npz"), **arrays)
-
-
-def load_dataset(directory):
-    with open(os.path.join(directory, "manifest.json")) as f:
-        manifest = json.load(f)
-    with np.load(os.path.join(directory, "pairs.npz")) as arrays:
-        splits = {
-            split: [SynthPair(index=m["index"], artifact=art, clean=clean,
-                              metal_pixels=m["metal_pixels"])
-                    for m, art, clean in zip(manifest[split], arrays[f"{split}_artifact"],
-                                             arrays[f"{split}_clean"], strict=True)]
-            for split in ("train", "test")}
-    return DatasetBundle(train=splits["train"], test=splits["test"],
-                         artifact_pool=manifest["artifact_pool"],
-                         clean_pool=manifest["clean_pool"],
-                         geom=ScanGeometry(**manifest["geom"]),
-                         cfg=SynthConfig(**manifest["cfg"]))
+                         clean_pool=clean_pool, cfg=cfg)
 
 
 def normalize_image(img, amax):

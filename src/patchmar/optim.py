@@ -44,9 +44,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self._params[name]
 
-    def names(self):
-        return list(self._params.keys())
-
     def items(self):
         return self._params.items()
 

@@ -255,18 +255,22 @@ def _patch_entries(unpaired, paired):
     return tuple(zip(*(corrected + free)))
 
 
+def _coded_branch(net, x, y):
+    """One patch-set branch, (x_hat, z_x, y, z_y): x through the corrected
+    branch with its code, and the free code of y."""
+    x_hat, z_x = net.forward_corrected(x, want_code=True)
+    return x_hat, z_x, y, net.free_code(y)
+
+
 def _ldm_entries_fresh(net, batch, cfg):
     """Patch-set entries recomputed at the current weights, values only:
     the forward passes build no autodiff graph."""
-    def branch(x, y):
-        x_hat, z_x = net.forward_corrected(Tensor(x), want_code=True)
-        y = Tensor(y)
-        return x_hat, z_x, y, net.free_code(y)
-
     with ad.no_graph():
         return _patch_entries(
-            branch(batch.x_unpaired, batch.y_unpaired) if cfg.uses_adn else None,
-            branch(batch.x_paired, batch.gt_paired) if cfg.uses_sup else None)
+            _coded_branch(net, Tensor(batch.x_unpaired), Tensor(batch.y_unpaired))
+            if cfg.uses_adn else None,
+            _coded_branch(net, Tensor(batch.x_paired), Tensor(batch.gt_paired))
+            if cfg.uses_sup else None)
 
 
 def _gradients(net, batch, dual, cfg, kcfg, rep):
@@ -288,8 +292,8 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
         gt_p = Tensor(batch.gt_paired)
         if cfg.uses_adn:  # hybrid: paired sample through the corrected branch
             if cfg.uses_ldm:
-                x_hat_p, z_p = net.forward_corrected(x_p, want_code=True)
-                paired = (x_hat_p, z_p, gt_p, net.free_code(gt_p))
+                paired = _coded_branch(net, x_p, gt_p)
+                x_hat_p = paired[0]
             else:
                 x_hat_p = net.forward_corrected(x_p)
         else:

@@ -48,13 +48,14 @@ def _resolve(net, name):
 def test_parameter_names_are_attribute_paths(variant):
     net = make_net(variant)
     stores = [s for s in (net.gen_params, net.disc_params) if s is not None]
-    names = [name for store in stores for name in store.names()]
+    names = [name for store in stores for name, _ in store.items()]
     assert len(names) == len(set(names))
     for store in stores:
         for name, t in store.items():
             assert _resolve(net, name) is t, name
     disc = [name for name in names if name.startswith(("d_clean.", "d_art."))]
-    assert (net.disc_params.names() if net.disc_params else []) == disc
+    stored = [name for name, _ in net.disc_params.items()] if net.disc_params else []
+    assert stored == disc
     assert bool(disc) == variant.is_unpaired
 
 

@@ -284,7 +284,7 @@ def test_discriminator_step_sees_only_the_discriminator_loss(bundle, mode, monke
     monkeypatch.setattr(training, "adam_step", spy)
     batch = first_batch(bundle, cfg)
     training.training_step(net, batch, training.OptState(), cfg)
-    assert seen.keys() == set(net.disc_params.names())
+    assert seen.keys() == {name for name, _ in net.disc_params.items()}
 
     x, y = Tensor(batch.x_unpaired), Tensor(batch.y_unpaired)
     net.disc_params.zero_grad()
@@ -321,7 +321,7 @@ def _inject(failure, net, monkeypatch):
 
     def backward(t):
         inner(t)
-        store[store.names()[-1]].grad.flat[0] = np.inf
+        list(store.items())[-1][1].grad.flat[0] = np.inf
 
     monkeypatch.setattr(autodiff, "backward", backward)
     return NanGradientError
@@ -364,7 +364,7 @@ def test_evaluate_pairs_peak_is_the_clean_range(bundle):
     amax = bundle.cfg.amax
     ref = bundle.test[0]
     flat = ctsim.SynthPair(index=99, artifact=ref.artifact,
-                           clean=np.full_like(ref.clean, 0.3), metal_pixels=0)
+                           clean=np.full_like(ref.clean, 0.3))
     pairs = list(bundle.test) + [flat]
     peaks = [float(p.clean.max()) - float(p.clean.min()) for p in bundle.test] + [1.0]
     assert all(0.0 < pk != 1.0 for pk in peaks[:-1])
