@@ -10,11 +10,14 @@ operator with W replaced by a Nystrom approximation from ceil(sqrt(m))
 landmark rows, applied through the Woodbury identity. W and its row sums
 D are the only stored graph: the Laplacian and the system matrix
 L + mu_bar * W = D - (1 - mu_bar) * W are applied from them, never assembled.
-W is built from blockwise GEMM-form distances in two sweeps, one for the
-bandwidth median and one for the weights, and its own buffer is the only
-m x m array either sweep allocates.
-The Dirichlet energy sum_cols u^T L u (= sum_ij w_ij ||u_i - u_j||^2 / 2),
-normalized by the point count, serves as the manifold-dimension diagnostic.
+W is built from blockwise GEMM-form distances in one sweep, which leaves
+them in W's own buffer: the bandwidth median is selected from them there,
+and the exponentiation turns them into weights in place. That buffer is the
+only m x m array allocated.
+The Dirichlet energy of the points, sum_cols p^T L p
+(= sum_{i<j} w_ij ||p_i - p_j||^2), normalized by the point count, serves as
+the manifold-dimension diagnostic; it is summed from the same distances as
+the weights.
 """
 
 import math
@@ -57,12 +60,14 @@ class GraphOperators:
     """Symmetric weights W and their row sums D over one patch set.
 
     The Laplacian L = D - W is never stored; `apply` multiplies by it and by
-    the other operators of the form D - c * W.
+    the other operators of the form D - c * W. energy is the points'
+    Dirichlet energy, which `gaussian_weights` sums with the weights.
     """
 
     w: np.ndarray
     degrees: np.ndarray
     t: float
+    energy: float
 
     @property
     def m(self):
@@ -143,9 +148,13 @@ def build_patch_set(images, codes, geom):
     return row_blocks[0] if len(row_blocks) == 1 else concat(row_blocks, axis=0)
 
 
-# Rows per block of gaussian_weights' two sweeps: each block's scratch is one
+# Rows per block of gaussian_weights' sweep: each block's scratch is one
 # _BLOCK_ROWS x m array next to W.
 _BLOCK_ROWS = 64
+# The bandwidth median counts the distances into _MEDIAN_BINS + 1 bins per
+# pass, reading them in chunks of at most max(_CHUNK, m) values.
+_MEDIAN_BINS = 4096
+_CHUNK = 1 << 14
 
 
 def _block_sq_dists(pts, norms, i0, i1, out, scratch):
@@ -164,44 +173,140 @@ def _block_sq_dists(pts, norms, i0, i1, out, scratch):
     np.copyto(out, 0.0, where=out <= scratch)
 
 
-def _auto_bandwidth(sq_dists):
-    """median / 4 of the squared distances, or 1 for a zero median or none.
+def _median(chunks, n, skip, lo, hi, scratch):
+    """np.median of n non-negative values, bit for bit, selected where they lie.
 
-    sq_dists is partitioned in place. The median equals np.median's: one
-    partition at the upper middle, and for an even count the mean with the
-    largest value below it. At m = 4096 points this is ~4x faster than
-    np.median, which partitions at both middles and the end.
+    chunks() yields arrays of at most scratch.size // 3 elements each, read
+    only, that together hold the n values and `skip` copies of lo, where lo
+    and hi are the least and greatest of the n values. So the median ranks,
+    counted from the least value yielded, are skip plus those of the n
+    values.
+
+    Each round maps every value v to the bin trunc((clip(v, lo, hi) - lo) *
+    (B / (hi - lo))), B = _MEDIAN_BINS: equal-width bins over [lo, hi], with
+    the values outside it in the end bins. The key is monotone in v, so each
+    bin holds a run of consecutive ranks and a range of values, whose edges
+    bisection finds; bin counts locate the middle ranks (Floyd & Rivest's
+    bracketing, CACM 1975). Then, by one pass of comparisons with the edges:
+    - one bin holds both ranks and fits in the last third of scratch: it is
+      copied there and partitioned;
+    - the ranks lie in two bins: they are the greatest value of the lower
+      bin and the least of the upper;
+    - one bin too full to copy: [lo, hi] shrinks to that bin's values, which
+      excludes lo or hi, and the next round counts again.
+    Returns NaN for n = 0, as np.median does (without its warning).
     """
-    n = sq_dists.size
     if n == 0:
-        return 1.0
-    h = n // 2
-    sq_dists.partition(h)
-    med = float(sq_dists[h])
-    if n % 2 == 0:
-        med = (float(sq_dists[:h].max()) + med) / 2.0
-    if med <= 0.0:
-        return 1.0
-    return med / 4.0
+        return math.nan
+    k = scratch.size // 3
+    f = scratch[:k]
+    keys = scratch[k:2 * k].view(np.intp)
+    found = scratch[2 * k:]
+    ranks = (skip + (n - 1) // 2, skip + n // 2)
+    narrowed = False  # until [lo, hi] shrinks, no value lies outside it
+
+    while lo < hi:
+        span = hi - lo
+        # a multiply is much cheaper than a divide; B / span overflows only
+        # for a span below ~2e-305, which is then divided by
+        scale = _MEDIAN_BINS / span
+
+        def key(v):
+            """The bin of a value in [lo, hi], as the counting pass finds it."""
+            if scale < math.inf:
+                return int((v - lo) * scale)
+            return int((v - lo) / span * _MEDIAN_BINS)
+
+        def edge(b):
+            """The least value in bin b or above."""
+            if b == 0:
+                return -math.inf
+            if b > key(hi):
+                return math.inf
+            below, at = lo, hi  # key(below) < b <= key(at)
+            while True:
+                mid = below + (at - below) / 2
+                if mid in (below, at):
+                    return at
+                if key(mid) < b:
+                    below = mid
+                else:
+                    at = mid
+
+        counts = np.zeros(_MEDIAN_BINS + 1, dtype=np.intp)
+        for c in chunks():
+            fc = f[:c.size].reshape(c.shape)
+            kc = keys[:c.size].reshape(c.shape)
+            if narrowed:
+                np.clip(c, lo, hi, out=fc)
+                fc -= lo
+            else:
+                np.subtract(c, lo, out=fc)
+            if scale < math.inf:
+                np.multiply(fc, scale, out=kc, casting="unsafe")
+            else:
+                fc /= span
+                np.multiply(fc, _MEDIAN_BINS, out=kc, casting="unsafe")
+            counts += np.bincount(kc.reshape(-1), minlength=_MEDIAN_BINS + 1)
+        ends = np.cumsum(counts)
+        ka, kb = (int(x) for x in np.searchsorted(ends, ranks, side="right"))
+        if ka == kb and counts[ka] <= found.size:
+            low, high = edge(ka), edge(ka + 1)
+            got = 0
+            for c in chunks():
+                sel = c[(c >= low) & (c < high)]
+                found[got:got + sel.size] = sel
+                got += sel.size
+            part = found[:got]
+            first = int(ends[ka] - counts[ka])
+            kth = sorted({r - first for r in ranks})
+            part.partition(kth)
+            a, b = float(part[ranks[0] - first]), float(part[ranks[1] - first])
+            break
+        # the greatest value of bin ka and the least of bin kb
+        above_a, start_b = edge(ka + 1), edge(kb)
+        top, bottom = -math.inf, math.inf
+        for c in chunks():
+            top = max(top, float(np.max(c, where=c < above_a, initial=-math.inf)))
+            bottom = min(bottom, float(np.min(c, where=c >= start_b, initial=math.inf)))
+        if ka < kb:
+            a, b = top, bottom
+            break
+        # clipped values share the end bins, so keep the bounds in [lo, hi]
+        lo, hi = max(bottom, lo), min(top, hi)
+        narrowed = True
+    else:
+        a = b = lo
+    return b if n % 2 else (a + b) / 2.0
 
 
 def gaussian_weights(points):
     """Gaussian kernel weights w_ij = exp(-||p_i - p_j||^2 / (4t)).
 
-    points is an (m, d) array, such as a patch set's values. The bandwidth t
-    is median(squared pairwise distance) / 4, or 1 when that median is 0 or
-    there is no pair. Squared distances take the GEMM form over blocks of
-    64 rows (see `_block_sq_dists`), in two sweeps over the upper triangle:
+    points is an (m, d) array, such as a patch set's values; a NaN or
+    infinite entry, or a squared norm past a quarter of the float64 maximum
+    (so that some distance would overflow), raises ValueError. The bandwidth
+    t is median(squared pairwise distance) / 4, or 1 when that is 0 or there
+    is no pair. Squared distances take the GEMM form over blocks of 64 rows
+    (see `_block_sq_dists`), swept once over the upper triangle:
 
     1. each block's distances to the columns at or right of its first row
-       are packed, strict upper triangle only, into the front of W's buffer,
-       and the bandwidth comes from their median, found in place;
-    2. each block's distances are recomputed into its rows of W, scaled and
-       exponentiated in place, and mirrored below the diagonal.
+       go into its rows of W, and the sweep keeps the least and greatest
+       distance over pairs i < j; the block's tile on and below the
+       diagonal holds no such pair, so it is masked with inf, then 0;
+    2. the bandwidth median is selected from those distances where they lie
+       (`_median`), with the tiles' lower parts set to the least distance:
+       a known count of extra values below every rank that counts;
+    3. the tiles' lower parts are set to 0, so the diagonal comes out
+       exp(0) = 1 and adds nothing to the energy; each block is copied to
+       scratch, scaled and exponentiated in place, and mirrored below the
+       diagonal; the copy times the weights sums to the Dirichlet energy of
+       the points, sum_{i<j} w_ij ||p_i - p_j||^2 / m, which
+       `dirichlet_energy` returns.
 
-    So W is symmetric bit for bit, and its diagonal is exactly 1. Degrees are
-    row sums. W's buffer is the only m x m array; the rest is O(m) plus one
-    block of scratch.
+    So W is symmetric bit for bit, and its diagonal is exactly exp(0) = 1.
+    Degrees are row sums. W's buffer is the only m x m array; the rest is
+    O(m) plus one block of scratch, at least 3 * _CHUNK values.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -211,40 +316,57 @@ def gaussian_weights(points):
         raise ShapeError("need at least one point")
 
     norms = np.einsum("ij,ij->i", pts, pts)
+    # every distance is at most 4 max |p|^2; a NaN or inf entry makes its
+    # row's norm fail the comparison too
+    bad = np.flatnonzero(~(norms <= np.finfo(np.float64).max / 4.0))
+    if bad.size:
+        raise ValueError(f"points must be finite, with squared norms at most a quarter "
+                         f"of the float64 maximum; rows {bad[:8].tolist()} are not")
     w = np.empty((m, m))
-    scratch = np.empty(min(_BLOCK_ROWS, m) * m)
+    scratch = np.empty(max(min(_BLOCK_ROWS, m) * m, 3 * _CHUNK))
+    blocks = [(i0, min(i0 + _BLOCK_ROWS, m)) for i0 in range(0, m, _BLOCK_ROWS)]
+    # a block's tile on and below the diagonal, which holds no pair i < j
+    tri = np.tri(min(_BLOCK_ROWS, m), dtype=bool)
 
-    def blocks():
-        """Yield (i0, b, out): out is W[i0:i0+b, i0:] holding the block's
-        squared distances."""
-        for i0 in range(0, m, _BLOCK_ROWS):
-            i1 = min(i0 + _BLOCK_ROWS, m)
-            out = w[i0:i1, i0:]
-            _block_sq_dists(pts, norms, i0, i1, out,
-                            scratch[:out.size].reshape(out.shape))
-            yield i0, i1 - i0, out
+    def fill_tile(i0, i1, value):
+        np.copyto(w[i0:i1, i0:i1], value, where=tri[:i1 - i0, :i1 - i0])
 
-    # The pairs of rows 0..i-1 fill fewer than i*m + i entries, the flat
-    # index of W[i, i], so packing never overwrites distances not yet packed
-    # and the next block's distances land past the packed ones.
-    packed = w.reshape(-1)
-    n = 0
-    for _, b, out in blocks():
-        for r in range(b):
-            row = out[r, r + 1:]
-            packed[n:n + row.size] = row
-            n += row.size
-    t = _auto_bandwidth(packed[:n])
+    lo, hi = math.inf, 0.0
+    for i0, i1 in blocks:
+        out = w[i0:i1, i0:]
+        _block_sq_dists(pts, norms, i0, i1, out, scratch[:out.size].reshape(out.shape))
+        fill_tile(i0, i1, math.inf)
+        lo = min(lo, float(out.min()))
+        fill_tile(i0, i1, 0.0)
+        hi = max(hi, float(out.max()))
 
-    for i0, b, out in blocks():
+    def chunks():
+        for i0, i1 in blocks:
+            step = max(1, _CHUNK // (m - i0))
+            for r0 in range(i0, i1, step):
+                yield w[r0:min(r0 + step, i1), i0:]
+
+    for i0, i1 in blocks:
+        fill_tile(i0, i1, lo)
+    skip = sum((i1 - i0) * (i1 - i0 + 1) // 2 for i0, i1 in blocks)
+    t = _median(chunks, m * (m - 1) // 2, skip, lo, hi, scratch) / 4.0
+    if not t > 0.0:  # a zero median, one whose quarter underflows, or no pair (NaN)
+        t = 1.0
+
+    energy = 0.0
+    for i0, i1 in blocks:
+        fill_tile(i0, i1, 0.0)
+        out = w[i0:i1, i0:]
+        sq = scratch[:out.size].reshape(out.shape)
+        np.copyto(sq, out)
         out /= -4.0 * t
         np.exp(out, out=out)
-        w[i0 + b:, i0:i0 + b] = out[:, b:].T
-        tile = out[:, :b]
-        lower = np.tril_indices(b, -1)
-        tile[lower] = tile.T[lower]
-    np.fill_diagonal(w, 1.0)
-    return GraphOperators(w=w, degrees=w.sum(axis=1), t=t)
+        sq *= out
+        energy += float(sq.sum())
+        b = i1 - i0
+        w[i1:, i0:i1] = out[:, b:].T
+        np.copyto(out[:, :b], out[:, :b].T, where=tri[:b, :b])
+    return GraphOperators(w=w, degrees=w.sum(axis=1), t=t, energy=energy / m)
 
 
 def _nystrom_preconditioner(ops, c):
@@ -346,7 +468,10 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     exact dense one. Each column must reach relative residual <= tol
     against its right-hand side; otherwise SolverError carries the worst
     column residual. The true residual is re-checked after the recurrence
-    converges, with a restart if rounding drift ate the contract.
+    converges, with a restart if rounding drift ate the contract. A
+    right-hand side with a NaN or infinite entry (from v, or from W) raises
+    SolverError with a NaN residual after 0 iterations; a non-finite
+    residual fails the contract like any other.
 
     v is an (m, k) block with k >= 1. tol and max_iter are fixed for the
     training step; they are arguments so that a failing solve can be forced.
@@ -366,9 +491,11 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     if (ops.degrees - c <= 0.0).any():  # the diagonal of A; w_ii = 1
         raise SolverError(np.inf, 0)
     b = cfg.mu_bar * (ops.w @ v)
+    bnorm = np.linalg.norm(b, axis=0)
+    if not np.isfinite(bnorm).all():  # a NaN norm would pass as converged
+        raise SolverError(np.nan, 0)
     precondition = _nystrom_preconditioner(ops, c)
 
-    bnorm = np.linalg.norm(b, axis=0)
     x = None
     r = b  # true residual of x; each restart solves for the correction
     budget = max_iter
@@ -391,17 +518,15 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     raise SolverError(worst, total_it)
 
 
-def dirichlet_energy(u, ops):
-    """Sum over the columns of an (m, k) block u of u^T L u, divided by m.
+def dirichlet_energy(ops):
+    """Dirichlet energy of the points W was built from, divided by m:
+    sum_cols p^T L p / m = sum_{i<j} w_ij ||p_i - p_j||^2 / m.
 
-    Clamped at zero: for constant columns the exact value is 0 and matrix
-    rounding can land a hair below it.
+    `gaussian_weights` sums it from the squared distances and weights as it
+    exponentiates, so no W product is needed. Every term is >= 0, and so is
+    the sum.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.shape[0] != ops.m:
-        raise ShapeError(f"u must be an (m, k) block over {ops.m} points, got shape {u.shape}")
-    e = float(np.sum(u * ops.apply(u)))
-    return max(e, 0.0) / ops.m
+    return ops.energy
 
 
 def normalize_dual(d_hat):

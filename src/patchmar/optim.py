@@ -38,12 +38,6 @@ class ParameterStore:
         self._params[name] = tensor
         return tensor
 
-    # read accessors: the update itself needs only items(); these let a
-    # store's parameters and moments be inspected by name
-
-    def __getitem__(self, name):
-        return self._params[name]
-
     def items(self):
         return self._params.items()
 

@@ -9,19 +9,20 @@ distance / 4), and evaluation measures PSNR/SSIM against each clean image's
 dynamic range.
 
 Each step with the manifold penalty active runs, in order: forward passes and
-network losses; the Gaussian weight matrix W over the patch set; the solve
+network losses; the Gaussian weight matrix W over the patch set P, whose
+build also sums P's Dirichlet energy (the step's diagnostic); the solve
 (L + mu_bar W) U = mu_bar W (P - d), with L = D - W applied from W and its
 row sums D; one Adam update of
 J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
-d <- minmax_normalize(d + U - P_new). A failed solve or a non-finite gradient
-aborts the step with parameters, Adam moments and step counts, and dual
-untouched; the generator store's Adam step count is the step number. Both
-patch-set builds take their entries from `_patch_entries`, so their rows
-come in the same order. The step's graph, its patch set and W are freed
-before the dual refresh, whose forward passes build no graph (as in
-`evaluate_pairs`).
+d <- minmax_normalize(d + U - P_new). A non-finite patch set, a failed solve
+or a non-finite gradient aborts the step with parameters, Adam moments and
+step counts, and dual untouched; the generator store's Adam step count is
+the step number. Both patch-set builds take their entries from
+`_patch_entries`, so their rows come in the same order. The step's graph,
+its patch set and W are freed before the dual refresh, whose forward passes
+build no graph (as in `evaluate_pairs`).
 
 In adversarial modes the discriminators are updated from the discriminator
 loss alone: their gradients are zeroed after the generator backward, whose
@@ -226,9 +227,8 @@ def ldm_penalty(u, points, dual, lam):
     """lambda * ||U - P + d||_F^2 with U and the DualVariable d constant.
 
     Gradient reaches the network only through the patch-set tensor `points`.
+    lam >= 0 holds by `TrainConfig`'s check.
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
     u = np.asarray(u)
     if tuple(u.shape) != tuple(points.shape):
         raise ShapeError(f"u shape {u.shape} vs patch set {tuple(points.shape)}")
@@ -324,7 +324,7 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
         if dual is None:  # every batch has the same size, so the shape holds
             dual = DualVariable(values=np.zeros_like(p_now))
         solved = solve_coordinates(graph, p_now - dual.values, kcfg)
-        rep.dirichlet_energy = dirichlet_energy(p_now, graph)
+        rep.dirichlet_energy = dirichlet_energy(graph)
         del graph  # the backward passes do not need W
         u = solved.u
         rep.cg_residual = solved.residual
@@ -351,7 +351,12 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
 
 def training_step(net, batch, state, cfg, kcfg=None):
     """One outer iteration; returns a StepReport. Mutations happen only after
-    every fallible stage (solve, gradient validation) has passed.
+    every fallible stage has passed, so each of these failures leaves
+    parameters, Adam moments and step counts, and the dual untouched:
+    - a patch set with a NaN or infinite entry: ValueError from
+      `gaussian_weights`;
+    - a solve that misses its residual contract: SolverError;
+    - a NaN or infinite gradient: NanGradientError.
 
     kcfg defaults to cfg.kernel_config(). `train` builds it once per run and
     passes it, and wrappers of this function pass it on positionally, so it

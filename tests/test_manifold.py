@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from scipy.spatial.distance import pdist, squareform
 from patchmar import autodiff as ad
 from patchmar import ctsim, manifold, training
 from patchmar.autodiff import Tensor, ShapeError
-from patchmar.manifold import (KernelConfig, DualVariable, SolverError,
-                               build_patch_set, dirichlet_energy,
+from patchmar.manifold import (KernelConfig, DualVariable, GraphOperators,
+                               SolverError, build_patch_set, dirichlet_energy,
                                gaussian_weights, normalize_dual,
                                solve_coordinates)
 from patchmar.networks import GeometryConfig
@@ -20,6 +21,12 @@ def random_points(rng, m, d):
 
 def dense_laplacian(ops):
     return np.diag(ops.degrees) - ops.w
+
+
+def energy_of(u, ops):
+    """sum over the columns of an (m, k) block u of u^T L u, divided by m:
+    the Dirichlet energy of any u, through the applied Laplacian."""
+    return float((u * ops.apply(u)).sum()) / ops.m
 
 
 # -------------------------------------------------------------- patch sets
@@ -177,15 +184,123 @@ def test_weights_match_difference_form(m, kind):
     assert np.all(np.abs(ops.degrees - ref_degrees) <= 1e-13 * ref_degrees)
 
 
+def _median_of(x, chunk=None, skip=0):
+    """manifold._median over the values of x, yielded in pieces of `chunk`
+    values (default: the largest the scratch allows), after `skip` copies
+    of their least value."""
+    flat = np.concatenate([np.full(skip, x.min() if x.size else 0.0), x])
+    chunk = chunk or max(flat.size, 1)
+    scratch = np.empty(3 * chunk)
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (math.inf, 0.0)
+
+    def chunks():
+        for i in range(0, flat.size, chunk):
+            yield flat[i:i + chunk]
+
+    got = manifold._median(chunks, x.size, skip, lo, hi, scratch)
+    assert np.array_equal(flat[skip:], x)  # read only
+    return got
+
+
+def _numpy_median(x):
+    if x.size == 0:
+        with pytest.warns(RuntimeWarning):
+            return float(np.median(x))
+    return float(np.median(x))
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 1001])
 def test_bandwidth_is_numpy_median_over_four(n):
-    # the median comes from one in-place partition; it must equal np.median
-    # bit for bit at odd and even counts, and a zero median gives t = 1
+    # gaussian_weights takes t = median / 4 from manifold._median, which must
+    # equal np.median bit for bit at odd and even counts (NaN for none, where
+    # t falls back to 1); a zero median, for which t is also 1, comes out 0
     x = np.random.default_rng(17 + n).random(n)
-    expect = float(np.median(x)) / 4.0 if n else 1.0
-    assert manifold._auto_bandwidth(x.copy()) == expect
+    for chunk in (None, 7):
+        assert _same(_median_of(x, chunk), _numpy_median(x))
+        assert _same(_median_of(x, chunk, skip=n // 3 + 1), _numpy_median(x))
     x[:n // 2 + 1] = 0.0
-    assert manifold._auto_bandwidth(x) == 1.0
+    assert _same(_median_of(x), _numpy_median(x))
+    if n:
+        assert _median_of(x) == 0.0
+
+
+def _hard_sets():
+    rng = np.random.default_rng(23)
+    return {
+        "all equal": np.full(1000, 3.25),
+        "half zeros": np.concatenate([np.zeros(500), rng.random(501)]),
+        "1e-300 to 1e300": 10.0 ** rng.uniform(-300, 300, 1001),
+        "one binade": 1.0 + rng.random(1000),  # [1, 2)
+        "subnormals": rng.integers(0, 1 << 20, 1001) * 5e-324,
+        "one outlier": np.concatenate([np.full(999, 7.0), [1e12]]),
+        "two values": np.repeat([0.5, 2.0], 500),
+        "ties at the middle": np.concatenate([np.full(600, 1.0), rng.random(400) + 1.0]),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_hard_sets()))
+@pytest.mark.parametrize("chunk", [None, 64])
+def test_median_is_numpy_median_on_hard_sets(kind, chunk):
+    # chunk 64 leaves room to copy at most 64 values, so a fuller bin at the
+    # middle ranks makes the selection narrow [lo, hi] and count again
+    x = _hard_sets()[kind]
+    rng = np.random.default_rng(24)
+    for values in (x, x[:-1], rng.permutation(x)):
+        expect = _numpy_median(values)
+        assert _median_of(values, chunk) == expect
+        assert _median_of(values, chunk, skip=37) == expect
+
+
+def test_median_bins_split_exactly_at_their_edges():
+    # With lo = 0 and hi = 4096 the scale is 1, so bin k holds [k, k + 1);
+    # each set puts the middle ranks next to the edge at 2048 or 2049, with
+    # the neighbouring double on the other side of it
+    before_2048 = np.nextafter(2048.0, 0.0)
+    before_2049 = np.nextafter(2049.0, 0.0)
+
+    def values(*runs):
+        return np.concatenate([np.full(count, v) for v, count in runs])
+
+    sets = [
+        # ranks 15 and 16 both in bin 2048
+        values((0.0, 10), (before_2048, 3), (2048.0, 3), (before_2049, 3),
+               (2049.0, 3), (4096.0, 10)),
+        # rank 15 last in bin 2047, rank 16 first in bin 2048, on its edge
+        values((0.0, 10), (2047.5, 6), (2048.0, 6), (4096.0, 10)),
+        # bin 2048 holds exactly the 64 values there is room to copy
+        values((0.0, 40), (2048.0, 32), (before_2049, 32), (2049.0, 10), (4096.0, 20)),
+        # hi = 49 over lo = 0: 49 * fl(4096 / 49) rounds down, so the top
+        # value lands in bin 4095 and bin 4096 stays empty
+        values((0.0, 10), (49.0, 22)),
+    ]
+    for x in sets:
+        assert _median_of(x, 64) == np.median(x)
+
+
+def test_median_narrowing_keeps_its_bounds_in_range():
+    # After the first narrowing the middle ranks lie in the lowest bin,
+    # together with the values below the range, which clipping puts there.
+    # The next range must start at the old lower bound, not at the least of
+    # those values: from there the cluster at 2 never leaves a single bin.
+    rng = np.random.default_rng(4)
+    x = np.concatenate([0.1 * rng.random(346), 2.0 + 1e-11 * rng.random(255),
+                        2.0 + 1e-8 * rng.random(218), [2.0004, 2.0007]])
+    passes = []
+
+    def chunks():
+        passes.append(1)
+        if len(passes) > 50:
+            raise AssertionError("the selection does not converge")
+        for i in range(0, x.size, 64):
+            yield x[i:i + 64]
+
+    lo, hi = float(x.min()), float(x.max())
+    assert manifold._median(chunks, x.size, 0, lo, hi, np.empty(3 * 64)) == np.median(x)
+    assert len(passes) <= 10
 
 
 def test_weights_peak_memory_is_w():
@@ -203,6 +318,110 @@ def test_weights_peak_memory_is_w():
         tracemalloc.stop()
     assert ops.w.shape == (m, m) and ops.w.dtype == np.float64
     assert peak <= 1.1 * m * m * 8
+
+
+# ------------------------------------- one sweep against the two-sweep build
+
+def _two_sweep_auto_bandwidth(sq_dists):
+    """The replaced bandwidth rule: median / 4 by one in-place partition."""
+    n = sq_dists.size
+    if n == 0:
+        return 1.0
+    h = n // 2
+    sq_dists.partition(h)
+    med = float(sq_dists[h])
+    if n % 2 == 0:
+        med = (float(sq_dists[:h].max()) + med) / 2.0
+    if med <= 0.0:
+        return 1.0
+    return med / 4.0
+
+
+def _two_sweep_weights(points):
+    """The replaced gaussian_weights, kept as the reference: one sweep packs
+    the strict upper distances into W's buffer for the median, a second
+    recomputes them and exponentiates. Returns (W, degrees, t)."""
+    pts = np.asarray(points, dtype=np.float64)
+    m = pts.shape[0]
+    norms = np.einsum("ij,ij->i", pts, pts)
+    w = np.empty((m, m))
+    scratch = np.empty(min(64, m) * m)
+
+    def blocks():
+        for i0 in range(0, m, 64):
+            i1 = min(i0 + 64, m)
+            out = w[i0:i1, i0:]
+            manifold._block_sq_dists(pts, norms, i0, i1, out,
+                                     scratch[:out.size].reshape(out.shape))
+            yield i0, i1 - i0, out
+
+    packed = w.reshape(-1)
+    n = 0
+    for _, b, out in blocks():
+        for r in range(b):
+            row = out[r, r + 1:]
+            packed[n:n + row.size] = row
+            n += row.size
+    t = _two_sweep_auto_bandwidth(packed[:n])
+
+    for i0, b, out in blocks():
+        out /= -4.0 * t
+        np.exp(out, out=out)
+        w[i0 + b:, i0:i0 + b] = out[:, b:].T
+        tile = out[:, :b]
+        lower = np.tril_indices(b, -1)
+        tile[lower] = tile.T[lower]
+    np.fill_diagonal(w, 1.0)
+    return w, w.sum(axis=1), t
+
+
+def _assert_matches_two_sweep(pts):
+    ops = gaussian_weights(pts)
+    w, degrees, t = _two_sweep_weights(pts)
+    assert np.array_equal(ops.w, w)
+    assert np.array_equal(ops.degrees, degrees)
+    assert ops.t == t
+    # the energy sums the same distances in another order than u^T L u,
+    # whose rounding scales with the terms that cancel, sum_i d_i |p_i|^2
+    ref = energy_of(pts, ops)
+    scale = float(ops.degrees @ np.einsum("ij,ij->i", pts, pts)) / ops.m
+    assert abs(dirichlet_energy(ops) - ref) <= 1e-12 * max(ref, scale)
+    assert dirichlet_energy(ops) >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["copies", "one point", "one outlier"])
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 200, 257])
+def test_weights_match_two_sweep_build(m, kind):
+    _assert_matches_two_sweep(_points_with_duplicates(m, kind))
+
+
+def test_weights_match_two_sweep_build_on_normal_points():
+    _assert_matches_two_sweep(np.random.default_rng(16).standard_normal((1024, 128)))
+
+
+def test_energy_is_the_pairwise_sum_over_points():
+    # sum_{i<j} w_ij ||p_i - p_j||^2 / m, distances in difference form
+    pts = random_points(np.random.default_rng(25), 40, 6)
+    ops = gaussian_weights(pts)
+    sq = squareform(pdist(pts, "sqeuclidean"))
+    oracle = float(np.triu(ops.w * sq, 1).sum()) / 40
+    assert abs(dirichlet_energy(ops) - oracle) <= 1e-12 * oracle
+    # two points sq = 2.8 apart: t = 0.7, w = e^-1, energy 2.8 e^-1 / 2
+    p = np.zeros((2, 4))
+    p[1, 0] = np.sqrt(2.8)
+    two = dirichlet_energy(gaussian_weights(p))
+    assert abs(two - 1.4 * np.exp(-1.0)) <= 1e-14
+    assert dirichlet_energy(gaussian_weights(np.full((5, 3), 2.5))) == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
+def test_weights_reject_non_finite_points_naming_the_rows(value):
+    # 1e160 is finite, but its squared norm overflows every distance from it
+    pts = random_points(np.random.default_rng(26), 70, 5)
+    pts[3, 2] = value
+    pts[41, 0] = value
+    with pytest.raises(ValueError, match=r"rows \[3, 41\]"):
+        gaussian_weights(pts)
 
 
 # ------------------------------------------------------------------ solver
@@ -257,7 +476,7 @@ def test_applied_operator_matches_dense_reference(mu_bar):
     assert np.linalg.norm(res.u - u_direct) / np.linalg.norm(u_direct) < 1e-10
     for u in (v, res.u):
         e_dense = float(np.sum(u * (lap @ u)))
-        assert abs(dirichlet_energy(u, ops) * ops.m - e_dense) < 1e-10 * e_dense
+        assert abs(energy_of(u, ops) * ops.m - e_dense) < 1e-10 * e_dense
 
 
 def test_solve_nonconvergence_raises_with_residual():
@@ -354,7 +573,7 @@ def test_solve_reduces_dirichlet_energy():
         v = rng.standard_normal((20, 3))
         ops = gaussian_weights(pts)
         res = solve_coordinates(ops, v, KernelConfig(mu_bar=mu_bar))
-        assert dirichlet_energy(res.u, ops) <= dirichlet_energy(v, ops) + 1e-12
+        assert energy_of(res.u, ops) <= energy_of(v, ops) + 1e-12
 
 
 def test_solve_permutation_equivariance():
@@ -373,6 +592,46 @@ def test_solve_shape_mismatch_rejected():
     for v in (np.zeros((4, 2)), np.zeros((3, 0))):
         with pytest.raises(ShapeError):
             solve_coordinates(ops, v, KernelConfig())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_a_non_finite_right_hand_side(value):
+    # a NaN column norm once passed as a zero right-hand side, converged
+    rng = np.random.default_rng(27)
+    ops = gaussian_weights(random_points(rng, 70, 5))
+    v = rng.standard_normal((70, 3))
+    v[11, 1] = value
+    with pytest.raises(SolverError) as err:
+        solve_coordinates(ops, v, KernelConfig())
+    assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
+
+
+def test_solve_rejects_a_graph_with_a_nan_row():
+    # the graph a NaN patch entry made before gaussian_weights rejected it:
+    # the solve returned U = 0 with residual 0
+    rng = np.random.default_rng(28)
+    ops = gaussian_weights(random_points(rng, 70, 5))
+    w = ops.w.copy()
+    w[11, :] = w[:, 11] = np.nan
+    bad = GraphOperators(w=w, degrees=w.sum(axis=1), t=ops.t, energy=ops.energy)
+    with pytest.raises(SolverError) as err:
+        solve_coordinates(bad, rng.standard_normal((70, 3)), KernelConfig())
+    assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
+
+
+def test_solve_raises_on_a_non_finite_residual(monkeypatch):
+    ops, v, cfg, _, _ = _restart_setup()
+    inner = manifold._pcg_multi
+
+    def pcg(*args):
+        dx, used = inner(*args)
+        dx[0, 0] = np.nan
+        return dx, used
+
+    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
+    with pytest.raises(SolverError) as err:
+        solve_coordinates(ops, v, cfg)
+    assert math.isnan(err.value.worst_residual)
 
 
 # ------------------------------------------- Nystrom against Jacobi CG
@@ -550,14 +809,14 @@ def test_energy_constant_columns_are_zero():
     rng = np.random.default_rng(10)
     ops = gaussian_weights(random_points(rng, 12, 4))
     u = np.tile(rng.standard_normal(3), (12, 1))
-    assert dirichlet_energy(u, ops) < 1e-10
+    assert energy_of(u, ops) < 1e-10
 
 
 def test_energy_two_point_hand_value():
     ops = gaussian_weights(np.zeros((2, 2)))
     u = np.array([[0.0], [1.0]])
-    assert abs(dirichlet_energy(u, ops) * ops.m - 1.0) < 1e-12
-    assert abs(dirichlet_energy(u, ops) - 0.5) < 1e-12
+    assert abs(energy_of(u, ops) * ops.m - 1.0) < 1e-12
+    assert abs(energy_of(u, ops) - 0.5) < 1e-12
 
 
 def test_energy_matches_pairwise_sum_oracle():
@@ -570,7 +829,7 @@ def test_energy_matches_pairwise_sum_oracle():
         for j in range(14):
             oracle += ops.w[i, j] * np.sum((u[i] - u[j]) ** 2)
     oracle /= 2.0
-    assert abs(dirichlet_energy(u, ops) * ops.m - oracle) < 1e-8 * max(oracle, 1.0)
+    assert abs(energy_of(u, ops) * ops.m - oracle) < 1e-8 * max(oracle, 1.0)
 
 
 # ------------------------------------------------------------ dual variable

@@ -29,17 +29,17 @@ def make_store(value):
 def test_zero_grad_leaves_parameters_unchanged():
     store = make_store([1.0, -2.0, 3.0])
     store.zero_grad()
-    before = store["w"].data.copy()
+    before = dict(store.items())["w"].data.copy()
     adam_step(store, lr=0.1)
-    assert np.array_equal(store["w"].data, before)
+    assert np.array_equal(dict(store.items())["w"].data, before)
 
 
 def test_first_step_is_bias_corrected_unit_step():
     store = make_store(0.0)
     store.zero_grad()
-    store["w"].grad[...] = 1.0
+    dict(store.items())["w"].grad[...] = 1.0
     adam_step(store, lr=0.1)
-    assert abs(float(store["w"].data) - (-0.1)) < 1e-6
+    assert abs(float(dict(store.items())["w"].data) - (-0.1)) < 1e-6
 
 
 def test_hundred_steps_on_quadratic_reaches_minimum():
@@ -47,11 +47,11 @@ def test_hundred_steps_on_quadratic_reaches_minimum():
     store = make_store(0.0)
     for _ in range(100):
         store.zero_grad()
-        w = store["w"]
+        w = dict(store.items())["w"]
         loss = ad.mse_loss(w, Tensor(np.asarray(3.0)))
         ad.backward(loss)
         adam_step(store, lr=lr)
-    w_final = float(store["w"].data)
+    w_final = float(dict(store.items())["w"].data)
     w_oracle = adam_oracle(0.0, lambda w: 2 * (w - 3.0), lr, b1, b2, eps, 100)
     assert abs(w_final - w_oracle) < 1e-9
     assert abs(w_final - 3.0) < 0.1
@@ -64,14 +64,14 @@ def test_nan_gradient_aborts_and_names_parameter(bad_value):
     store.add("ok", Tensor(np.zeros(2), requires_grad=True))
     store.add("bad", Tensor(np.zeros(2), requires_grad=True))
     store.zero_grad()
-    store["ok"].grad[...] = 1.0
-    store["bad"].grad[0] = bad_value
-    before_ok = store["ok"].data.copy()
-    before_bad = store["bad"].data.copy()
+    dict(store.items())["ok"].grad[...] = 1.0
+    dict(store.items())["bad"].grad[0] = bad_value
+    before_ok = dict(store.items())["ok"].data.copy()
+    before_bad = dict(store.items())["bad"].data.copy()
     with pytest.raises(NanGradientError, match="non-finite gradient in parameter 'bad'"):
         adam_step(store, lr=0.1)
-    assert np.array_equal(store["ok"].data, before_ok)
-    assert np.array_equal(store["bad"].data, before_bad)
+    assert np.array_equal(dict(store.items())["ok"].data, before_ok)
+    assert np.array_equal(dict(store.items())["bad"].data, before_bad)
     assert store.step_count == 0
     assert store.moment_arrays("ok") == (None, None)
 
@@ -80,7 +80,7 @@ def test_step_count_increases_and_moments_shape_match():
     store = make_store(np.ones((2, 3)))
     for i in range(3):
         store.zero_grad()
-        store["w"].grad[...] = 0.5
+        dict(store.items())["w"].grad[...] = 0.5
         adam_step(store, lr=0.01)
         assert store.step_count == i + 1
     m, v = store.moment_arrays("w")
@@ -90,6 +90,6 @@ def test_step_count_increases_and_moments_shape_match():
 def test_gradients_left_untouched_by_step():
     store = make_store(np.ones(3))
     store.zero_grad()
-    store["w"].grad[...] = 2.0
+    dict(store.items())["w"].grad[...] = 2.0
     adam_step(store, lr=0.01)
-    assert np.array_equal(store["w"].grad, np.full(3, 2.0))
+    assert np.array_equal(dict(store.items())["w"].grad, np.full(3, 2.0))

@@ -142,16 +142,13 @@ def test_ldm_penalty_value_and_gradient_match_float64_oracle():
     np.testing.assert_allclose(points.grad, -2.0 * lam * resid, rtol=1e-5, atol=1e-6)
 
 
-def test_ldm_penalty_rejects_mismatched_shapes_and_negative_lambda():
+def test_ldm_penalty_rejects_mismatched_shapes():
     points = Tensor(np.zeros((4, 3), dtype=np.float32), requires_grad=True)
-    u = np.zeros((4, 3))
     dual = DualVariable(np.zeros((4, 3)))
     with pytest.raises(ShapeError, match="patch set"):
         training.ldm_penalty(np.zeros((4, 2)), points, dual, 0.6)
     with pytest.raises(ShapeError, match="dual"):
-        training.ldm_penalty(u, points, DualVariable(np.zeros((3, 3))), 0.6)
-    with pytest.raises(ValueError, match="lambda"):
-        training.ldm_penalty(u, points, dual, -0.1)
+        training.ldm_penalty(np.zeros((4, 3)), points, DualVariable(np.zeros((3, 3))), 0.6)
 
 
 # ------------------------------------------------------- patch-set order
@@ -315,6 +312,16 @@ def _inject(failure, net, monkeypatch):
 
         monkeypatch.setattr(training, "solve_coordinates", solve)
         return SolverError
+    if failure == "nan_patch_set":  # the step's first patch set fails it
+        inner_build = training.build_patch_set
+
+        def build(images, codes, geom):
+            points = inner_build(images, codes, geom)
+            points.data[3, 5] = np.nan
+            return points
+
+        monkeypatch.setattr(training, "build_patch_set", build)
+        return ValueError
     # every backward call leaves one inf gradient entry in the chosen store
     store = net.gen_params if failure == "gen_inf_grad" else net.disc_params
     inner = autodiff.backward
@@ -327,7 +334,8 @@ def _inject(failure, net, monkeypatch):
     return NanGradientError
 
 
-@pytest.mark.parametrize("failure", ["gen_inf_grad", "disc_inf_grad", "solver_error"])
+@pytest.mark.parametrize("failure", ["gen_inf_grad", "disc_inf_grad", "solver_error",
+                                     "nan_patch_set"])
 def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     cfg = tiny_cfg("LDM-DN-Sup")
     unpaired, paired = training.make_pools(bundle)
