@@ -73,7 +73,7 @@ class GraphOperators:
     def m(self):
         return self.w.shape[0]
 
-    def apply(self, x, c=1.0, out=None, scratch=None):
+    def apply(self, x, c, out=None, scratch=None):
         """(D - c * W) @ x for an (m, k) block; c = 1 applies the Laplacian.
 
         `out` receives the product and `scratch` holds D @ x; either may be
@@ -182,40 +182,28 @@ def _median(chunks, n, skip, lo, hi, scratch):
     counted from the least value yielded, are skip plus those of the n
     values.
 
-    Each round maps every value v to the bin trunc((clip(v, lo, hi) - lo) *
-    (B / (hi - lo))), B = _MEDIAN_BINS: equal-width bins over [lo, hi], with
-    the values outside it in the end bins. The key is monotone in v, so each
-    bin holds a run of consecutive ranks and a range of values, whose edges
-    bisection finds; bin counts locate the middle ranks (Floyd & Rivest's
-    bracketing, CACM 1975). Then, by one pass of comparisons with the edges:
-    - one bin holds both ranks and fits in the last third of scratch: it is
-      copied there and partitioned;
-    - the ranks lie in two bins: they are the greatest value of the lower
-      bin and the least of the upper;
-    - one bin too full to copy: [lo, hi] shrinks to that bin's values, which
-      excludes lo or hi, and the next round counts again.
-    Returns NaN for n = 0, as np.median does (without its warning).
+    One bracketing round (Floyd & Rivest, CACM 1975). A counting pass puts
+    each value v in bin trunc((v - lo) * (B / (hi - lo))), B = _MEDIAN_BINS:
+    equal-width bins over [lo, hi]. The key is monotone in v, so each bin
+    holds a run of consecutive ranks and a range of values, whose edges
+    bisection finds. If the bins from the lower middle rank's to the upper
+    one's fit in the last third of scratch, a second pass copies their
+    values there; otherwise, or when hi - lo is 0 or so small (below
+    ~2e-305) that B / (hi - lo) overflows, it gathers every value into a new
+    array of n + skip doubles. A partition picks both ranks, so chunks() is
+    read at most twice. Returns NaN for n = 0, as np.median does (without
+    its warning).
     """
     if n == 0:
         return math.nan
     k = scratch.size // 3
-    f = scratch[:k]
-    keys = scratch[k:2 * k].view(np.intp)
-    found = scratch[2 * k:]
     ranks = (skip + (n - 1) // 2, skip + n // 2)
-    narrowed = False  # until [lo, hi] shrinks, no value lies outside it
-
-    while lo < hi:
-        span = hi - lo
-        # a multiply is much cheaper than a divide; B / span overflows only
-        # for a span below ~2e-305, which is then divided by
-        scale = _MEDIAN_BINS / span
-
+    scale = _MEDIAN_BINS / (hi - lo) if hi > lo else math.inf
+    part = None
+    if scale < math.inf:
         def key(v):
             """The bin of a value in [lo, hi], as the counting pass finds it."""
-            if scale < math.inf:
-                return int((v - lo) * scale)
-            return int((v - lo) / span * _MEDIAN_BINS)
+            return int((v - lo) * scale)
 
         def edge(b):
             """The least value in bin b or above."""
@@ -235,48 +223,26 @@ def _median(chunks, n, skip, lo, hi, scratch):
 
         counts = np.zeros(_MEDIAN_BINS + 1, dtype=np.intp)
         for c in chunks():
-            fc = f[:c.size].reshape(c.shape)
-            kc = keys[:c.size].reshape(c.shape)
-            if narrowed:
-                np.clip(c, lo, hi, out=fc)
-                fc -= lo
-            else:
-                np.subtract(c, lo, out=fc)
-            if scale < math.inf:
-                np.multiply(fc, scale, out=kc, casting="unsafe")
-            else:
-                fc /= span
-                np.multiply(fc, _MEDIAN_BINS, out=kc, casting="unsafe")
+            fc = scratch[:c.size].reshape(c.shape)
+            kc = scratch[k:k + c.size].view(np.intp).reshape(c.shape)
+            np.subtract(c, lo, out=fc)
+            np.multiply(fc, scale, out=kc, casting="unsafe")
             counts += np.bincount(kc.reshape(-1), minlength=_MEDIAN_BINS + 1)
         ends = np.cumsum(counts)
         ka, kb = (int(x) for x in np.searchsorted(ends, ranks, side="right"))
-        if ka == kb and counts[ka] <= found.size:
-            low, high = edge(ka), edge(ka + 1)
-            got = 0
-            for c in chunks():
-                sel = c[(c >= low) & (c < high)]
-                found[got:got + sel.size] = sel
-                got += sel.size
-            part = found[:got]
-            first = int(ends[ka] - counts[ka])
-            kth = sorted({r - first for r in ranks})
-            part.partition(kth)
-            a, b = float(part[ranks[0] - first]), float(part[ranks[1] - first])
-            break
-        # the greatest value of bin ka and the least of bin kb
-        above_a, start_b = edge(ka + 1), edge(kb)
-        top, bottom = -math.inf, math.inf
-        for c in chunks():
-            top = max(top, float(np.max(c, where=c < above_a, initial=-math.inf)))
-            bottom = min(bottom, float(np.min(c, where=c >= start_b, initial=math.inf)))
-        if ka < kb:
-            a, b = top, bottom
-            break
-        # clipped values share the end bins, so keep the bounds in [lo, hi]
-        lo, hi = max(bottom, lo), min(top, hi)
-        narrowed = True
-    else:
-        a = b = lo
+        first = int(ends[ka] - counts[ka])
+        if ends[kb] - first <= scratch.size - 2 * k:
+            low, high, part = edge(ka), edge(kb + 1), scratch[2 * k:]
+    if part is None:
+        low, high, first, part = -math.inf, math.inf, 0, np.empty(n + skip)
+    got = 0
+    for c in chunks():
+        sel = c[(c >= low) & (c < high)]
+        part[got:got + sel.size] = sel
+        got += sel.size
+    part = part[:got]
+    part.partition(sorted({r - first for r in ranks}))
+    a, b = float(part[ranks[0] - first]), float(part[ranks[1] - first])
     return b if n % 2 else (a + b) / 2.0
 
 
@@ -305,8 +271,10 @@ def gaussian_weights(points):
        `dirichlet_energy` returns.
 
     So W is symmetric bit for bit, and its diagonal is exactly exp(0) = 1.
-    Degrees are row sums. W's buffer is the only m x m array; the rest is
-    O(m) plus one block of scratch, at least 3 * _CHUNK values.
+    Degrees are row sums. W's buffer is the only m x m array, unless the
+    middle bins of `_median` overflow scratch and it gathers every value
+    (n + skip doubles, about 65 MiB at m = 4096); the rest is O(m) plus one
+    block of scratch, at least 3 * _CHUNK values.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -468,9 +436,9 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     exact dense one. Each column must reach relative residual <= tol
     against its right-hand side; otherwise SolverError carries the worst
     column residual. The true residual is re-checked after the recurrence
-    converges, with a restart if rounding drift ate the contract. A
-    right-hand side with a NaN or infinite entry (from v, or from W) raises
-    SolverError with a NaN residual after 0 iterations; a non-finite
+    converges, with a restart if rounding drift ate the contract. A NaN or
+    infinite weight in W (caught before any product with W), or entry in v,
+    raises SolverError with a NaN residual after 0 iterations; a non-finite
     residual fails the contract like any other.
 
     v is an (m, k) block with k >= 1. tol and max_iter are fixed for the
@@ -488,6 +456,8 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
     def apply_a(x, out=None, scratch=None):
         return ops.apply(x, c, out, scratch)
 
+    if not np.isfinite(ops.degrees).all():  # a non-finite weight, before W @ v
+        raise SolverError(np.nan, 0)
     if (ops.degrees - c <= 0.0).any():  # the diagonal of A; w_ii = 1
         raise SolverError(np.inf, 0)
     b = cfg.mu_bar * (ops.w @ v)
