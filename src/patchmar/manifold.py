@@ -10,10 +10,10 @@ operator with W replaced by a Nystrom approximation from ceil(sqrt(m))
 landmark rows, applied through the Woodbury identity. W and its row sums
 D are the only stored graph: the Laplacian and the system matrix
 L + mu_bar * W = D - (1 - mu_bar) * W are applied from them, never assembled.
-W is built from blockwise GEMM-form distances in one sweep, which leaves
-them in W's own buffer: the bandwidth median is selected from them there,
-and the exponentiation turns them into weights in place. That buffer is the
-only m x m array allocated.
+W is built from blockwise GEMM-form distances in one sweep, which packs
+them at the front of W's own buffer: the bandwidth median is one partition
+of a copy placed right behind them, and the exponentiation unpacks them
+into weights in place. That buffer is the only m x m array allocated.
 The Dirichlet energy of the points, sum_cols p^T L p
 (= sum_{i<j} w_ij ||p_i - p_j||^2), normalized by the point count, serves as
 the manifold-dimension diagnostic; it is summed from the same distances as
@@ -151,10 +151,6 @@ def build_patch_set(images, codes, geom):
 # Rows per block of gaussian_weights' sweep: each block's scratch is one
 # _BLOCK_ROWS x m array next to W.
 _BLOCK_ROWS = 64
-# The bandwidth median counts the distances into _MEDIAN_BINS + 1 bins per
-# pass, reading them in chunks of at most max(_CHUNK, m) values.
-_MEDIAN_BINS = 4096
-_CHUNK = 1 << 14
 
 
 def _block_sq_dists(pts, norms, i0, i1, out, scratch):
@@ -173,108 +169,37 @@ def _block_sq_dists(pts, norms, i0, i1, out, scratch):
     np.copyto(out, 0.0, where=out <= scratch)
 
 
-def _median(chunks, n, skip, lo, hi, scratch):
-    """np.median of n non-negative values, bit for bit, selected where they lie.
-
-    chunks() yields arrays of at most scratch.size // 3 elements each, read
-    only, that together hold the n values and `skip` copies of lo, where lo
-    and hi are the least and greatest of the n values. So the median ranks,
-    counted from the least value yielded, are skip plus those of the n
-    values.
-
-    One bracketing round (Floyd & Rivest, CACM 1975). A counting pass puts
-    each value v in bin trunc((v - lo) * (B / (hi - lo))), B = _MEDIAN_BINS:
-    equal-width bins over [lo, hi]. The key is monotone in v, so each bin
-    holds a run of consecutive ranks and a range of values, whose edges
-    bisection finds. If the bins from the lower middle rank's to the upper
-    one's fit in the last third of scratch, a second pass copies their
-    values there; otherwise, or when hi - lo is 0 or so small (below
-    ~2e-305) that B / (hi - lo) overflows, it gathers every value into a new
-    array of n + skip doubles. A partition picks both ranks, so chunks() is
-    read at most twice. Returns NaN for n = 0, as np.median does (without
-    its warning).
-    """
-    if n == 0:
-        return math.nan
-    k = scratch.size // 3
-    ranks = (skip + (n - 1) // 2, skip + n // 2)
-    scale = _MEDIAN_BINS / (hi - lo) if hi > lo else math.inf
-    part = None
-    if scale < math.inf:
-        def key(v):
-            """The bin of a value in [lo, hi], as the counting pass finds it."""
-            return int((v - lo) * scale)
-
-        def edge(b):
-            """The least value in bin b or above."""
-            if b == 0:
-                return -math.inf
-            if b > key(hi):
-                return math.inf
-            below, at = lo, hi  # key(below) < b <= key(at)
-            while True:
-                mid = below + (at - below) / 2
-                if mid in (below, at):
-                    return at
-                if key(mid) < b:
-                    below = mid
-                else:
-                    at = mid
-
-        counts = np.zeros(_MEDIAN_BINS + 1, dtype=np.intp)
-        for c in chunks():
-            fc = scratch[:c.size].reshape(c.shape)
-            kc = scratch[k:k + c.size].view(np.intp).reshape(c.shape)
-            np.subtract(c, lo, out=fc)
-            np.multiply(fc, scale, out=kc, casting="unsafe")
-            counts += np.bincount(kc.reshape(-1), minlength=_MEDIAN_BINS + 1)
-        ends = np.cumsum(counts)
-        ka, kb = (int(x) for x in np.searchsorted(ends, ranks, side="right"))
-        first = int(ends[ka] - counts[ka])
-        if ends[kb] - first <= scratch.size - 2 * k:
-            low, high, part = edge(ka), edge(kb + 1), scratch[2 * k:]
-    if part is None:
-        low, high, first, part = -math.inf, math.inf, 0, np.empty(n + skip)
-    got = 0
-    for c in chunks():
-        sel = c[(c >= low) & (c < high)]
-        part[got:got + sel.size] = sel
-        got += sel.size
-    part = part[:got]
-    part.partition(sorted({r - first for r in ranks}))
-    a, b = float(part[ranks[0] - first]), float(part[ranks[1] - first])
-    return b if n % 2 else (a + b) / 2.0
-
-
 def gaussian_weights(points):
     """Gaussian kernel weights w_ij = exp(-||p_i - p_j||^2 / (4t)).
 
     points is an (m, d) array, such as a patch set's values; a NaN or
     infinite entry, or a squared norm past a quarter of the float64 maximum
     (so that some distance would overflow), raises ValueError. The bandwidth
-    t is median(squared pairwise distance) / 4, or 1 when that is 0 or there
-    is no pair. Squared distances take the GEMM form over blocks of 64 rows
-    (see `_block_sq_dists`), swept once over the upper triangle:
+    t is median(squared pairwise distance) / 4, or 1 when that is not
+    positive or there is no pair. Squared distances take the GEMM form over
+    blocks of 64 rows (see `_block_sq_dists`), swept once over the upper
+    triangle into W's own buffer:
 
-    1. each block's distances to the columns at or right of its first row
-       go into its rows of W, and the sweep keeps the least and greatest
-       distance over pairs i < j; the block's tile on and below the
-       diagonal holds no such pair, so it is masked with inf, then 0;
-    2. the bandwidth median is selected from those distances where they lie
-       (`_median`), with the tiles' lower parts set to the least distance:
-       a known count of extra values below every rank that counts;
-    3. the tiles' lower parts are set to 0, so the diagonal comes out
-       exp(0) = 1 and adds nothing to the energy; each block is copied to
-       scratch, scaled and exponentiated in place, and mirrored below the
-       diagonal; the copy times the weights sums to the Dirichlet energy of
-       the points, sum_{i<j} w_ij ||p_i - p_j||^2 / m, which
-       `dirichlet_energy` returns.
+    1. pack: after its block's sweep, each row i moves its pair distances
+       w[i, i+1:] to flat offset i * m - i * (i + 1) / 2, so the
+       n = m (m - 1) / 2 pair distances end up at the front of the buffer.
+       A row only moves toward the front: it never overwrites a row that
+       is not yet packed;
+    2. median: a copy of them goes right behind them (2n = m^2 - m fits),
+       and one partition of the copy picks the middle ranks, as np.median;
+    3. unpack: the blocks, and each block's rows, go in reverse, each row
+       back to w[i, i+1:]. A row only moves toward the back: it never lands
+       on a packed row still to be read, and a block's mirror writes only
+       rows that are done. Each block's tile on and below the diagonal is
+       set to 0 (so w_ii = exp(0) = 1, adding nothing to the energy), and
+       the block is copied to scratch, exponentiated in place and mirrored
+       below the diagonal. The copy times the weights sums, block sums
+       added in forward order, to the points' Dirichlet energy
+       sum_{i<j} w_ij ||p_i - p_j||^2 / m, which `dirichlet_energy` returns.
 
     So W is symmetric bit for bit, and its diagonal is exactly exp(0) = 1.
-    Degrees are row sums. W's buffer is the only m x m array, unless the
-    middle bins of `_median` overflow scratch and it gathers every value
-    (n + skip doubles, about 65 MiB at m = 4096); the rest is O(m) plus one
-    block of scratch, at least 3 * _CHUNK values.
+    Degrees are row sums. W's buffer is the only m x m array; the rest is
+    O(m) plus one block of scratch.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -291,49 +216,51 @@ def gaussian_weights(points):
         raise ValueError(f"points must be finite, with squared norms at most a quarter "
                          f"of the float64 maximum; rows {bad[:8].tolist()} are not")
     w = np.empty((m, m))
-    scratch = np.empty(max(min(_BLOCK_ROWS, m) * m, 3 * _CHUNK))
+    flat = w.reshape(-1)
+    scratch = np.empty(min(_BLOCK_ROWS, m) * m)
     blocks = [(i0, min(i0 + _BLOCK_ROWS, m)) for i0 in range(0, m, _BLOCK_ROWS)]
-    # a block's tile on and below the diagonal, which holds no pair i < j
-    tri = np.tri(min(_BLOCK_ROWS, m), dtype=bool)
 
-    def fill_tile(i0, i1, value):
-        np.copyto(w[i0:i1, i0:i1], value, where=tri[:i1 - i0, :i1 - i0])
+    def packed(i):  # where row i's pair distances w[i, i+1:] lie once packed
+        k = i * m - i * (i + 1) // 2
+        return flat[k:k + m - 1 - i]
 
-    lo, hi = math.inf, 0.0
     for i0, i1 in blocks:
         out = w[i0:i1, i0:]
         _block_sq_dists(pts, norms, i0, i1, out, scratch[:out.size].reshape(out.shape))
-        fill_tile(i0, i1, math.inf)
-        lo = min(lo, float(out.min()))
-        fill_tile(i0, i1, 0.0)
-        hi = max(hi, float(out.max()))
+        for i in range(i0, i1):
+            packed(i)[:] = w[i, i + 1:]
 
-    def chunks():
-        for i0, i1 in blocks:
-            step = max(1, _CHUNK // (m - i0))
-            for r0 in range(i0, i1, step):
-                yield w[r0:min(r0 + step, i1), i0:]
+    n, t = m * (m - 1) // 2, 0.0
+    if n:
+        part = flat[n:2 * n]
+        part[:] = flat[:n]
+        part.partition(n // 2)
+        med = float(part[n // 2])
+        if n % 2 == 0:
+            med = (float(part[:n // 2].max()) + med) / 2.0
+        t = med / 4.0
+    t = t if t > 0.0 else 1.0  # no pair, a zero median, or one whose quarter underflows
 
-    for i0, i1 in blocks:
-        fill_tile(i0, i1, lo)
-    skip = sum((i1 - i0) * (i1 - i0 + 1) // 2 for i0, i1 in blocks)
-    t = _median(chunks, m * (m - 1) // 2, skip, lo, hi, scratch) / 4.0
-    if not t > 0.0:  # a zero median, one whose quarter underflows, or no pair (NaN)
-        t = 1.0
-
-    energy = 0.0
-    for i0, i1 in blocks:
-        fill_tile(i0, i1, 0.0)
+    # a block's tile on and below the diagonal, which holds no pair i < j
+    tri = np.tri(min(_BLOCK_ROWS, m), dtype=bool)
+    sums = []
+    for i0, i1 in reversed(blocks):
+        for i in range(i1 - 1, i0 - 1, -1):
+            w[i, i + 1:] = packed(i)
+        b = i1 - i0
         out = w[i0:i1, i0:]
+        np.copyto(out[:, :b], 0.0, where=tri[:b, :b])
         sq = scratch[:out.size].reshape(out.shape)
         np.copyto(sq, out)
         out /= -4.0 * t
         np.exp(out, out=out)
         sq *= out
-        energy += float(sq.sum())
-        b = i1 - i0
+        sums.append(float(sq.sum()))
         w[i1:, i0:i1] = out[:, b:].T
         np.copyto(out[:, :b], out[:, :b].T, where=tri[:b, :b])
+    energy = 0.0
+    for s in reversed(sums):
+        energy += s
     return GraphOperators(w=w, degrees=w.sum(axis=1), t=t, energy=energy / m)
 
 

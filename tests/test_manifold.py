@@ -184,117 +184,39 @@ def test_weights_match_difference_form(m, kind):
     assert np.all(np.abs(ops.degrees - ref_degrees) <= 1e-13 * ref_degrees)
 
 
-def _median_of(x, chunk=None, skip=0):
-    """manifold._median over the values of x, yielded in pieces of `chunk`
-    values (default: the largest the scratch allows), after `skip` copies
-    of their least value. The selection must read them at most twice."""
-    flat = np.concatenate([np.full(skip, x.min() if x.size else 0.0), x])
-    chunk = chunk or max(flat.size, 1)
-    scratch = np.empty(3 * chunk)
-    lo, hi = (float(x.min()), float(x.max())) if x.size else (math.inf, 0.0)
-    passes = []
-
-    def chunks():
-        passes.append(1)
-        for i in range(0, flat.size, chunk):
-            yield flat[i:i + chunk]
-
-    got = manifold._median(chunks, x.size, skip, lo, hi, scratch)
-    assert np.array_equal(flat[skip:], x)  # read only
-    assert len(passes) <= 2
-    return got
+_MEDIAN_CASES = ([(m, "normal") for m in (2, 3, 4, 5, 45, 46)]
+                 + [(1, "normal"), (5, "one outlier"), (46, "one outlier")])
 
 
-def _numpy_median(x):
-    if x.size == 0:
-        with pytest.warns(RuntimeWarning):
-            return float(np.median(x))
-    return float(np.median(x))
+@pytest.mark.parametrize("m,kind", _MEDIAN_CASES)
+def test_bandwidth_is_numpy_median_of_pair_distances_over_four(m, kind):
+    # 1, 3, 6, 10, 990 and 1035 pairs: odd and even counts, all inside one
+    # 64-row block, so _block_sq_dists rounds them as gaussian_weights does.
+    # One point has no pair, and one outlier beside m - 1 copies leaves a
+    # zero median: t falls back to 1 for both.
+    pts = (np.random.default_rng(29 + m).standard_normal((m, 8)) if kind == "normal"
+           else _points_with_duplicates(m, kind))
+    t = gaussian_weights(pts).t
+    norms = np.einsum("ij,ij->i", pts, pts)
+    sq = np.empty((m, m))
+    manifold._block_sq_dists(pts, norms, 0, m, sq, np.empty((m, m)))
+    pairs = sq[np.triu_indices(m, 1)]
+    if m == 1:
+        assert pairs.size == 0 and t == 1.0
+    elif kind == "one outlier":
+        assert np.median(pairs) == 0.0 and t == 1.0
+    else:
+        assert t == float(np.median(pairs)) / 4.0
 
 
-def _same(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 1000, 1001])
-def test_bandwidth_is_numpy_median_over_four(n):
-    # gaussian_weights takes t = median / 4 from manifold._median, which must
-    # equal np.median bit for bit at odd and even counts (NaN for none, where
-    # t falls back to 1); a zero median, for which t is also 1, comes out 0
-    x = np.random.default_rng(17 + n).random(n)
-    for chunk in (None, 7):
-        assert _same(_median_of(x, chunk), _numpy_median(x))
-        assert _same(_median_of(x, chunk, skip=n // 3 + 1), _numpy_median(x))
-    x[:n // 2 + 1] = 0.0
-    assert _same(_median_of(x), _numpy_median(x))
-    if n:
-        assert _median_of(x) == 0.0
-
-
-def _hard_sets():
-    rng = np.random.default_rng(23)
-    near = np.random.default_rng(4)
-    return {
-        "all equal": np.full(1000, 3.25),
-        "half zeros": np.concatenate([np.zeros(500), rng.random(501)]),
-        "1e-300 to 1e300": 10.0 ** rng.uniform(-300, 300, 1001),
-        "one binade": 1.0 + rng.random(1000),  # [1, 2)
-        "subnormals": rng.integers(0, 1 << 20, 1001) * 5e-324,
-        "one outlier": np.concatenate([np.full(999, 7.0), [1e12]]),
-        "two values": np.repeat([0.5, 2.0], 500),
-        "ties at the middle": np.concatenate([np.full(600, 1.0), rng.random(400) + 1.0]),
-        # two tight clusters just above 2 hold the middle ranks, with values
-        # below them and two well above
-        "clusters near 2": np.concatenate([
-            0.1 * near.random(346), 2.0 + 1e-11 * near.random(255),
-            2.0 + 1e-8 * near.random(218), [2.0004, 2.0007]]),
-    }
-
-
-@pytest.mark.parametrize("kind", list(_hard_sets()))
-@pytest.mark.parametrize("chunk", [None, 5, 64])
-def test_median_is_numpy_median_on_hard_sets(kind, chunk):
-    # chunk 5 or 64 leaves room to copy at most that many values, so fuller
-    # bins at the middle ranks make the selection gather every value
-    x = _hard_sets()[kind]
-    rng = np.random.default_rng(24)
-    for values in (x, x[:-1], rng.permutation(x)):
-        expect = _numpy_median(values)
-        assert _median_of(values, chunk) == expect
-        assert _median_of(values, chunk, skip=37) == expect
-
-
-def test_median_bins_split_exactly_at_their_edges():
-    # With lo = 0 and hi = 4096 the scale is 1, so bin k holds [k, k + 1);
-    # each set puts the middle ranks next to the edge at 2048 or 2049, with
-    # the neighbouring double on the other side of it
-    before_2048 = np.nextafter(2048.0, 0.0)
-    before_2049 = np.nextafter(2049.0, 0.0)
-
-    def values(*runs):
-        return np.concatenate([np.full(count, v) for v, count in runs])
-
-    sets = [
-        # ranks 15 and 16 both in bin 2048
-        values((0.0, 10), (before_2048, 3), (2048.0, 3), (before_2049, 3),
-               (2049.0, 3), (4096.0, 10)),
-        # rank 15 last in bin 2047, rank 16 first in bin 2048, on its edge
-        values((0.0, 10), (2047.5, 6), (2048.0, 6), (4096.0, 10)),
-        # bin 2048 holds exactly the 64 values there is room to copy
-        values((0.0, 40), (2048.0, 32), (before_2049, 32), (2049.0, 10), (4096.0, 20)),
-        # hi = 49 over lo = 0: 49 * fl(4096 / 49) rounds down, so the top
-        # value lands in bin 4095 and bin 4096 stays empty
-        values((0.0, 10), (49.0, 22)),
-    ]
-    for x in sets:
-        assert _median_of(x, 64) == np.median(x)
-
-
-def test_weights_peak_memory_is_w():
-    # W's own buffer is the only m x m allocation; holding pdist's condensed
-    # distances next to it would put the peak at 1.5 x W.
+@pytest.mark.parametrize("kind", ["normal", "one point", "one outlier"])
+def test_weights_peak_memory_is_w(kind):
+    # W's own buffer is the only m x m allocation, on degenerate sets too;
+    # holding pdist's condensed distances next to it would put the peak at
+    # 1.5 x W.
     m = 1024
-    pts = np.random.default_rng(16).standard_normal((m, 128))
+    pts = (np.random.default_rng(16).standard_normal((m, 128)) if kind == "normal"
+           else _points_with_duplicates(m, kind))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -310,7 +232,7 @@ def test_weights_peak_memory_is_w():
 # ------------------------------------- one sweep against the two-sweep build
 
 def _two_sweep_auto_bandwidth(sq_dists):
-    """The replaced bandwidth rule: median / 4 by one in-place partition."""
+    """The bandwidth rule: median / 4 by one in-place partition."""
     n = sq_dists.size
     if n == 0:
         return 1.0
