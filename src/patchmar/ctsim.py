@@ -9,20 +9,29 @@ severity and the local value. Zero severity therefore reproduces the clean
 reconstruction bit for bit, so each synthesized artifact image differs from
 its clean partner only through this pipeline.
 
-Projector: each ray is sampled every half pixel and interpolated bilinearly
-with zeros outside the image, but only the samples strictly inside the
-image's support box (the bounding box of its non-zero pixels, widened by
-2 px) are evaluated. Every other sample has four zero neighbours or lies
-outside the image, so it is exactly 0.0; it stays 0.0 in a full per-view
-buffer whose rows are summed, so the sinogram is bit for bit the one that
-evaluating every sample gives.
+Projector: each ray is sampled every half pixel. A sample at (y, x) is 0.0
+unless both coordinates lie in [0, n-1], bounds included; this is the rule of
+scipy's `map_coordinates(order=1, mode="constant")`, so a sample within one
+pixel outside the edge is 0.0 too, not a blend with zero. Inside, the sample
+is bilinear in its four neighbours, read from a copy of the image padded by
+one zero row and column (at y or x exactly n-1 that zero has weight 0). The
+sinogram stays bit for bit the one `map_coordinates` gives only while the
+kernel keeps its arithmetic:
+  wy0 = 1 - (y - floor(y)), wy1 = 1 - wy0 (not y - floor(y)); likewise for x;
+  (((p00*wy0)*wx0 + (p01*wy0)*wx1) + (p10*wy1)*wx0) + (p11*wy1)*wx1,
+  with no precomputed wy*wx products, which round differently.
+Only the samples inside the image's support box (the bounding box of its
+non-zero pixels, widened by 2 px and clipped to [0, n-1], bounds included)
+are evaluated. Every other sample has four zero neighbours or lies outside
+[0, n-1], so it is exactly 0.0; it stays 0.0 in a full per-view buffer whose
+rows are summed, so each ray is summed over the same samples in the same
+order as when every sample is evaluated.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .autodiff import ShapeError
 
@@ -81,7 +90,8 @@ class PhantomImage:
 
 _RAY_STEP = 0.5  # pixels along each ray
 # Widening of the support box; a bilinear sample reads pixels less than 1 px
-# away, so any margin above 1 px keeps every possibly non-zero sample inside.
+# away, so any margin of at least 1 px keeps every possibly non-zero sample
+# inside.
 _SUPPORT_PAD = 2
 
 
@@ -91,24 +101,68 @@ def _index_range(lo, hi, n):
     return max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 2, n)
 
 
+def _support_box(img):
+    """Inclusive bounds (y_lo, y_hi, x_lo, x_hi) of the samples the projector
+    evaluates: the bounding box of img's non-zero pixels, widened by
+    _SUPPORT_PAD and clipped to the sampling domain [0, n-1]. None when img
+    is all zero."""
+    rows = np.flatnonzero(img.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(img.any(axis=0))
+    top = img.shape[0] - 1
+    return (max(rows[0] - _SUPPORT_PAD, 0), min(rows[-1] + _SUPPORT_PAD, top),
+            max(cols[0] - _SUPPORT_PAD, 0), min(cols[-1] + _SUPPORT_PAD, top))
+
+
+def _bilinear(padded, ys, xs):
+    """Bilinear samples at (ys, xs), all inside [0, n-1]^2, of the n x n image
+    whose copy zero-padded by one row and one column is `padded`.
+
+    Weights and operation order are `map_coordinates(order=1)`'s, so the
+    values are bit for bit its values (see the module docstring).
+    """
+    flat = padded.ravel()
+    stride = padded.shape[1]
+    iy = ys.astype(np.intp)  # floor, since the coordinates are >= 0
+    ix = xs.astype(np.intp)
+    wy0 = 1.0 - (ys - iy)
+    wy1 = 1.0 - wy0
+    wx0 = 1.0 - (xs - ix)
+    wx1 = 1.0 - wx0
+    k = iy * stride + ix
+    # (((p00*wy0)*wx0 + (p01*wy0)*wx1) + (p10*wy1)*wx0) + (p11*wy1)*wx1,
+    # each term built in place in one scratch array; k is in range, and
+    # take(mode="clip") writes into `term` without an intermediate buffer
+    out = flat.take(k)
+    out *= wy0
+    out *= wx0
+    term = np.empty_like(out)
+    for shift, wy, wx in ((1, wy0, wx1), (stride, wy1, wx0), (stride + 1, wy1, wx1)):
+        flat[shift:].take(k, out=term, mode="clip")
+        term *= wy
+        term *= wx
+        out += term
+    return out
+
+
 def _line_integrals(img, geom):
     img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    if h != w:
-        raise ShapeError(f"projector expects a square image, got {h}x{w}")
-    c = (h - 1) / 2.0
-    half = h / math.sqrt(2.0)
+    if img.ndim != 2 or img.shape[0] != img.shape[1]:
+        raise ShapeError(f"projector expects a square 2-D image, got shape {img.shape}")
+    n = img.shape[0]
+    c = (n - 1) / 2.0
+    half = n / math.sqrt(2.0)
     n_samples = int(math.ceil(2 * half / _RAY_STEP)) + 1
     ts = np.linspace(-half, half, n_samples)
     step = ts[1] - ts[0]
     offs = geom.detector_offsets
     sino = np.zeros((geom.n_views, geom.n_detectors), dtype=np.float64)
-    rows = np.flatnonzero(img.any(axis=1))
-    if rows.size == 0:
+    box = _support_box(img)
+    if box is None:
         return sino
-    cols = np.flatnonzero(img.any(axis=0))
-    y_lo, y_hi = rows[0] - _SUPPORT_PAD, rows[-1] + _SUPPORT_PAD
-    x_lo, x_hi = cols[0] - _SUPPORT_PAD, cols[-1] + _SUPPORT_PAD
+    y_lo, y_hi, x_lo, x_hi = box
+    padded = np.pad(img, ((0, 1), (0, 1)))
     corners = [(x - c, y - c) for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
     det_centre = (geom.n_detectors - 1) / 2.0
     buf = np.zeros((geom.n_detectors, n_samples), dtype=np.float64)
@@ -123,10 +177,9 @@ def _line_integrals(img, geom):
         s0, s1 = _index_range(min(samples), max(samples), n_samples)
         xs = c + offs[d0:d1, None] * ux + ts[None, s0:s1] * vx
         ys = c + offs[d0:d1, None] * uy + ts[None, s0:s1] * vy
-        inside = (xs > x_lo) & (xs < x_hi) & (ys > y_lo) & (ys < y_hi)
+        inside = (xs >= x_lo) & (xs <= x_hi) & (ys >= y_lo) & (ys <= y_hi)
         sub = buf[d0:d1, s0:s1]
-        sub[inside] = ndimage.map_coordinates(img, [ys[inside], xs[inside]],
-                                              order=1, mode="constant", cval=0.0)
+        sub[inside] = _bilinear(padded, ys[inside], xs[inside])
         sino[vi, d0:d1] = buf[d0:d1].sum(axis=1)
         sub[...] = 0.0
     return sino * step

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,49 @@ def test_projector_matches_reference_at_borders_and_full_support(geom):
     images["negative values"] = np.where(disk_image(n, 12) > 0, -0.7, 0.0)
     images["all zero"] = np.zeros((n, n))
     assert_projector_matches_reference(images, geom)
+
+
+def edge_and_random_coordinates(n, rng):
+    """Sample coordinates (ys, xs): every pair of the edge and interior values
+    below, 10^5 random points over [-2, n+1]^2, and 10^4 in [0, 1/3)^2.
+
+    The last set has fractions with bits below 2^-53, where 1 - (1 - f) != f;
+    elsewhere the fractions are too coarse to tell the two weights apart.
+    """
+    tiny = np.nextafter(0.0, 1.0)
+    edge = [0.0, -0.0, -tiny, -np.spacing(1.0), n - 1.0,
+            np.nextafter(n - 1.0, 0.0), np.nextafter(n - 1.0, n),
+            1.0, 17.0, n - 2.0, 0.5, 16.5, n - 1.5]
+    ey, ex = (a.ravel() for a in np.meshgrid(edge, edge, indexing="ij"))
+    ry, rx = rng.uniform(-2.0, n + 1.0, (2, 100_000))
+    fy, fx = rng.random((2, 10_000)) / 3.0
+    return np.concatenate([ey, ry, fy]), np.concatenate([ex, rx, fx])
+
+
+def test_bilinear_kernel_matches_map_coordinates_bit_for_bit():
+    # what _line_integrals evaluates: the kernel on the samples inside the
+    # support box, which for a fully non-zero image is the domain [0, n-1]^2,
+    # and 0.0 on every other sample
+    n = 64
+    rng = np.random.default_rng(21)
+    img = rng.uniform(-1.0, 1.0, (n, n))
+    ys, xs = edge_and_random_coordinates(n, rng)
+    y_lo, y_hi, x_lo, x_hi = ct._support_box(img)
+    inside = (ys >= y_lo) & (ys <= y_hi) & (xs >= x_lo) & (xs <= x_hi)
+    got = np.zeros(ys.size)
+    got[inside] = ct._bilinear(np.pad(img, ((0, 1), (0, 1))), ys[inside], xs[inside])
+    want = ndimage.map_coordinates(img, [ys, xs], order=1, mode="constant", cval=0.0)
+    assert got.tobytes() == want.tobytes()
+    # map_coordinates gives 0 in the band within one pixel outside the edge,
+    # not a blend with zero, and the points reach that band
+    band = (np.minimum(ys, xs) > -1.0) & (np.maximum(ys, xs) < n) & ~inside
+    assert band.sum() > 1000 and not want[band].any()
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 16), (16,)])
+def test_radon_rejects_a_non_2d_image_naming_its_shape(shape):
+    with pytest.raises(ShapeError, match=re.escape(str(shape))):
+        project(np.ones(shape), geom_small())
 
 
 # ---------------------------------------------------------------------- fbp
