@@ -4,6 +4,12 @@ Small dynamic-graph engine: each operation returns a new Tensor that
 remembers its parents and a closure computing parent gradients, except
 inside `no_graph`. Reductions accumulate in float64 regardless of the tensor
 dtype.
+
+A closure keeps only the arrays its gradient reads. Where an array can be
+rebuilt from what the graph holds anyway, it is rebuilt in backward rather
+than kept: `conv2d` keeps its input and rebuilds its column matrix, and
+`leaky_relu` takes its mask from its own output. An operation's input must
+therefore not be mutated between its forward and the backward through it.
 """
 
 import contextlib
@@ -11,6 +17,10 @@ import contextlib
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+# negative-side slope of `leaky_relu`; it must be >= 0 for the output-derived
+# mask to equal the input's
+LEAKY_SLOPE = 0.2
 
 
 class ShapeError(ValueError):
@@ -24,6 +34,10 @@ class Tensor:
     operation) has `grad` allocated as zeros at construction; `backward`
     adds into it and never overwrites it. Operation results keep
     `grad = None`: their gradients flow through `backward` and are dropped.
+
+    A result's `_backward` closure keeps only what its gradient reads, often
+    no more than the parents' `data`, which must not be mutated until
+    `backward` has run through it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -178,12 +192,17 @@ def scale(a, c):
     return _node(a.data * c, (a,), bwd)
 
 
-def leaky_relu(a, slope=0.2):
-    mask = a.data > 0
-    data = np.where(mask, a.data, a.data * a.data.dtype.type(slope))
+def leaky_relu(a):
+    """a where a > 0, else LEAKY_SLOPE * a.
+
+    The output is > 0 exactly where a is (the slope is >= 0, and NaN, -0.0
+    and negative values that underflow to -0.0 all compare false), so
+    backward reads its mask from the output and keeps no array of its own.
+    """
+    data = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(LEAKY_SLOPE))
 
     def bwd(g):
-        return (np.where(mask, g, g * g.dtype.type(slope)),)
+        return (np.where(data > 0, g, g * g.dtype.type(LEAKY_SLOPE)),)
 
     return _node(data, (a,), bwd)
 
@@ -374,7 +393,12 @@ def _validate_conv(x, kernel, stride, padding, op):
 
 
 def conv2d(x, kernel, stride=1, padding=0):
-    """Cross-correlation of x [N,C,H,W] with kernel [F,C,kh,kw]."""
+    """Cross-correlation of x [N,C,H,W] with kernel [F,C,kh,kw].
+
+    The column matrix is C*kh*kw/F times the output's size, so it is not
+    kept: backward rebuilds it from x, which the graph holds anyway, to
+    take the kernel gradient from the same bytes.
+    """
     _validate_conv(x, kernel, stride, padding, "conv2d")
     n, c, h, w = x.data.shape
     f, ck, kh, kw = kernel.data.shape
@@ -387,16 +411,18 @@ def conv2d(x, kernel, stride=1, padding=0):
     hout = (h + 2 * padding - kh) // stride + 1
     wout = (w + 2 * padding - kw) // stride + 1
 
-    cols = _im2col(_pad_nchw(x.data, padding), kh, kw, stride, hout, wout)
+    def columns():
+        return _im2col(_pad_nchw(x.data, padding), kh, kw, stride, hout, wout)
+
     kmat = kernel.data.reshape(f, -1)
-    out = np.matmul(kmat, cols).reshape(n, f, hout, wout)
+    out = np.matmul(kmat, columns()).reshape(n, f, hout, wout)
 
     def bwd(g):
         g3 = g.reshape(n, f, hout * wout)
         gk = None
         gx = None
         if kernel.requires_grad:
-            gk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
+            gk = np.matmul(g3, columns().transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
         if x.requires_grad and stride == 1 and f < c and kh == kw and padding < kh:
             # at stride 1 the input gradient is g correlated with the flipped,
             # channel-swapped kernel: its columns have f*kh*kw rows, fewer

@@ -112,11 +112,8 @@ class BranchOutputs:
     y_cycle: Tensor = None
 
 
-LEAKY_SLOPE = 0.2
-
-
 def _he_std(fan_in):
-    return math.sqrt(2.0 / ((1.0 + LEAKY_SLOPE ** 2) * fan_in))
+    return math.sqrt(2.0 / ((1.0 + ad.LEAKY_SLOPE ** 2) * fan_in))
 
 
 class _Module:
@@ -187,10 +184,10 @@ class _Encoder(_Module):
         self.latent_channels = c
 
     def __call__(self, x):
-        f = ad.leaky_relu(self.stem(x), LEAKY_SLOPE)
+        f = ad.leaky_relu(self.stem(x))
         skips = [f]
         for down in self.downs:
-            f = ad.leaky_relu(down(f), LEAKY_SLOPE)
+            f = ad.leaky_relu(down(f))
             skips.append(f)
         return f, skips[:-1]
 
@@ -209,7 +206,7 @@ class _CleanDecoder(_Module):
     def __call__(self, latent, skips=None):
         f = latent
         for i, up in enumerate(self.ups):
-            f = ad.leaky_relu(up(f), LEAKY_SLOPE)
+            f = ad.leaky_relu(up(f))
             if skips is not None:
                 f = ad.add(f, skips[-(i + 1)])
         return ad.tanh(self.out(f))
@@ -225,7 +222,7 @@ class _ArtifactDecoder(_CleanDecoder):
         super().__init__(width, n_down, rng)
 
     def __call__(self, content, artifact):
-        f = ad.leaky_relu(self.fuse(ad.concat([content, artifact], axis=1)), LEAKY_SLOPE)
+        f = ad.leaky_relu(self.fuse(ad.concat([content, artifact], axis=1)))
         return super().__call__(f)
 
 
@@ -238,8 +235,8 @@ class Discriminator(_Module):
         self.c3 = _Conv(2 * width, 1, 3, 1, 1, rng)
 
     def __call__(self, img):
-        f = ad.leaky_relu(self.c1(img), LEAKY_SLOPE)
-        f = ad.leaky_relu(self.c2(f), LEAKY_SLOPE)
+        f = ad.leaky_relu(self.c1(img))
+        f = ad.leaky_relu(self.c2(f))
         return self.c3(f)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -227,6 +228,100 @@ def test_conv_matches_row_layout_reference(kind, k0, k1, kh, stride, extent, n, 
         assert got.shape == want.shape
         assert rel_err(got.astype(np.float64), want.astype(np.float64)) < rtol
     assert out.data.flags.c_contiguous
+
+
+# Reference: the conv2d that kept its forward column matrix in the backward
+# closure, kept to pin the rebuilt-columns backward bit for bit.
+
+def _kept_columns_conv2d(x, kernel, stride, padding):
+    """(output, backward closure) of the keep-the-columns conv2d."""
+    n, c, h, w = x.data.shape
+    f, _, kh, kw = kernel.data.shape
+    hout = (h + 2 * padding - kh) // stride + 1
+    wout = (w + 2 * padding - kw) // stride + 1
+    cols = ad._im2col(ad._pad_nchw(x.data, padding), kh, kw, stride, hout, wout)
+    kmat = kernel.data.reshape(f, -1)
+    out = np.matmul(kmat, cols).reshape(n, f, hout, wout)
+
+    def bwd(g):
+        g3 = g.reshape(n, f, hout * wout)
+        gk = None
+        gx = None
+        if kernel.requires_grad:
+            gk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
+        if x.requires_grad and stride == 1 and f < c and kh == kw and padding < kh:
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            gcols = ad._im2col(ad._pad_nchw(g, kh - 1 - padding), kh, kw, 1, h, w)
+            gx = np.matmul(kflip, gcols).reshape(n, c, h, w)
+        elif x.requires_grad:
+            gx = ad._col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride, padding,
+                            hout, wout)
+        return gx, gk
+
+    return out, bwd
+
+
+NETWORK_CONV2D_SHAPES = [s[1:] for s in NETWORK_CONV_SHAPES if s[0] == "conv2d"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("grads", ["x", "kernel", "both"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("k0,k1,kh,stride,extent", NETWORK_CONV2D_SHAPES,
+                         ids=[f"k{s[0]}x{s[1]}x{s[2]}s{s[3]}i{s[4]}"
+                              for s in NETWORK_CONV2D_SHAPES])
+def test_conv2d_backward_matches_kept_columns(k0, k1, kh, stride, extent, n, grads, dtype):
+    padding = 0 if kh == 1 else 1
+    rng = np.random.default_rng(zlib.crc32(f"k{k0}x{k1}x{kh}s{stride}i{extent}n{n}".encode()))
+    x = Tensor(rng.standard_normal((n, k1, extent, extent)).astype(dtype),
+               requires_grad=grads in ("x", "both"))
+    k = Tensor(rng.standard_normal((k0, k1, kh, kh)).astype(dtype),
+               requires_grad=grads in ("kernel", "both"))
+    out = ad.conv2d(x, k, stride=stride, padding=padding)
+    want_out, want_bwd = _kept_columns_conv2d(x, k, stride, padding)
+    assert out.data.tobytes() == want_out.tobytes()
+    g = rng.standard_normal(out.shape).astype(dtype)
+    for got, want in zip(out._backward(g), want_bwd(g)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("x_grad", [False, True], ids=["kernel", "both"])
+def test_conv2d_graph_keeps_no_column_matrix(x_grad):
+    # k16x8x4s2i64: the column matrix is 8 * 4 * 4 / 16 = 8 times the output
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.standard_normal((3, 8, 64, 64)).astype(np.float32), requires_grad=x_grad)
+    k = Tensor(rng.standard_normal((16, 8, 4, 4)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, k, stride=2, padding=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    output = out.data.nbytes
+    assert output <= held <= output + 64 * 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_leaky_relu_output_mask_matches_input_mask(dtype):
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
+    assert dtype(-tiny) * dtype(ad.LEAKY_SLOPE) == 0.0  # underflows to -0.0
+    a = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e30, -1e30, info.max, -info.max,
+                  np.inf, -np.inf, np.nan], dtype=dtype)
+    g = np.arange(1, a.size + 1, dtype=dtype) * dtype(0.37)
+    out = ad.leaky_relu(Tensor(a, requires_grad=True))
+    slope = dtype(ad.LEAKY_SLOPE)
+    # the input-mask forward and backward the output-derived mask replaced
+    mask = a > 0
+    assert out.data.tobytes() == np.where(mask, a, a * slope).tobytes()
+    (got,) = out._backward(g)
+    assert got.dtype == dtype
+    assert got.tobytes() == np.where(mask, g, g * slope).tobytes()
 
 
 # ----------------------------------------------------------------- backward

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -387,3 +388,60 @@ def test_evaluate_pairs_peak_is_the_clean_range(bundle):
             "ssim_artifact": ctsim.ssim(pair.artifact, pair.clean, peak),
             "ssim_corrected": ctsim.ssim(rec, pair.clean, peak),
         }
+
+
+# ------------------------------------------------------------ graph memory
+# tracemalloc counts every numpy buffer, so these byte counts repeat exactly
+# for a given numpy. Each bound lies between the value measured when the graph
+# kept conv2d's column matrices and leaky_relu's masks and the value now.
+
+MiB = 2 ** 20
+
+
+@pytest.fixture(scope="module")
+def bundle64():
+    geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
+    return ctsim.synthesize_dataset(16, geom, ctsim.SynthConfig(seed=1, ratio=0.5, test_pairs=0))
+
+
+def _after_one_step(bundle, mode, batch_size):
+    """(cfg, net, state, second batch) of a 64x64, width-8 run whose first
+    step has been taken, so Adam's moments and the dual already exist."""
+    cfg = training.TrainConfig(mode=mode, batch_size=batch_size, lr=1e-3)
+    batches = training.BatchScheduler(*training.make_pools(bundle), cfg).epoch_batches(1)
+    net = training.build_network(cfg, bundle.cfg.image_size)
+    state = training.OptState()
+    training.training_step(net, next(batches), state, cfg)
+    return cfg, net, state, next(batches)
+
+
+def test_paired_ldm_forward_graph_holds_under_14_mib(bundle64):
+    # 22.9 MiB with the columns and masks kept, 9.6 MiB now
+    _, net, _, batch = _after_one_step(bundle64, "LDM-Sup", 4)
+    x, gt = Tensor(batch.x_paired), Tensor(batch.gt_paired)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = net.forward(x, gt)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.x_hat.requires_grad
+    assert held < 14 * MiB
+
+
+@pytest.mark.parametrize("mode,batch_size,bound_mib", [
+    ("LDM-Sup", 8, 45),     # 63.8 MiB with the columns and masks kept, 37.2 MiB now
+    ("LDM-DN-Sup", 4, 80),  # 116.2 MiB with them kept, 57.1 MiB now
+])
+def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
+    cfg, net, state, batch = _after_one_step(bundle64, mode, batch_size)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = training.training_step(net, batch, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.k == 2 and rep.cg_iterations > 0
+    assert peak < bound_mib * MiB
