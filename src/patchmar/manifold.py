@@ -48,11 +48,7 @@ class KernelConfig:
     keeps weight e^-1 (a near-dense graph and strong smoothing).
     """
 
-    mu_bar: float = 0.6
-
-    def __post_init__(self):
-        if not self.mu_bar > 0:
-            raise ValueError(f"solver coupling mu_bar must be positive, got {self.mu_bar}")
+    mu_bar: float = 0.6  # > 0 by the check of TrainConfig, its only builder
 
 
 @dataclass

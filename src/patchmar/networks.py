@@ -2,9 +2,11 @@
 
 Four wirings share the same building blocks:
 
-  Paired       artifact image -> content encoder -> clean decoder (skips)
+  Paired       artifact image -> content encoder -> clean decoder (skips),
+               all of it `forward_corrected`
   PairedLDM    Paired plus a clean-image branch and 1x1 code-compression
-               convolutions feeding the patch set
+               convolutions feeding the patch set; its `forward` is this
+               coded branch, `forward_corrected` with its code plus `free_code`
   Unpaired     full disentanglement graph: content/artifact encoders for
                artifact images, content encoder for clean images, clean and
                artifact decoders, two patch discriminators
@@ -96,11 +98,12 @@ class NetworkVariant(enum.Enum):
 
 @dataclass
 class BranchOutputs:
-    """Per-forward outputs; fields a variant does not define stay None.
+    """Per-forward outputs. The unpaired variants fill all five images (and
+    UnpairedLDM the codes); PairedLDM fills only x_hat, z_x_t and z_y_t.
 
     y_hat (the clean image's reconstruction), y_art (clean image with the
     transferred artifact) and y_cycle (its re-corrected version) feed the
-    unpaired loss terms; only the unpaired variants decode them.
+    unpaired loss terms.
     """
 
     x_hat: Tensor = None
@@ -287,12 +290,12 @@ class DisentangleNet(_Module):
 
     def forward_corrected(self, x, want_code=False):
         """Artifact-corrected branch only: x -> x_hat (and its code if asked)."""
+        if want_code and self.compress_art is None:
+            raise ValueError(f"variant {self.variant.value} has no code layers")
         self._check_image(x, "x")
         latent, skips = self.enc_art_content(x)
         x_hat = self.dec_clean(latent, skips)
         if want_code:
-            if self.compress_art is None:
-                raise ValueError(f"variant {self.variant.value} has no code layers")
             return x_hat, self.compress_art(latent)
         return x_hat
 
@@ -304,28 +307,26 @@ class DisentangleNet(_Module):
         latent, _ = self.enc_clean(y)
         return self.compress_clean(latent)
 
-    def forward(self, x, y=None):
-        """Populate every output the variant defines; see BranchOutputs."""
-        self._check_image(x, "x")
+    def forward(self, x, y):
+        """PairedLDM: the coded branch (`forward_corrected`, `free_code`).
+        Unpaired variants: every output; see BranchOutputs. A Paired network
+        has no coded branch: `forward_corrected`'s code-layer check rejects it."""
         v = self.variant
-        if y is None and v is not NetworkVariant.PAIRED:
-            raise ValueError(f"variant {v.value} requires a clean input y")
-        if y is not None:
-            self._check_image(y, "y")
+        if not v.is_unpaired:
+            x_hat, z_x = self.forward_corrected(x, want_code=True)
+            return BranchOutputs(x_hat=x_hat, z_x_t=z_x, z_y_t=self.free_code(y))
+        self._check_image(x, "x")
+        self._check_image(y, "y")
 
         out = BranchOutputs()
         latent_x, skips_x = self.enc_art_content(x)
         out.x_hat = self.dec_clean(latent_x, skips_x)
-        if v is NetworkVariant.PAIRED:
-            return out
         if v.has_codes:
             out.z_x_t = self.compress_art(latent_x)
 
         latent_y, _ = self.enc_clean(y)
         if v.has_codes:
             out.z_y_t = self.compress_clean(latent_y)
-        if v is NetworkVariant.PAIRED_LDM:
-            return out
         out.y_hat = self.dec_clean(latent_y)
 
         latent_a, _ = self.enc_artifact(x)
@@ -348,23 +349,17 @@ def _lsgan_target(logits, value):
     return Tensor(np.full(logits.shape, value, dtype=logits.data.dtype))
 
 
-def loss_adn(outputs, x, y, discriminators):
-    """Generator-side unpaired loss; returns (total, per-term dict).
+def loss_adn(net, outputs, x, y):
+    """Generator-side unpaired loss of an unpaired network's `forward`
+    outputs, judged by its discriminators; returns (total, per-term dict).
 
     The total is the plain sum of the terms, in this order: adv_clean =
     LSGAN on x_hat vs 1, adv_art = LSGAN on y_art vs 1, recon =
     L1(y_hat, y) + L1(x_recon, x), cycle = L1(y_cycle, y), artifact =
     L1(x - x_hat, y_art - y) (residual transport).
     """
-    if discriminators is None or discriminators[0] is None or discriminators[1] is None:
-        raise ValueError("missing discriminator for the unpaired loss")
-    d_clean, d_art = discriminators
-    for fieldname in ("x_hat", "y_hat", "x_recon", "y_art", "y_cycle"):
-        if getattr(outputs, fieldname) is None:
-            raise ValueError(f"unpaired loss requires outputs.{fieldname}")
-
-    logits_clean = d_clean(outputs.x_hat)
-    logits_art = d_art(outputs.y_art)
+    logits_clean = net.d_clean(outputs.x_hat)
+    logits_art = net.d_art(outputs.y_art)
     terms = {
         "adv_clean": ad.mse_loss(logits_clean, _lsgan_target(logits_clean, 1.0)),
         "adv_art": ad.mse_loss(logits_art, _lsgan_target(logits_art, 1.0)),
@@ -380,8 +375,6 @@ def loss_adn(outputs, x, y, discriminators):
 
 def discriminator_loss(net, outputs, x, y):
     """LSGAN discriminator loss on detached fakes; returns (total, dict)."""
-    if net.d_clean is None:
-        raise ValueError("missing discriminator")
     fake_clean = net.d_clean(outputs.x_hat.detach())
     real_clean = net.d_clean(y)
     fake_art = net.d_art(outputs.y_art.detach())

@@ -6,8 +6,6 @@ learning rate is set by the caller.
 
 import numpy as np
 
-from .autodiff import Tensor
-
 BETA1 = 0.5
 BETA2 = 0.999
 EPS = 1e-8
@@ -31,12 +29,7 @@ class ParameterStore:
         self.step_count = 0
 
     def add(self, name, tensor):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        if not isinstance(tensor, Tensor) or not tensor.requires_grad:
-            raise ValueError(f"parameter '{name}' must be a Tensor with requires_grad=True")
         self._params[name] = tensor
-        return tensor
 
     def items(self):
         return self._params.items()

@@ -290,14 +290,13 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
     if cfg.uses_sup:
         x_p = Tensor(batch.x_paired)
         gt_p = Tensor(batch.gt_paired)
-        if cfg.uses_adn:  # hybrid: paired sample through the corrected branch
-            if cfg.uses_ldm:
-                paired = _coded_branch(net, x_p, gt_p)
-                x_hat_p = paired[0]
-            else:
-                x_hat_p = net.forward_corrected(x_p)
-        else:
-            out_p = net.forward(x_p, gt_p if cfg.uses_ldm else None)
+        if not cfg.uses_ldm:
+            x_hat_p = net.forward_corrected(x_p)
+        elif cfg.uses_adn:
+            paired = _coded_branch(net, x_p, gt_p)
+            x_hat_p = paired[0]
+        else:  # the benchmark requires LDM-Sup's coded branch to run as net.forward
+            out_p = net.forward(x_p, gt_p)
             x_hat_p = out_p.x_hat
             paired = (x_hat_p, out_p.z_x_t, gt_p, out_p.z_y_t)
         l_sup = loss_sup(x_hat_p, gt_p)
@@ -309,7 +308,7 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
         y_u = Tensor(batch.y_unpaired)
         out_u = net.forward(x_u, y_u)
         unpaired = (out_u.x_hat, out_u.z_x_t, y_u, out_u.z_y_t)
-        l_adn, terms = loss_adn(out_u, x_u, y_u, (net.d_clean, net.d_art))
+        l_adn, terms = loss_adn(net, out_u, x_u, y_u)
         for name, t in terms.items():
             losses[name] = float(t.data)
         total = l_adn if total is None else ad.add(total, l_adn)
@@ -365,8 +364,7 @@ def training_step(net, batch, state, cfg, kcfg=None):
     rep = StepReport()
     dual, u = _gradients(net, batch, state.dual, cfg, kcfg, rep)
 
-    # validate everything, then mutate
-    check_grads(net.gen_params)
+    # validate everything, then mutate (adam_step checks the generator store)
     if cfg.uses_adn:
         check_grads(net.disc_params)
     adam_step(net.gen_params, lr=cfg.lr)

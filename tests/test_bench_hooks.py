@@ -1,0 +1,56 @@
+"""The names the benchmark's traced run wraps are still called by training.
+
+`perfbench/spans.py` replaces functions in the patchmar modules by name, and
+a traced run fails when a span that `perfbench/spec.py` requires records no
+call. This runs both training workloads' modes at a tiny size under the same
+wrappers, so a renamed function or a rerouted branch fails here too. Only
+spans.py and spec.py are imported: workloads.py needs scipy at import.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from patchmar import autodiff, ctsim, manifold, networks, optim, training
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+bench_spec = _load("spec")
+
+WRAPPED = (autodiff, ctsim, manifold, networks, optim, training, networks.DisentangleNet)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
+    return ctsim.synthesize_dataset(4, geom, ctsim.SynthConfig(seed=2, test_pairs=1))
+
+
+@pytest.mark.parametrize("workload", ["ldm-dn-sup-b1", "ldm-sup-b32"])
+def test_traced_training_records_every_required_span(bundle, workload):
+    originals = [dict(vars(owner)) for owner in WRAPPED]
+    rec = spans.Recorder()
+    restore = spans.install(rec)
+    try:
+        rec.on = True
+        cfg = training.TrainConfig(mode=bench_spec.WORKLOADS[workload]["mode"],
+                                   batch_size=2, epochs=1, lr=1e-3)
+        result = training.train(bundle, cfg)
+        training.evaluate_pairs(result.net, bundle.test, bundle.cfg.amax)
+    finally:
+        restore()
+    missing = [s for s in bench_spec.EXPECTED_SPANS[workload] if rec.calls(s) == 0]
+    assert missing == []
+    for owner, before in zip(WRAPPED, originals):
+        after = vars(owner)
+        assert [k for k in before if after.get(k) is not before[k]] == [], owner

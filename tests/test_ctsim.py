@@ -248,6 +248,22 @@ def test_corrupt_rejects_negative_severity():
         ct.corrupt_metal(sino, -0.5, np.random.default_rng(0), 0.02)
 
 
+def test_corrupt_without_noise_draws_nothing():
+    g = geom_small()
+    rng = np.random.default_rng(8)
+    sino = untraced(rng.uniform(0, 5, (g.n_views, g.n_detectors)))
+    sino.metal_trace[:, 40:50] = True
+    state = rng.bit_generator.state
+    out = ct.corrupt_metal(sino, 0.5, rng=rng, noise_scale=0.0)
+    assert rng.bit_generator.state == state
+    v = sino.data[sino.metal_trace]
+    want = sino.data.copy()
+    want[sino.metal_trace] = v + 0.5 * v * v / (1.0 + np.abs(v))
+    assert np.array_equal(out.data, want)
+    ct.corrupt_metal(sino, 0.5, rng=rng, noise_scale=0.02)
+    assert rng.bit_generator.state != state  # noise does draw
+
+
 def test_corrupt_lowers_fbp_psnr():
     rng = np.random.default_rng(5)
     geom, clean, sino, corrupted = _metal_setup(rng, 1.0)

@@ -130,12 +130,6 @@ def test_weights_random_points_laplacian_properties():
     assert np.allclose(np.diag(ops.w), 1.0)
 
 
-def test_kernel_config_rejects_bad_mu_bar():
-    for mu_bar in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            KernelConfig(mu_bar=mu_bar)
-
-
 def test_weights_single_point():
     ops = gaussian_weights(np.ones((1, 5)))
     assert ops.w.shape == (1, 1)

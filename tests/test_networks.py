@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,11 +65,12 @@ def test_parameter_names_are_attribute_paths(variant):
 def test_paired_variant_has_only_x_hat():
     net = make_net(NetworkVariant.PAIRED)
     rng = np.random.default_rng(1)
-    out = net.forward(rand_img(rng, net.geom))
-    assert out.x_hat is not None
-    assert out.x_hat.shape == (1, 1, 32, 32)
-    for f in ("y_hat", "x_recon", "z_x_t", "z_y_t", "y_art", "y_cycle"):
-        assert getattr(out, f) is None
+    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    assert net.forward_corrected(x).shape == (1, 1, 32, 32)
+    with pytest.raises(ValueError, match="no code layers"):
+        net.forward_corrected(x, want_code=True)
+    with pytest.raises(ValueError, match="no code layers"):
+        net.forward(x, y)
 
 
 def test_paired_ldm_code_shape_matches_grid():
@@ -80,8 +82,19 @@ def test_paired_ldm_code_shape_matches_grid():
     assert out.z_x_t.shape == (1, 64, 8, 8)
     assert out.z_y_t.shape == (1, 64, 8, 8)
     assert out.x_hat is not None
-    assert out.y_hat is None  # no LDM-Sup loss reads a decoded clean image
-    assert out.x_recon is None
+    for f in ("y_hat", "x_recon", "y_art", "y_cycle"):
+        assert getattr(out, f) is None, f  # no LDM-Sup loss reads them
+
+
+def test_paired_ldm_forward_is_its_coded_branch():
+    net = make_net(NetworkVariant.PAIRED_LDM, seed=20)
+    rng = np.random.default_rng(21)
+    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    out = net.forward(x, y)
+    x_hat, z_x = net.forward_corrected(x, want_code=True)
+    assert np.array_equal(out.x_hat.data, x_hat.data)
+    assert np.array_equal(out.z_x_t.data, z_x.data)
+    assert np.array_equal(out.z_y_t.data, net.free_code(y).data)
 
 
 def test_unpaired_ldm_populates_all_five_fields():
@@ -97,22 +110,18 @@ def test_unpaired_ldm_populates_all_five_fields():
     assert out.z_x_t.shape == (1, 16, 8, 8)
 
 
-def test_unpaired_requires_clean_input():
-    net = make_net(NetworkVariant.UNPAIRED)
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match="requires a clean input"):
-        net.forward(rand_img(rng, net.geom))
-
-
 def test_indivisible_extents_rejected_at_construction():
     with pytest.raises(ValueError):
         GeometryConfig(30, 4)
 
 
 def test_wrong_input_extent_rejected_at_forward():
-    net = make_net(NetworkVariant.PAIRED)
-    with pytest.raises(ShapeError):
-        net.forward(Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32)))
+    small = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
+    with pytest.raises(ShapeError, match="x extent 16x16"):
+        make_net(NetworkVariant.PAIRED).forward_corrected(small)
+    net = make_net(NetworkVariant.UNPAIRED)
+    with pytest.raises(ShapeError, match="y extent 16x16"):
+        net.forward(rand_img(np.random.default_rng(5), net.geom), small)
 
 
 def test_forward_is_shape_stable_and_deterministic():
@@ -170,12 +179,17 @@ def _stub_disc(value):
     return d
 
 
+def _stub_net(value):
+    """Stands in for an unpaired network: loss_adn reads only its discriminators."""
+    return SimpleNamespace(d_clean=_stub_disc(value), d_art=_stub_disc(value))
+
+
 def test_loss_adn_fixed_point_value():
     rng = np.random.default_rng(10)
     x = Tensor(rng.uniform(-1, 1, (1, 1, 16, 16)).astype(np.float32))
     y = Tensor(rng.uniform(-1, 1, (1, 1, 16, 16)).astype(np.float32))
     out = _fixed_point_outputs(x, y)
-    total, terms = loss_adn(out, x, y, (_stub_disc(0.5), _stub_disc(0.5)))
+    total, terms = loss_adn(_stub_net(0.5), out, x, y)
     assert abs(float(terms["adv_clean"].data) - 0.25) < 1e-7
     assert abs(float(terms["adv_art"].data) - 0.25) < 1e-7
     for name in ("recon", "cycle", "artifact"):
@@ -188,7 +202,7 @@ def test_loss_adn_matches_component_sum_oracle():
     rng = np.random.default_rng(12)
     x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
     out = net.forward(x, y)
-    total, terms = loss_adn(out, x, y, (net.d_clean, net.d_art))
+    total, terms = loss_adn(net, out, x, y)
     assert list(terms) == ["adv_clean", "adv_art", "recon", "cycle", "artifact"]
     manual = sum(float(terms[name].data) for name in terms)
     assert abs(float(total.data) - manual) < 1e-5 * max(abs(manual), 1.0)
@@ -199,19 +213,8 @@ def test_loss_adn_nonnegative_with_nonnegative_weights():
     rng = np.random.default_rng(14)
     for _ in range(3):
         x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
-        total, _ = loss_adn(net.forward(x, y), x, y, (net.d_clean, net.d_art))
+        total, _ = loss_adn(net, net.forward(x, y), x, y)
         assert float(total.data) >= 0.0
-
-
-def test_loss_adn_missing_discriminator_rejected():
-    net = make_net(NetworkVariant.UNPAIRED)
-    rng = np.random.default_rng(15)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
-    out = net.forward(x, y)
-    with pytest.raises(ValueError, match="discriminator"):
-        loss_adn(out, x, y, None)
-    with pytest.raises(ValueError, match="discriminator"):
-        loss_adn(out, x, y, (net.d_clean, None))
 
 
 def test_discriminator_loss_runs_and_detaches():

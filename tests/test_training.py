@@ -44,7 +44,7 @@ def test_variant_builds_only_the_branches_a_mode_trains():
 
 @pytest.mark.parametrize("knob,value", [
     ("lambda_ldm", math.nan), ("lambda_ldm", math.inf), ("lambda_ldm", -0.1),
-    ("mu_bar", math.nan), ("mu_bar", math.inf), ("mu_bar", 0.0),
+    ("mu_bar", math.nan), ("mu_bar", math.inf), ("mu_bar", 0.0), ("mu_bar", -1.0),
     ("lr", math.nan), ("lr", math.inf), ("lr", -1.0)])
 def test_config_rejects_non_finite_or_out_of_range_knobs(knob, value):
     with pytest.raises(ValueError, match="must be finite"):
