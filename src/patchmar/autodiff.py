@@ -8,8 +8,10 @@ dtype.
 A closure keeps only the arrays its gradient reads. Where an array can be
 rebuilt from what the graph holds anyway, it is rebuilt in backward rather
 than kept: `conv2d` keeps its input and rebuilds its column matrix, and
-`leaky_relu` takes its mask from its own output. An operation's input must
-therefore not be mutated between its forward and the backward through it.
+`bias_act` takes its activation's derivative from its own output. An
+operation's input must therefore not be mutated between its forward and the
+backward through it. The one exception is `bias_act`, which overwrites its
+input, a fresh conv output that no closure reads, with its own result.
 """
 
 import contextlib
@@ -18,8 +20,8 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-# negative-side slope of `leaky_relu`; it must be >= 0 for the output-derived
-# mask to equal the input's
+# negative-side slope of `bias_act`'s leaky ReLU; it must lie in [0, 1) for
+# max(a, slope * a) to be the leaky ReLU and its output mask to equal the input's
 LEAKY_SLOPE = 0.2
 
 
@@ -37,7 +39,8 @@ class Tensor:
 
     A result's `_backward` closure keeps only what its gradient reads, often
     no more than the parents' `data`, which must not be mutated until
-    `backward` has run through it.
+    `backward` has run through it. A `bias_act` result shares its `data`
+    buffer with its parent conv output, which it overwrote.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -192,42 +195,31 @@ def scale(a, c):
     return _node(a.data * c, (a,), bwd)
 
 
-def leaky_relu(a):
-    """a where a > 0, else LEAKY_SLOPE * a.
+def bias_act(x, b, act):
+    """Per-channel bias b [C] added to x [N,C,H,W], then the activation `act`
+    ("leaky_relu", "tanh" or None), all in x's own buffer.
 
-    The output is > 0 exactly where a is (the slope is >= 0, and NaN, -0.0
-    and negative values that underflow to -0.0 all compare false), so
-    backward reads its mask from the output and keeps no array of its own.
+    x must be a fresh `conv2d` or `conv_transpose2d` result that nothing else
+    reads: neither conv's backward reads its output, so overwriting it is
+    safe, and the layer holds one output-sized array instead of three.
+    Leaky ReLU is max(a, LEAKY_SLOPE * a), equal to `a if a > 0 else
+    LEAKY_SLOPE * a` for 0 <= slope < 1. Its output is > 0 exactly where its
+    input is (NaN, -0.0 and negatives that underflow to -0.0 all compare
+    false), so backward reads each derivative from the output.
     """
-    data = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(LEAKY_SLOPE))
+    data = x.data
+    data += b.data.reshape(1, -1, 1, 1)
+    if act == "leaky_relu":
+        np.maximum(data, data * data.dtype.type(LEAKY_SLOPE), out=data)
+    elif act == "tanh":
+        np.tanh(data, out=data)
 
     def bwd(g):
-        return (np.where(data > 0, g, g * g.dtype.type(LEAKY_SLOPE)),)
-
-    return _node(data, (a,), bwd)
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - y * y),)
-
-    return _node(y, (a,), bwd)
-
-
-def add_channel_bias(x, b):
-    """x: [N,C,H,W] plus per-channel bias b: [C]."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"add_channel_bias: input must be 4-d, got {x.data.shape}")
-    if b.data.shape != (x.data.shape[1],):
-        raise ShapeError(
-            f"add_channel_bias: bias shape {b.data.shape} does not match channels {x.data.shape[1]}")
-    data = x.data + b.data.reshape(1, -1, 1, 1)
-
-    def bwd(g):
-        gb = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(b.data.dtype)
-        return g, gb
+        if act == "leaky_relu":
+            g = np.where(data > 0, g, g * g.dtype.type(LEAKY_SLOPE))
+        elif act == "tanh":
+            g = g * (1.0 - data * data)
+        return g, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(b.data.dtype)
 
     return _node(data, (x, b), bwd)
 

@@ -15,6 +15,12 @@ Four wirings share the same building blocks:
 Skip connections live only on the artifact-content-encoder -> clean-decoder
 path and are additive, so the decoder runs unchanged without them.
 
+Every layer is conv -> bias -> activation, the last two in one
+`autodiff.bias_act` over the conv's own output. A layer's activation is
+fixed when it is built, as part of the architecture: leaky ReLU on every
+encoder, up-path, fuse and hidden discriminator layer, tanh on the decoders'
+output conv, none on the code compressions and the discriminator logits.
+
 The unpaired loss is the sum of five terms: least-squares adversarial
 terms on the corrected image and the artifact-transferred image,
 self-reconstruction, cycle consistency, and artifact consistency. Artifact
@@ -147,16 +153,17 @@ def _param(values):
 
 
 class _Conv(_Module):
-    def __init__(self, cin, cout, k, stride, pad, rng):
+    def __init__(self, cin, cout, k, stride, pad, act, rng):
         std = _he_std(cin * k * k)
         self.kernel = _param(rng.normal(0.0, std, (cout, cin, k, k)))
         self.bias = _param(np.zeros(cout))
         self.stride = stride
         self.pad = pad
+        self.act = act
 
     def __call__(self, x):
-        return ad.add_channel_bias(
-            ad.conv2d(x, self.kernel, stride=self.stride, padding=self.pad), self.bias)
+        return ad.bias_act(ad.conv2d(x, self.kernel, stride=self.stride, padding=self.pad),
+                           self.bias, self.act)
 
 
 class _ConvT(_Module):
@@ -168,29 +175,29 @@ class _ConvT(_Module):
         self.pad = pad
 
     def __call__(self, x):
-        return ad.add_channel_bias(
+        return ad.bias_act(
             ad.conv_transpose2d(x, self.kernel, stride=self.stride, padding=self.pad),
-            self.bias)
+            self.bias, "leaky_relu")
 
 
 class _Encoder(_Module):
     """Stem conv + n_down stride-2 convs; returns latent and skip features."""
 
     def __init__(self, width, n_down, rng):
-        self.stem = _Conv(1, width, 3, 1, 1, rng)
+        self.stem = _Conv(1, width, 3, 1, 1, "leaky_relu", rng)
         self.downs = []
         c = width
         for _ in range(n_down):
             # 4x4 stride-2 halving keeps receptive-field centers on patch centers
-            self.downs.append(_Conv(c, 2 * c, 4, 2, 1, rng))
+            self.downs.append(_Conv(c, 2 * c, 4, 2, 1, "leaky_relu", rng))
             c *= 2
         self.latent_channels = c
 
     def __call__(self, x):
-        f = ad.leaky_relu(self.stem(x))
+        f = self.stem(x)
         skips = [f]
         for down in self.downs:
-            f = ad.leaky_relu(down(f))
+            f = down(f)
             skips.append(f)
         return f, skips[:-1]
 
@@ -204,15 +211,15 @@ class _CleanDecoder(_Module):
         for _ in range(n_down):
             self.ups.append(_ConvT(c, c // 2, 4, 2, 1, rng))
             c //= 2
-        self.out = _Conv(c, 1, 3, 1, 1, rng)
+        self.out = _Conv(c, 1, 3, 1, 1, "tanh", rng)
 
     def __call__(self, latent, skips=None):
         f = latent
         for i, up in enumerate(self.ups):
-            f = ad.leaky_relu(up(f))
+            f = up(f)
             if skips is not None:
                 f = ad.add(f, skips[-(i + 1)])
-        return ad.tanh(self.out(f))
+        return self.out(f)
 
 
 class _ArtifactDecoder(_CleanDecoder):
@@ -221,11 +228,11 @@ class _ArtifactDecoder(_CleanDecoder):
 
     def __init__(self, width, n_down, rng):
         c = width * (2 ** n_down)
-        self.fuse = _Conv(2 * c, c, 3, 1, 1, rng)  # first in parameter and RNG draw order
+        self.fuse = _Conv(2 * c, c, 3, 1, 1, "leaky_relu", rng)  # first in parameter and RNG draw order
         super().__init__(width, n_down, rng)
 
     def __call__(self, content, artifact):
-        f = ad.leaky_relu(self.fuse(ad.concat([content, artifact], axis=1)))
+        f = self.fuse(ad.concat([content, artifact], axis=1))
         return super().__call__(f)
 
 
@@ -233,14 +240,12 @@ class Discriminator(_Module):
     """Three strided convs ending in a patch logit map (LSGAN, no sigmoid)."""
 
     def __init__(self, width, rng):
-        self.c1 = _Conv(1, width, 4, 2, 1, rng)
-        self.c2 = _Conv(width, 2 * width, 4, 2, 1, rng)
-        self.c3 = _Conv(2 * width, 1, 3, 1, 1, rng)
+        self.c1 = _Conv(1, width, 4, 2, 1, "leaky_relu", rng)
+        self.c2 = _Conv(width, 2 * width, 4, 2, 1, "leaky_relu", rng)
+        self.c3 = _Conv(2 * width, 1, 3, 1, 1, None, rng)
 
     def __call__(self, img):
-        f = ad.leaky_relu(self.c1(img))
-        f = ad.leaky_relu(self.c2(f))
-        return self.c3(f)
+        return self.c3(self.c2(self.c1(img)))
 
 
 class DisentangleNet(_Module):
@@ -271,8 +276,8 @@ class DisentangleNet(_Module):
             self.d_clean = Discriminator(base_width, rng)
             self.d_art = Discriminator(base_width, rng)
         if variant.has_codes:
-            self.compress_art = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng)
-            self.compress_clean = _Conv(latent_c, geom.code_channels, 1, 1, 0, rng)
+            self.compress_art = _Conv(latent_c, geom.code_channels, 1, 1, 0, None, rng)
+            self.compress_clean = _Conv(latent_c, geom.code_channels, 1, 1, 0, None, rng)
 
         self.gen_params = ParameterStore()
         self.disc_params = ParameterStore() if variant.is_unpaired else None

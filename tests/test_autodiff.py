@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from patchmar import autodiff as ad
+from patchmar import autodiff as ad, networks
 from patchmar.autodiff import Tensor, ShapeError
 
 
@@ -306,6 +306,77 @@ def test_conv2d_graph_keeps_no_column_matrix(x_grad):
     assert output <= held <= output + 64 * 1024
 
 
+# Reference: the unfused layer chain that `bias_act` replaced, conv output ->
+# add_channel_bias -> leaky_relu / tanh, each op a node with its own output.
+
+def _ref_add_channel_bias(x, b):
+    data = x.data + b.data.reshape(1, -1, 1, 1)
+
+    def bwd(g):
+        gb = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(b.data.dtype)
+        return g, gb
+
+    return ad._node(data, (x, b), bwd)
+
+
+def _ref_leaky_relu(a):
+    data = np.where(a.data > 0, a.data, a.data * a.data.dtype.type(ad.LEAKY_SLOPE))
+
+    def bwd(g):
+        return (np.where(data > 0, g, g * g.dtype.type(ad.LEAKY_SLOPE)),)
+
+    return ad._node(data, (a,), bwd)
+
+
+def _ref_tanh(a):
+    y = np.tanh(a.data)
+
+    def bwd(g):
+        return (g * (1.0 - y * y),)
+
+    return ad._node(y, (a,), bwd)
+
+
+_REF_ACT = {"leaky_relu": _ref_leaky_relu, "tanh": _ref_tanh, None: lambda a: a}
+
+
+@pytest.mark.parametrize("act", ["leaky_relu", "tanh", None], ids=["leaky", "tanh", "none"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind,k0,k1,kh,stride,extent", NETWORK_CONV_SHAPES,
+                         ids=[f"{s[0]}.k{s[1]}x{s[2]}x{s[3]}s{s[4]}i{s[5]}"
+                              for s in NETWORK_CONV_SHAPES])
+def test_bias_act_matches_unfused_chain(kind, k0, k1, kh, stride, extent, n, dtype, act):
+    padding = 0 if kh == 1 else 1
+    cin = k1 if kind == "conv2d" else k0
+    cout = k0 if kind == "conv2d" else k1
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{k0}x{k1}x{kh}s{stride}i{extent}n{n}".encode()))
+    x = Tensor(rng.standard_normal((n, cin, extent, extent)).astype(dtype), requires_grad=True)
+    k = Tensor(rng.standard_normal((k0, k1, kh, kh)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.standard_normal(cout).astype(dtype), requires_grad=True)
+    conv = getattr(ad, kind)
+
+    ref_conv = conv(x, k, stride=stride, padding=padding)
+    ref_biased = _ref_add_channel_bias(ref_conv, b)
+    ref_out = _REF_ACT[act](ref_biased)
+    conv_out = conv(x, k, stride=stride, padding=padding)
+    out = ad.bias_act(conv_out, b, act)
+    assert out.data.tobytes() == ref_out.data.tobytes()
+    assert out.data.dtype == dtype and out.data.flags.c_contiguous
+    # the result overwrote the conv output, and both nodes stay in the graph
+    assert out.data is conv_out.data and out._parents == (conv_out, b)
+
+    g = rng.standard_normal(out.shape).astype(dtype)
+    g_biased = g if act is None else ref_out._backward(g)[0]
+    want_gc, want_gb = ref_biased._backward(g_biased)
+    want_gx, want_gk = ref_conv._backward(want_gc)
+    got_gc, got_gb = out._backward(g)
+    got_gx, got_gk = conv_out._backward(got_gc)
+    for got, want in [(got_gx, want_gx), (got_gk, want_gk), (got_gb, want_gb)]:
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_leaky_relu_output_mask_matches_input_mask(dtype):
     info = np.finfo(dtype)
@@ -314,14 +385,41 @@ def test_leaky_relu_output_mask_matches_input_mask(dtype):
     a = np.array([0.0, -0.0, tiny, -tiny, 1.0, -1.0, 1e30, -1e30, info.max, -info.max,
                   np.inf, -np.inf, np.nan], dtype=dtype)
     g = np.arange(1, a.size + 1, dtype=dtype) * dtype(0.37)
-    out = ad.leaky_relu(Tensor(a, requires_grad=True))
+    # a bias of -0.0 leaves every value's bits as they are, -0.0 included
+    out = ad.bias_act(Tensor(a.reshape(1, 1, 1, -1).copy(), requires_grad=True),
+                      Tensor(np.array([-0.0], dtype=dtype)), "leaky_relu")
     slope = dtype(ad.LEAKY_SLOPE)
-    # the input-mask forward and backward the output-derived mask replaced
+    # the input-mask forward and backward of the unfused leaky_relu
     mask = a > 0
     assert out.data.tobytes() == np.where(mask, a, a * slope).tobytes()
-    (got,) = out._backward(g)
+    got, _ = out._backward(g.reshape(out.shape))
     assert got.dtype == dtype
     assert got.tobytes() == np.where(mask, g, g * slope).tobytes()
+
+
+@pytest.mark.parametrize("layer,act", [("conv", "leaky_relu"), ("conv", "tanh"),
+                                       ("conv", None), ("conv_t", "leaky_relu")],
+                         ids=["conv-leaky", "conv-tanh", "conv-none", "convT-leaky"])
+def test_layer_graph_holds_one_output_buffer(layer, act):
+    # k16x8x4s2i64 and its transpose k16x8x4s2i32: the layer's conv output,
+    # biased and activated in place, is the only output-sized array it keeps
+    rng = np.random.default_rng(37)
+    if layer == "conv":
+        mod = networks._Conv(8, 16, 4, 2, 1, act, rng)
+        x = Tensor(rng.standard_normal((3, 8, 64, 64)).astype(np.float32))
+    else:
+        mod = networks._ConvT(16, 8, 4, 2, 1, rng)
+        x = Tensor(rng.standard_normal((3, 16, 32, 32)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = mod(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad and out._backward is not None
+    output = out.data.nbytes
+    assert output <= held <= output + 64 * 1024
 
 
 # ----------------------------------------------------------------- backward
@@ -380,9 +478,8 @@ def test_backward_keeps_gradients_on_leaves_only():
 
     def net(x, k, b):
         conv = ad.conv2d(x, k, stride=1, padding=1)
-        biased = ad.add_channel_bias(conv, b)
-        act = ad.tanh(biased)
-        return [conv, biased, act, ad.frobenius_sq(act)]
+        act = ad.bias_act(conv, b, "tanh")
+        return [conv, act, ad.frobenius_sq(act)]
 
     leaves = [Tensor(a, requires_grad=True) for a in [xd] + arrs]
     interior = net(*leaves)
@@ -413,8 +510,9 @@ def test_forward_determinism():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
     k = rng.standard_normal((2, 2, 3, 3)).astype(np.float32)
-    a = ad.tanh(ad.conv2d(Tensor(x), Tensor(k), padding=1)).data
-    b = ad.tanh(ad.conv2d(Tensor(x), Tensor(k), padding=1)).data
+    bias = Tensor(rng.standard_normal(2).astype(np.float32))
+    a = ad.bias_act(ad.conv2d(Tensor(x), Tensor(k), padding=1), bias, "tanh").data
+    b = ad.bias_act(ad.conv2d(Tensor(x), Tensor(k), padding=1), bias, "tanh").data
     assert np.array_equal(a, b)
 
 
@@ -422,9 +520,8 @@ def test_forward_determinism():
 
 def _two_layer_net(params, x):
     k1, b1, k2, b2 = params
-    h1 = ad.leaky_relu(ad.add_channel_bias(ad.conv2d(x, k1, stride=1, padding=1), b1))
-    h2 = ad.add_channel_bias(ad.conv2d(h1, k2, stride=2, padding=1), b2)
-    out = ad.tanh(h2)
+    h1 = ad.bias_act(ad.conv2d(x, k1, stride=1, padding=1), b1, "leaky_relu")
+    out = ad.bias_act(ad.conv2d(h1, k2, stride=2, padding=1), b2, "tanh")
     # a target below every output keeps the loss gradient away from zero
     return ad.mse_loss(out, Tensor(np.full(out.shape, -1.0)))
 
@@ -457,6 +554,10 @@ def test_two_layer_net_gradients_match_finite_differences():
             assert rel_err(p.grad, g) < 1e-4
 
 
+# bias_act's activation under each of its gradcheck names
+BIAS_ACT = {"leaky_relu": "leaky_relu", "tanh": "tanh", "bias": None}
+
+
 @pytest.mark.parametrize("op_name", [
     "leaky_relu", "tanh", "frobenius_sq", "add", "sub", "l1_loss", "mse_loss",
     "concat", "reshape", "transpose", "bias", "conv2d", "conv_transpose2d",
@@ -466,21 +567,26 @@ def test_per_op_gradcheck(op_name):
     for _ in range(5):
         a = rng.standard_normal((2, 3, 4, 4))
         b = rng.standard_normal((2, 3, 4, 4))
-        if op_name == "leaky_relu" and np.abs(a).min() < 5e-3:
-            a = a + np.sign(a) * 0.01
+        bias = rng.standard_normal(3) if op_name in BIAS_ACT else None
+        pre = a if bias is None else a + bias.reshape(1, -1, 1, 1)
+        if op_name == "leaky_relu" and np.abs(pre).min() < 5e-3:
+            a = a + np.sign(pre) * 0.01
         if op_name == "l1_loss":
             # keep |a-b| clear of the absolute-value kink for the FD oracle
             close = np.abs(a - b) < 5e-3
             b = np.where(close, b + np.sign(b - a + 1e-9) * 0.01, b)
         arrs = {"a": a, "b": b}
+        if bias is not None:
+            arrs["bias"] = bias
 
         def build(arrs=arrs):
             ta = Tensor(arrs["a"], requires_grad=True)
             tb = Tensor(arrs["b"], requires_grad=True)
-            if op_name == "leaky_relu":
-                out, used = ad.leaky_relu(ta), [ta]
-            elif op_name == "tanh":
-                out, used = ad.tanh(ta), [ta]
+            if op_name in BIAS_ACT:
+                tbias = Tensor(arrs["bias"], requires_grad=True)
+                # bias_act overwrites its input: give it a fresh op result, as a conv does
+                out = ad.bias_act(ad.scale(ta, 1.0), tbias, BIAS_ACT[op_name])
+                used = [ta, tbias]
             elif op_name == "frobenius_sq":
                 out, used = ad.frobenius_sq(ta), [ta]
             elif op_name == "add":
@@ -497,9 +603,6 @@ def test_per_op_gradcheck(op_name):
                 out, used = ad.reshape(ta, (2, 48)), [ta]
             elif op_name == "transpose":
                 out, used = ad.transpose(ta, (1, 0, 3, 2)), [ta]
-            elif op_name == "bias":
-                tbias = Tensor(arrs["bias"], requires_grad=True)
-                out, used = ad.add_channel_bias(ta, tbias), [ta, tbias]
             elif op_name == "conv2d":
                 tk = Tensor(arrs["k"], requires_grad=True)
                 out, used = ad.conv2d(ta, tk, stride=2, padding=1), [ta, tk]
@@ -512,8 +615,6 @@ def test_per_op_gradcheck(op_name):
                 out = ad.frobenius_sq(out)
             return out, used
 
-        if op_name == "bias":
-            arrs["bias"] = rng.standard_normal(3)
         if op_name == "conv2d":
             arrs["k"] = rng.standard_normal((2, 3, 3, 3)) * 0.5
         if op_name == "conv_transpose2d":
@@ -532,6 +633,7 @@ def test_per_op_gradcheck(op_name):
         fd_by_name = dict(zip([nm for nm in names if nm in arrs], fd))
         labels = {"add": ["a", "b"], "sub": ["a", "b"],
                   "l1_loss": ["a", "b"], "mse_loss": ["a", "b"], "concat": ["a", "b"],
+                  "leaky_relu": ["a", "bias"], "tanh": ["a", "bias"],
                   "bias": ["a", "bias"], "conv2d": ["a", "k"],
                   "conv_transpose2d": ["a", "kt"]}.get(op_name, ["a"])
         for t, nm in zip(used, labels):
@@ -547,9 +649,9 @@ def test_detach_blocks_gradient():
     assert a.grad is not None and np.allclose(a.grad, 0.0)
 
 
-def _mixed_graph(x, k, kt, bias):
-    h = ad.leaky_relu(ad.add_channel_bias(ad.conv2d(x, k, stride=1, padding=1), bias))
-    up = ad.tanh(ad.conv_transpose2d(h, kt, stride=2, padding=1))
+def _mixed_graph(x, k, kt, bias, bias_t):
+    h = ad.bias_act(ad.conv2d(x, k, stride=1, padding=1), bias, "leaky_relu")
+    up = ad.bias_act(ad.conv_transpose2d(h, kt, stride=2, padding=1), bias_t, "tanh")
     flat = ad.transpose(ad.reshape(up, (2, -1)), (1, 0))
     both = ad.concat([flat, ad.scale(flat, 0.5)], axis=1)
     losses = ad.add(ad.mse_loss(both, ad.sub(both, both)), ad.l1_loss(both, both))
@@ -562,7 +664,7 @@ def test_no_graph_links_nothing_and_keeps_values():
     def leaf(*shape):
         return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
 
-    args = (leaf(2, 3, 6, 6), leaf(4, 3, 3, 3), leaf(4, 2, 4, 4), leaf(4))
+    args = (leaf(2, 3, 6, 6), leaf(4, 3, 3, 3), leaf(4, 2, 4, 4), leaf(4), leaf(2))
     graphed = _mixed_graph(*args)
     with ad.no_graph():
         free = _mixed_graph(*args)

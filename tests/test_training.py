@@ -392,8 +392,9 @@ def test_evaluate_pairs_peak_is_the_clean_range(bundle):
 
 # ------------------------------------------------------------ graph memory
 # tracemalloc counts every numpy buffer, so these byte counts repeat exactly
-# for a given numpy. Each bound lies between the value measured when the graph
-# kept conv2d's column matrices and leaky_relu's masks and the value now.
+# for a given numpy. Each bound lies between the value measured when each
+# layer kept its conv, bias and activation outputs as three arrays and the
+# value now, with one array per layer.
 
 MiB = 2 ** 20
 
@@ -415,8 +416,9 @@ def _after_one_step(bundle, mode, batch_size):
     return cfg, net, state, next(batches)
 
 
-def test_paired_ldm_forward_graph_holds_under_14_mib(bundle64):
-    # 22.9 MiB with the columns and masks kept, 9.6 MiB now
+def test_paired_ldm_forward_graph_memory(bundle64):
+    # 22.9 MiB with the columns and masks kept, 9.6 MiB with three arrays per
+    # layer, 3.8 MiB now
     _, net, _, batch = _after_one_step(bundle64, "LDM-Sup", 4)
     x, gt = Tensor(batch.x_paired), Tensor(batch.gt_paired)
     tracemalloc.start()
@@ -427,13 +429,13 @@ def test_paired_ldm_forward_graph_holds_under_14_mib(bundle64):
     finally:
         tracemalloc.stop()
     assert out.x_hat.requires_grad
-    assert held < 14 * MiB
+    assert held < 6 * MiB
 
 
 @pytest.mark.parametrize("mode,batch_size,bound_mib", [
-    ("LDM-Sup", 8, 45),     # 63.8 MiB with the columns and masks kept, 37.2 MiB now
-    ("LDM-DN-Sup", 4, 80),  # 116.2 MiB with them kept, 57.1 MiB now
-])
+    ("LDM-Sup", 8, 31),     # 37.2 MiB with three arrays per layer, 25.7 MiB now
+    ("LDM-DN-Sup", 4, 45),  # 57.1 MiB with three arrays per layer, 33.3 MiB now
+], ids=["LDM-Sup-b8", "LDM-DN-Sup-b4"])
 def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
     cfg, net, state, batch = _after_one_step(bundle64, mode, batch_size)
     tracemalloc.start()
