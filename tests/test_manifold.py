@@ -25,8 +25,9 @@ def dense_laplacian(ops):
 
 def energy_of(u, ops):
     """sum over the columns of an (m, k) block u of u^T L u, divided by m:
-    the Dirichlet energy of any u, through the applied Laplacian."""
-    return float((u * ops.apply(u, 1.0)).sum()) / ops.m
+    the Dirichlet energy of any u, through the Laplacian applied to the
+    (k, m) view u^T."""
+    return float((u.T * ops.apply(u.T, 1.0)).sum()) / ops.m
 
 
 # -------------------------------------------------------------- patch sets
@@ -375,6 +376,8 @@ def test_applied_operator_matches_dense_reference(mu_bar):
     a = lap + mu_bar * ops.w
     b = mu_bar * ops.w @ v
     res = solve_coordinates(ops, v, cfg, tol=1e-14)
+    applied = ops.apply(np.ascontiguousarray(v.T), 1.0 - mu_bar)
+    assert np.linalg.norm(applied - (a @ v).T) <= 1e-12 * np.linalg.norm(a @ v)
     u_direct = np.linalg.solve(a, b)
     assert np.linalg.norm(res.u - u_direct) / np.linalg.norm(u_direct) < 1e-10
     for u in (v, res.u):
@@ -408,7 +411,7 @@ def _worst_residual(a, b, u):
 def _drifting_pcg(monkeypatch, every_call):
     """Offset the first CG correction by a relative 1e-6 (and, with
     every_call, each later one by that same vector); returns the
-    (correction, iterations) of every call."""
+    ((m, k) view of the correction, iterations) of every call."""
     inner = manifold._pcg_multi
     calls, error = [], []
 
@@ -418,7 +421,7 @@ def _drifting_pcg(monkeypatch, every_call):
             error.append(1e-6 * dx)
         if every_call or not calls:
             dx = dx + error[0]
-        calls.append((dx, used))
+        calls.append((dx.T, used))
         return dx, used
 
     monkeypatch.setattr(manifold, "_pcg_multi", pcg)
@@ -530,7 +533,7 @@ def test_solve_raises_on_a_non_finite_residual(monkeypatch):
 
     def pcg(*args):
         dx, used = inner(*args)
-        dx[0, 0] = np.nan
+        dx[0, 0] = np.nan  # the (k, m) correction's first entry, u[0, 0]
         return dx, used
 
     monkeypatch.setattr(manifold, "_pcg_multi", pcg)
@@ -539,20 +542,23 @@ def test_solve_raises_on_a_non_finite_residual(monkeypatch):
     assert math.isnan(err.value.worst_residual)
 
 
-# ------------------------------------------- Nystrom against Jacobi CG
+# ------------------------------------- references: (m, k) and Jacobi CG
+# The solve as it ran on (m, k) blocks before it moved to the (k, m) layout,
+# kept as the reference for that layout change, and the Jacobi-preconditioned
+# CG that the Nystrom preconditioner replaced. Both share the (m, k) CG.
 
-def _jacobi_pcg_multi(apply_a, b, diag_inv, tol, max_iter):
-    """The Jacobi-preconditioned CG that the Nystrom preconditioner replaced,
-    kept as the reference: M = diag(A)."""
+def _reference_pcg(apply_a, b, precondition, tol, max_iter):
+    """Preconditioned CG for A X = B on (m, k) blocks, all columns at once."""
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = np.linalg.norm(b, axis=0)
     active = bnorm > 0.0
     if not active.any():
         return x, 0
-    z = diag_inv[:, None] * r
-    p = z.copy()
+    z = np.empty_like(b)
     ap = np.empty_like(b)
+    precondition(r, z, ap)
+    p = z.copy()
     rz = np.einsum("ij,ij->j", r, z)
     it = 0
     while it < max_iter:
@@ -568,7 +574,7 @@ def _jacobi_pcg_multi(apply_a, b, diag_inv, tol, max_iter):
         active = rnorm > tol * bnorm
         if not active.any():
             break
-        np.multiply(diag_inv[:, None], r, out=z)
+        precondition(r, z, ap)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
         p *= beta
@@ -577,16 +583,74 @@ def _jacobi_pcg_multi(apply_a, b, diag_inv, tol, max_iter):
     return x, it
 
 
+def _reference_apply(ops, c):
+    """apply_a(X, out, scratch) writing (D - c W) @ X for an (m, k) block."""
+    def apply_a(x, out=None, scratch=None):
+        wx = np.matmul(ops.w, x, out=out)
+        wx *= c
+        dx = np.multiply(ops.degrees[:, None], x, out=scratch)
+        return np.subtract(dx, wx, out=wx)
+
+    return apply_a
+
+
+def _reference_nystrom(ops, c):
+    """The Woodbury-applied Nystrom preconditioner on (m, k) blocks."""
+    m = ops.m
+    r = math.isqrt(m - 1) + 1
+    idx = np.sort(np.random.default_rng(0).permutation(m)[:r])
+    w_s = ops.w[idx]
+    w_ss = w_s[:, idx]
+    w_ss[np.diag_indices(r)] += r * r * np.finfo(np.float64).eps
+    ft = np.linalg.inv(np.linalg.cholesky(w_ss)) @ w_s
+    dft = ft / ops.degrees
+    ht = np.linalg.inv(np.linalg.cholesky(np.eye(r) - c * (dft @ ft.T))) @ dft
+    d_inv = 1.0 / ops.degrees[:, None]
+
+    def precondition(res, out, scratch):
+        t = ht @ res
+        t *= c
+        np.matmul(ht.T, t, out=scratch)
+        np.multiply(d_inv, res, out=out)
+        out += scratch
+        return out
+
+    return precondition
+
+
+def _reference_solve(ops, v, cfg, tol=1e-8):
+    """(U, iterations) of the (m, k) Nystrom solve, restarts included."""
+    c = 1.0 - cfg.mu_bar
+    apply_a = _reference_apply(ops, c)
+    b = cfg.mu_bar * (ops.w @ v)
+    bnorm = np.linalg.norm(b, axis=0)
+    precondition = _reference_nystrom(ops, c)
+    x, r, budget, total_it = None, b, 10 * ops.m, 0
+    for _ in range(3):
+        dx, used = _reference_pcg(apply_a, r, precondition, tol * 0.5, budget)
+        x = dx if x is None else x + dx
+        total_it += used
+        budget -= used
+        r = b - apply_a(x)
+        res = np.linalg.norm(r, axis=0)
+        rel = np.where(bnorm > 0.0, res / np.where(bnorm > 0.0, bnorm, 1.0), 0.0)
+        if rel.max() <= tol or budget <= 0:
+            break
+    assert rel.max() <= tol
+    return x, total_it
+
+
 def _jacobi_solve(ops, v, cfg, tol=1e-8):
     """(U, iterations) of the replaced solve: one Jacobi CG pass at tol / 2,
     as solve_coordinates ran it before any restart."""
     c = 1.0 - cfg.mu_bar
+    diag_inv = 1.0 / (ops.degrees - c)
 
-    def apply_a(x, out=None, scratch=None):
-        return ops.apply(x, c, out, scratch)
+    def jacobi(r, out, scratch):
+        return np.multiply(diag_inv[:, None], r, out=out)
 
     b = cfg.mu_bar * (ops.w @ v)
-    return _jacobi_pcg_multi(apply_a, b, 1.0 / (ops.degrees - c), tol * 0.5, 10 * ops.m)
+    return _reference_pcg(_reference_apply(ops, c), b, jacobi, tol * 0.5, 10 * ops.m)
 
 
 def _dup_points(m, kind):
@@ -636,6 +700,23 @@ def test_nystrom_solve_matches_jacobi_reference(m, kind, mu_bar):
         assert res.iterations == 1
 
 
+def _assert_matches_mk_reference(ops, v, cfg, res):
+    # the (k, m) layout changes only rounding: its row reductions sum in
+    # another order than the (m, k) column ones
+    u_ref, ref_iterations = _reference_solve(ops, v, cfg)
+    assert res.iterations == ref_iterations
+    assert np.linalg.norm(res.u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+
+
+@pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
+@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
+def test_km_solve_matches_mk_reference(m, kind, mu_bar):
+    cfg = KernelConfig(mu_bar=mu_bar)
+    ops = gaussian_weights(_dup_points(m, kind))
+    v = np.random.default_rng(20).standard_normal((m, 4))
+    _assert_matches_mk_reference(ops, v, cfg, solve_coordinates(ops, v, cfg))
+
+
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
 @pytest.mark.parametrize("m,kind", [(1, "random"), (65, "random"), (65, "two clusters"),
                                     (257, "every third"), (257, "all equal")])
@@ -644,10 +725,11 @@ def test_woodbury_apply_matches_dense_preconditioner(m, kind, mu_bar):
     ops = gaussian_weights(_dup_points(m, kind))
     r = np.random.default_rng(21).standard_normal((m, 3))
     expect = np.linalg.solve(np.diag(ops.degrees) - c * _nystrom_low_rank(ops), r)
-    out, scratch = np.empty_like(r), np.empty_like(r)
-    got = manifold._nystrom_preconditioner(ops, c)(r, out, scratch)
+    r_t = np.ascontiguousarray(r.T)  # the (k, m) block the solve passes
+    out, scratch = np.empty_like(r_t), np.empty_like(r_t)
+    got = manifold._nystrom_preconditioner(ops, c)(r_t, out, scratch)
     assert got is out
-    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert np.linalg.norm(got.T - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_solve_is_deterministic():
@@ -660,9 +742,10 @@ def test_solve_is_deterministic():
     assert first.iterations == second.iterations
 
 
-def test_nystrom_takes_no_more_iterations_than_jacobi_on_ldm_sup_patch_sets(monkeypatch):
-    # real patch sets: two LDM-Sup steps at batch 4 on 64 x 64 images
-    # (m = 512), the second with a non-zero dual
+@pytest.fixture(scope="module")
+def ldm_sup_systems():
+    """(ops, v, cfg, result) of the solves of two LDM-Sup steps at batch 4
+    on 64 x 64 images (m = 512), the second with a non-zero dual."""
     geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
     data = ctsim.synthesize_dataset(4, geom, ctsim.SynthConfig(seed=1, test_pairs=0))
     cfg = training.TrainConfig(mode="LDM-Sup", batch_size=4, seed=0)
@@ -673,29 +756,60 @@ def test_nystrom_takes_no_more_iterations_than_jacobi_on_ldm_sup_patch_sets(monk
         systems.append((ops, v, kcfg, res))
         return res
 
-    monkeypatch.setattr(training, "solve_coordinates", solve)
-    net = training.build_network(cfg, data.cfg.image_size)
-    sched = training.BatchScheduler(*training.make_pools(data), cfg)
-    state = training.OptState()
-    batch = next(sched.epoch_batches(1))
-    for _ in range(2):
-        training.training_step(net, batch, state, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "solve_coordinates", solve)
+        net = training.build_network(cfg, data.cfg.image_size)
+        sched = training.BatchScheduler(*training.make_pools(data), cfg)
+        state = training.OptState()
+        batch = next(sched.epoch_batches(1))
+        for _ in range(2):
+            training.training_step(net, batch, state, cfg)
     assert len(systems) == 2
-    for ops, v, kcfg, res in systems:
-        assert ops.m == 512
+    assert all(ops.m == 512 for ops, _, _, _ in systems)
+    return systems
+
+
+def test_km_solve_matches_mk_reference_on_ldm_sup_patch_sets(ldm_sup_systems):
+    for ops, v, kcfg, res in ldm_sup_systems:
+        _assert_matches_mk_reference(ops, v, kcfg, res)
+
+
+def test_nystrom_takes_no_more_iterations_than_jacobi_on_ldm_sup_patch_sets(ldm_sup_systems):
+    for ops, v, kcfg, res in ldm_sup_systems:
         u_ref, ref_iterations = _jacobi_solve(ops, v, kcfg)
         assert res.iterations <= ref_iterations
         assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
 
 
-def test_solve_peak_memory_bound():
-    # b, the solution and the CG's four working blocks are six (m, k)
-    # blocks, next to the Nystrom factor's m x r; a zero block for the first
-    # correction to be added into would make seven
+@pytest.mark.parametrize("m,k,exact", [(256, 128, True), (300, 5, False)])
+def test_solve_gives_the_same_u_for_c_and_f_ordered_v(m, k, exact):
+    # v^T is a view: F-ordered for a C-ordered v, which BLAS reads with a
+    # transpose flag. At the b1 training shape (m = 256, k = 128 patch
+    # entries) U is the same bit for bit. Below about 1e6 multiply-adds
+    # OpenBLAS 0.3.31 switches to small-matrix GEMM kernels that sum the
+    # transposed operand in another order, so at m = 300, k = 5 only
+    # rounding may differ.
+    rng = np.random.default_rng(29)
+    ops = gaussian_weights(random_points(rng, m, 8))
+    v = rng.standard_normal((m, k))
+    res_c = solve_coordinates(ops, v, KernelConfig())
+    res_f = solve_coordinates(ops, np.asfortranarray(v), KernelConfig())
+    assert res_c.iterations == res_f.iterations
+    assert res_c.u.flags.f_contiguous and res_f.u.flags.f_contiguous
+    if exact:
+        assert res_c.u.tobytes() == res_f.u.tobytes()
+    assert np.linalg.norm(res_c.u - res_f.u) <= 1e-12 * np.linalg.norm(res_f.u)
+
+
+def _assert_solve_peak_within_bound(order):
+    # b, the solution and the CG's four working blocks are six (k, m)
+    # blocks, next to the Nystrom factor's r x m; a zero block for the first
+    # correction to be added into, or a copy of v or of the factor's
+    # transpose, would make seven
     m, k = 1024, 128
     rng = np.random.default_rng(18)
     ops = gaussian_weights(rng.standard_normal((m, k)))
-    v = rng.standard_normal((m, k))
+    v = np.asarray(rng.standard_normal((m, k)), order=order)
     solve_coordinates(ops, v, KernelConfig())  # first-use allocations
     tracemalloc.start()
     try:
@@ -706,6 +820,14 @@ def test_solve_peak_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 6.75 * m * k * 8
+
+
+def test_solve_peak_memory_bound():
+    _assert_solve_peak_within_bound("C")
+
+
+def test_solve_peak_memory_bound_with_f_ordered_v():
+    _assert_solve_peak_within_bound("F")
 
 
 # -------------------------------------------------------- dirichlet energy

@@ -313,12 +313,13 @@ def _inject(failure, net, monkeypatch):
 
         monkeypatch.setattr(training, "solve_coordinates", solve)
         return SolverError
-    if failure == "nan_patch_set":  # the step's first patch set fails it
+    if failure in ("nan_patch_set", "inf_patch_set"):  # the step's first patch set fails it
         inner_build = training.build_patch_set
+        value = np.nan if failure == "nan_patch_set" else np.inf
 
         def build(images, codes, geom):
             points = inner_build(images, codes, geom)
-            points.data[3, 5] = np.nan
+            points.data[3, 5] = value
             return points
 
         monkeypatch.setattr(training, "build_patch_set", build)
@@ -336,7 +337,7 @@ def _inject(failure, net, monkeypatch):
 
 
 @pytest.mark.parametrize("failure", ["gen_inf_grad", "disc_inf_grad", "solver_error",
-                                     "nan_patch_set"])
+                                     "nan_patch_set", "inf_patch_set"])
 def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     cfg = tiny_cfg("LDM-DN-Sup")
     unpaired, paired = training.make_pools(bundle)
