@@ -419,8 +419,9 @@ def synthesize_dataset(n_pairs, geom, cfg):
     """Paired pool plus disjoint unpaired pools at the configured ratio.
 
     The unpaired artifact pool takes the artifact images of the first
-    round(ratio * n_pairs) training pairs; the clean pool takes the clean
-    images of the remaining pairs, so no pair feeds both pools.
+    round(ratio * n_pairs) training pairs, clamped to [1, n_pairs - 1]; the
+    clean pool takes the clean images of the rest, so no pair feeds both
+    pools. One pair goes to the artifact pool and leaves the clean pool empty.
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")

@@ -59,12 +59,12 @@ class GraphOperators:
 
     The Laplacian L = D - W is never stored; `apply` multiplies by it and by
     the other operators of the form D - c * W. energy is the points'
-    Dirichlet energy, which `gaussian_weights` sums with the weights.
+    Dirichlet energy, which `gaussian_weights` sums with the weights; the
+    kernel bandwidth is internal to that function.
     """
 
     w: np.ndarray
     degrees: np.ndarray
-    t: float
     energy: float
 
     @property
@@ -144,7 +144,7 @@ def build_patch_set(images, codes, geom):
         rows = concat([_patch_rows(img, s), _code_rows(code)], axis=1)
         row_blocks.append(rows)
 
-    return row_blocks[0] if len(row_blocks) == 1 else concat(row_blocks, axis=0)
+    return concat(row_blocks, axis=0)
 
 
 # Rows per block of gaussian_weights' sweep: each block's scratch is one
@@ -175,9 +175,9 @@ def gaussian_weights(points):
     infinite entry, or a squared norm past a quarter of the float64 maximum
     (so that some distance would overflow), raises ValueError. The bandwidth
     t is median(squared pairwise distance) / 4, or 1 when that is not
-    positive or there is no pair. Squared distances take the GEMM form over
-    blocks of 64 rows (see `_block_sq_dists`), swept once over the upper
-    triangle into W's own buffer:
+    positive or there is no pair; it is internal. Squared distances take
+    the GEMM form over blocks of 64 rows (see `_block_sq_dists`), swept once
+    over the upper triangle into W's own buffer:
 
     1. pack: after its block's sweep, each row i moves its pair distances
        w[i, i+1:] to flat offset i * m - i * (i + 1) / 2, so the
@@ -260,7 +260,7 @@ def gaussian_weights(points):
     energy = 0.0
     for s in reversed(sums):
         energy += s
-    return GraphOperators(w=w, degrees=w.sum(axis=1), t=t, energy=energy / m)
+    return GraphOperators(w=w, degrees=w.sum(axis=1), energy=energy / m)
 
 
 def _nystrom_preconditioner(ops, c):
@@ -353,25 +353,25 @@ def _pcg_multi(ops, c, b, precondition, tol, max_iter):
     return x, it
 
 
-def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
+def solve_coordinates(ops, v, cfg):
     """Solve (L + mu_bar W) U = mu_bar W V column-independently.
 
     The system matrix L + mu_bar W = D - (1 - mu_bar) W is applied, not
     assembled; it is symmetric positive definite for mu_bar > 0. CG is
     preconditioned by D - (1 - mu_bar) F F^T, F F^T a Nystrom approximation
     of W (see `_nystrom_preconditioner`), so the system solved stays the
-    exact dense one. Each column must reach relative residual <= tol
-    against its right-hand side; otherwise SolverError carries the worst
-    column residual. The true residual is re-checked after the recurrence
-    converges, with a restart if rounding drift ate the contract. A NaN or
-    infinite weight in W or entry in v (both caught before any product with
-    W) raises SolverError with a NaN residual after 0 iterations; a
-    non-finite residual fails the contract like any other.
+    exact dense one. Each column must reach relative residual <= 1e-8
+    against its right-hand side, within 10 m CG iterations over at most
+    three passes; otherwise SolverError carries the worst column residual.
+    The true residual is re-checked after the recurrence converges, with a
+    restart if rounding drift ate the contract. A NaN or infinite weight in
+    W or entry in v (both caught before any product with W) raises
+    SolverError with a NaN residual after 0 iterations; a non-finite
+    residual fails the contract like any other.
 
     v is an (m, k) block, k >= 1, C- or F-ordered. CG runs on (k, m) blocks
     from b = mu_bar * (v^T W), v^T a view; u is the F-ordered (m, k) view of
-    the (k, m) solution. tol and max_iter are fixed for the training step;
-    they are arguments so that a failing solve can be forced.
+    the (k, m) solution.
     """
     v = np.asarray(v, dtype=np.float64)
     m = ops.m
@@ -392,7 +392,7 @@ def solve_coordinates(ops, v, cfg, tol=1e-8, max_iter=None):
 
     x, total_it = None, 0
     r = b  # true residual of x; each restart solves for the correction
-    budget = 10 * m if max_iter is None else max_iter
+    tol, budget = 1e-8, 10 * m
     for _ in range(3):
         dx, used = _pcg_multi(ops, c, r, precondition, tol * 0.5, budget)
         # the first correction becomes x; a restart adds into a new array,

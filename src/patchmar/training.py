@@ -348,7 +348,7 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
     return dual, u
 
 
-def training_step(net, batch, state, cfg, kcfg=None):
+def training_step(net, batch, state, cfg, kcfg):
     """One outer iteration; returns a StepReport. Mutations happen only after
     every fallible stage has passed, so each of these failures leaves
     parameters, Adam moments and step counts, and the dual untouched:
@@ -357,10 +357,7 @@ def training_step(net, batch, state, cfg, kcfg=None):
     - a solve that misses its residual contract: SolverError;
     - a NaN or infinite gradient: NanGradientError.
 
-    kcfg defaults to cfg.kernel_config(). `train` builds it once per run and
-    passes it, and wrappers of this function pass it on positionally, so it
-    stays an argument."""
-    kcfg = kcfg or cfg.kernel_config()
+    kcfg is cfg.kernel_config(), which `train` builds once per run."""
     rep = StepReport()
     dual, u = _gradients(net, batch, state.dual, cfg, kcfg, rep)
 

@@ -114,7 +114,6 @@ def test_weights_analytic_kernel_value():
     p = np.zeros((2, 4))
     p[1, 0] = np.sqrt(2.8)
     ops = gaussian_weights(p)
-    assert abs(ops.t - 0.7) < 1e-12
     assert abs(ops.w[0, 1] - np.exp(-1.0)) < 1e-12
     assert abs(ops.w[0, 1] - 0.3679) < 1e-4
 
@@ -135,18 +134,18 @@ def test_weights_single_point():
     ops = gaussian_weights(np.ones((1, 5)))
     assert ops.w.shape == (1, 1)
     assert ops.w[0, 0] == 1.0
-    assert ops.degrees.tolist() == [1.0] and ops.t == 1.0
+    assert ops.degrees.tolist() == [1.0]
     assert dense_laplacian(ops)[0, 0] == 0.0
 
 
 def _difference_form_weights(pts):
-    """Reference W and t from pdist's difference-form distances."""
+    """Reference W from pdist's difference-form distances."""
     sq = pdist(pts, "sqeuclidean")
     med = float(np.median(sq)) if sq.size else 0.0
     t = med / 4.0 if med > 0.0 else 1.0
     ref = np.exp(-squareform(sq) / (4.0 * t))
     np.fill_diagonal(ref, 1.0)
-    return ref, t
+    return ref
 
 
 def _points_with_duplicates(m, kind):
@@ -170,10 +169,9 @@ def test_weights_match_difference_form(m, kind):
     # straddle the 64-row block height.
     pts = _points_with_duplicates(m, kind)
     ops = gaussian_weights(pts)
-    ref, t = _difference_form_weights(pts)
+    ref = _difference_form_weights(pts)
     assert np.array_equal(ops.w, ops.w.T)
     assert np.all(np.diag(ops.w) == 1.0)
-    assert abs(ops.t - t) <= 1e-14 * t
     assert np.abs(ops.w - ref).max() <= 1e-13
     ref_degrees = ref.sum(axis=1)
     assert np.all(np.abs(ops.degrees - ref_degrees) <= 1e-13 * ref_degrees)
@@ -188,20 +186,25 @@ def test_bandwidth_is_numpy_median_of_pair_distances_over_four(m, kind):
     # 1, 3, 6, 10, 990 and 1035 pairs: odd and even counts, all inside one
     # 64-row block, so _block_sq_dists rounds them as gaussian_weights does.
     # One point has no pair, and one outlier beside m - 1 copies leaves a
-    # zero median: t falls back to 1 for both.
+    # zero median: t falls back to 1 for both. The bandwidth is internal, so
+    # it is checked through W, exponentiated as gaussian_weights does.
     pts = (np.random.default_rng(29 + m).standard_normal((m, 8)) if kind == "normal"
            else _points_with_duplicates(m, kind))
-    t = gaussian_weights(pts).t
+    ops = gaussian_weights(pts)
     norms = np.einsum("ij,ij->i", pts, pts)
     sq = np.empty((m, m))
     manifold._block_sq_dists(pts, norms, 0, m, sq, np.empty((m, m)))
-    pairs = sq[np.triu_indices(m, 1)]
+    upper = np.triu_indices(m, 1)
+    pairs = sq[upper]
     if m == 1:
-        assert pairs.size == 0 and t == 1.0
-    elif kind == "one outlier":
-        assert np.median(pairs) == 0.0 and t == 1.0
-    else:
-        assert t == float(np.median(pairs)) / 4.0
+        assert pairs.size == 0 and ops.w.tolist() == [[1.0]]
+        return
+    t = float(np.median(pairs)) / 4.0
+    assert (t == 0.0) == (kind == "one outlier")
+    ref = pairs.copy()
+    ref /= -4.0 * (t if t > 0.0 else 1.0)
+    np.exp(ref, out=ref)
+    assert np.array_equal(ops.w[upper], ref)
 
 
 @pytest.mark.parametrize("kind", ["normal", "one point", "one outlier"])
@@ -244,7 +247,7 @@ def _two_sweep_auto_bandwidth(sq_dists):
 def _two_sweep_weights(points):
     """The replaced gaussian_weights, kept as the reference: one sweep packs
     the strict upper distances into W's buffer for the median, a second
-    recomputes them and exponentiates. Returns (W, degrees, t)."""
+    recomputes them and exponentiates. Returns (W, degrees)."""
     pts = np.asarray(points, dtype=np.float64)
     m = pts.shape[0]
     norms = np.einsum("ij,ij->i", pts, pts)
@@ -276,15 +279,14 @@ def _two_sweep_weights(points):
         lower = np.tril_indices(b, -1)
         tile[lower] = tile.T[lower]
     np.fill_diagonal(w, 1.0)
-    return w, w.sum(axis=1), t
+    return w, w.sum(axis=1)
 
 
 def _assert_matches_two_sweep(pts):
     ops = gaussian_weights(pts)
-    w, degrees, t = _two_sweep_weights(pts)
+    w, degrees = _two_sweep_weights(pts)
     assert np.array_equal(ops.w, w)
     assert np.array_equal(ops.degrees, degrees)
-    assert ops.t == t
     # the energy sums the same distances in another order than u^T L u,
     # whose rounding scales with the terms that cancel, sum_i d_i |p_i|^2
     ref = energy_of(pts, ops)
@@ -363,10 +365,22 @@ def test_solve_matches_dense_direct_oracle():
         assert np.all(col_res <= 1e-8 * np.maximum(col_b, 1e-300))
 
 
+def _forced_pcg(monkeypatch, **fixed):
+    """Run every CG pass of the solve with the given tol or max_iter."""
+    inner = manifold._pcg_multi
+
+    def pcg(ops, c, b, precondition, tol, max_iter):
+        args = dict(tol=tol, max_iter=max_iter) | fixed
+        return inner(ops, c, b, precondition, **args)
+
+    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
+
+
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 6.0])
-def test_applied_operator_matches_dense_reference(mu_bar):
+def test_applied_operator_matches_dense_reference(mu_bar, monkeypatch):
     # The system matrix D - (1 - mu_bar) W is applied, never stored; at
-    # mu_bar = 6 the weight factor 1 - mu_bar is negative.
+    # mu_bar = 6 the weight factor 1 - mu_bar is negative. CG runs to
+    # 5e-15, far past the contract, so U is compared with the direct solve.
     rng = np.random.default_rng(14)
     cfg = KernelConfig(mu_bar=mu_bar)
     pts = random_points(rng, 30, 6)
@@ -375,7 +389,8 @@ def test_applied_operator_matches_dense_reference(mu_bar):
     lap = dense_laplacian(ops)
     a = lap + mu_bar * ops.w
     b = mu_bar * ops.w @ v
-    res = solve_coordinates(ops, v, cfg, tol=1e-14)
+    _forced_pcg(monkeypatch, tol=5e-15)
+    res = solve_coordinates(ops, v, cfg)
     applied = ops.apply(np.ascontiguousarray(v.T), 1.0 - mu_bar)
     assert np.linalg.norm(applied - (a @ v).T) <= 1e-12 * np.linalg.norm(a @ v)
     u_direct = np.linalg.solve(a, b)
@@ -385,14 +400,16 @@ def test_applied_operator_matches_dense_reference(mu_bar):
         assert abs(energy_of(u, ops) * ops.m - e_dense) < 1e-10 * e_dense
 
 
-def test_solve_nonconvergence_raises_with_residual():
+def test_solve_nonconvergence_raises_with_residual(monkeypatch):
     rng = np.random.default_rng(5)
     pts = random_points(rng, 30, 4)
     ops = gaussian_weights(pts)
     v = rng.standard_normal((30, 2))
+    _forced_pcg(monkeypatch, max_iter=1)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, KernelConfig(mu_bar=1e-6), max_iter=1)
+        solve_coordinates(ops, v, KernelConfig(mu_bar=1e-6))
     assert err.value.worst_residual > 1e-8
+    assert err.value.iterations == 3  # one per pass
 
 
 def _restart_setup():
@@ -521,7 +538,7 @@ def test_solve_rejects_a_graph_with_a_nan_row(value):
     ops = gaussian_weights(random_points(rng, 70, 5))
     w = ops.w.copy()
     w[11, :] = w[:, 11] = value
-    bad = GraphOperators(w=w, degrees=w.sum(axis=1), t=ops.t, energy=ops.energy)
+    bad = GraphOperators(w=w, degrees=w.sum(axis=1), energy=ops.energy)
     with pytest.raises(SolverError) as err:
         solve_coordinates(bad, rng.standard_normal((70, 3)), KernelConfig())
     assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
@@ -763,7 +780,7 @@ def ldm_sup_systems():
         state = training.OptState()
         batch = next(sched.epoch_batches(1))
         for _ in range(2):
-            training.training_step(net, batch, state, cfg)
+            training.training_step(net, batch, state, cfg, cfg.kernel_config())
     assert len(systems) == 2
     assert all(ops.m == 512 for ops, _, _, _ in systems)
     return systems

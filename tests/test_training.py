@@ -110,6 +110,30 @@ def test_tiny_run_per_mode_is_finite_and_deterministic(bundle, mode):
         assert np.array_equal(t1.data, t2.data), name
 
 
+@pytest.mark.parametrize("mode", LDM_MODES)
+def test_ldm_mode_at_lambda_zero_trains_as_its_base_mode(bundle, mode):
+    # the baseline of a lambda sweep: with the penalty off, LDM-X is X bit
+    # for bit, and the parameters only the LDM branches use keep their
+    # initial values
+    base = {"LDM-Sup": "Sup", "LDM-DN": "ADN", "LDM-DN-Sup": "ADN-Sup"}[mode]
+    cfg = tiny_cfg(mode, lambda_ldm=0.0)
+    ldm = training.train(bundle, cfg)
+    plain = training.train(bundle, tiny_cfg(base))
+    assert ldm.reports == plain.reports  # losses, and no solve or dual fields
+    assert ldm.state.dual is None
+
+    shared = dict(plain.net.gen_params.items())
+    init = dict(training.build_network(cfg, bundle.cfg.image_size).gen_params.items())
+    ldm_only = init.keys() - shared.keys()
+    assert ldm_only and all(n.startswith(("enc_clean.", "compress_")) for n in ldm_only)
+    for name, p in ldm.net.gen_params.items():
+        want = init[name] if name in ldm_only else shared[name]
+        assert np.array_equal(p.data, want.data), name
+    if cfg.uses_adn:
+        for (name, p), (_, q) in zip(ldm.net.disc_params.items(), plain.net.disc_params.items()):
+            assert np.array_equal(p.data, q.data), name
+
+
 def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
     res = training.train(bundle, tiny_cfg("LDM-DN-Sup"), out_dir=str(tmp_path))
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
@@ -178,7 +202,8 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
 
     monkeypatch.setattr(training, "build_patch_set", record)
     net = training.build_network(cfg, bundle.cfg.image_size)
-    training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg)
+    training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
+                           cfg.kernel_config())
     assert len(built) == 2
     step, refresh = built
     entries = 1 + int(cfg.uses_adn and cfg.uses_sup)
@@ -215,7 +240,8 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     monkeypatch.setattr(training, "gaussian_weights", record_weights)
     monkeypatch.setattr(training, "_ldm_entries_fresh", check)
     net = training.build_network(cfg, bundle.cfg.image_size)
-    training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg)
+    training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
+                           cfg.kernel_config())
     assert alive == [False, False, False]
 
 
@@ -281,7 +307,7 @@ def test_discriminator_step_sees_only_the_discriminator_loss(bundle, mode, monke
 
     monkeypatch.setattr(training, "adam_step", spy)
     batch = first_batch(bundle, cfg)
-    training.training_step(net, batch, training.OptState(), cfg)
+    training.training_step(net, batch, training.OptState(), cfg, cfg.kernel_config())
     assert seen.keys() == {name for name, _ in net.disc_params.items()}
 
     x, y = Tensor(batch.x_unpaired), Tensor(batch.y_unpaired)
@@ -344,12 +370,12 @@ def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     good, bad = list(training.BatchScheduler(unpaired, paired, cfg).epoch_batches(1))[:2]
     net = training.build_network(cfg, bundle.cfg.image_size)
     state = training.OptState()
-    training.training_step(net, good, state, cfg)
+    training.training_step(net, good, state, cfg, cfg.kernel_config())
     before = _snapshot(net, state)
     assert before["gen.step_count"] == before["disc.step_count"] == 1
 
     with pytest.raises(_inject(failure, net, monkeypatch)):
-        training.training_step(net, bad, state, cfg)
+        training.training_step(net, bad, state, cfg, cfg.kernel_config())
     after = _snapshot(net, state)
     assert after.keys() == before.keys()
     for key, value in before.items():
@@ -413,7 +439,7 @@ def _after_one_step(bundle, mode, batch_size):
     batches = training.BatchScheduler(*training.make_pools(bundle), cfg).epoch_batches(1)
     net = training.build_network(cfg, bundle.cfg.image_size)
     state = training.OptState()
-    training.training_step(net, next(batches), state, cfg)
+    training.training_step(net, next(batches), state, cfg, cfg.kernel_config())
     return cfg, net, state, next(batches)
 
 
@@ -442,7 +468,7 @@ def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = training.training_step(net, batch, state, cfg)
+        rep = training.training_step(net, batch, state, cfg, cfg.kernel_config())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
