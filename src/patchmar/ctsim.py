@@ -38,10 +38,12 @@ from .autodiff import ShapeError
 
 @dataclass(frozen=True)
 class ScanGeometry:
+    """Parallel-beam scan: n_views angles evenly spaced over [0, pi), and
+    n_detectors bins detector_spacing pixels apart."""
+
     n_views: int = 180
     n_detectors: int = 128
     detector_spacing: float = 0.75
-    angular_range: float = math.pi
 
     def __post_init__(self):
         if self.n_views < 1:
@@ -50,12 +52,10 @@ class ScanGeometry:
             raise ValueError(f"need at least two detectors, got {self.n_detectors}")
         if self.detector_spacing <= 0:
             raise ValueError("detector spacing must be positive")
-        if self.angular_range <= 0:
-            raise ValueError("angular range must be positive")
 
     @property
     def angles(self):
-        return np.arange(self.n_views) * (self.angular_range / self.n_views)
+        return np.arange(self.n_views) * (math.pi / self.n_views)
 
     @property
     def detector_offsets(self):
@@ -234,7 +234,7 @@ def fbp(sino, geom, image_size):
         s = (xs * math.cos(phi) + ys * math.sin(phi)) / geom.detector_spacing + half
         recon += np.interp(s.ravel(), det_idx, filtered[vi], left=0.0, right=0.0) \
             .reshape(image_size, image_size)
-    recon *= geom.angular_range / geom.n_views
+    recon *= math.pi / geom.n_views
     np.maximum(recon, 0.0, out=recon)
     return recon
 
@@ -377,12 +377,16 @@ def random_metal_mask(rng, n, body):
 # ---------------------------------------------------------------------------
 # dataset synthesis
 
+# Share of the training pairs whose artifact images form the unpaired
+# artifact pool; the clean images of the rest form the clean pool.
+UNPAIRED_RATIO = 0.15
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     image_size: int = 64
     severity: float = 0.2
     noise_scale: float = 0.02
-    ratio: float = 0.15
     amax: float = 1.0
     seed: int = 0
     test_pairs: int = 8
@@ -416,21 +420,24 @@ def _make_pair(index, rng, geom, cfg):
 
 
 def synthesize_dataset(n_pairs, geom, cfg):
-    """Paired pool plus disjoint unpaired pools at the configured ratio.
+    """Paired pool plus disjoint unpaired pools at UNPAIRED_RATIO.
 
     The unpaired artifact pool takes the artifact images of the first
-    round(ratio * n_pairs) training pairs, clamped to [1, n_pairs - 1]; the
-    clean pool takes the clean images of the rest, so no pair feeds both
-    pools. One pair goes to the artifact pool and leaves the clean pool empty.
+    round(UNPAIRED_RATIO * n_pairs) training pairs, clamped to
+    [1, n_pairs - 1]; the clean pool takes the clean images of the rest, so
+    no pair feeds both pools. One pair goes to the artifact pool and leaves
+    the clean pool empty.
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
-    if not 0.0 < cfg.ratio < 1.0:
-        raise ValueError(f"ratio must lie strictly between 0 and 1, got {cfg.ratio}")
+    if cfg.test_pairs < 0:
+        raise ValueError(f"test pair count must be >= 0, got {cfg.test_pairs}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
     train = [_make_pair(i, rng, geom, cfg) for i in range(n_pairs)]
     test = [_make_pair(n_pairs + i, rng, geom, cfg) for i in range(cfg.test_pairs)]
-    n_art = int(round(cfg.ratio * n_pairs))
+    n_art = int(round(UNPAIRED_RATIO * n_pairs))
     n_art = min(max(n_art, 1), n_pairs - 1) if n_pairs > 1 else n_pairs
     artifact_pool = list(range(0, n_art))
     clean_pool = list(range(n_art, n_pairs))

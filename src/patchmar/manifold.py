@@ -113,34 +113,31 @@ def _code_rows(code):
     return reshape(r, (n * gh * gw, c))
 
 
-def build_patch_set(images, codes, geom):
+def build_patch_set(images, codes):
     """Assemble the patch set from per-branch image/code tensor pairs.
 
     images[i] is [N,1,H,W]; codes[i] is the matching [N,s^2,H/s,W/s]
-    compressed code. Returns the m x d points Tensor, one row per spatial
-    location: the flattened s x s pixel patch, then the s^2 code entries at
-    that location. It stays in the autodiff graph, so penalties on it reach
-    the network. Entries are stacked in list order (callers put the
-    artifact-corrected branches first), images within an entry in batch
-    order, spatial locations row-major.
+    compressed code, so the patch size s is the image extent over the code
+    extent, H // codes[i].shape[2]. The network's encoders guarantee that
+    shape; a code whose grid is not the image's gives patch and code rows of
+    different counts, which `concat` rejects. Returns the m x d points
+    Tensor, one row per spatial location: the flattened s x s pixel patch,
+    then the s^2 code entries at that location. It stays in the autodiff
+    graph, so penalties on it reach the network. Entries are stacked in list
+    order (callers put the artifact-corrected branches first), images within
+    an entry in batch order, spatial locations row-major.
     """
     if len(images) != len(codes):
         raise ShapeError(f"{len(images)} images vs {len(codes)} codes")
     if not images:
         raise ShapeError("empty patch-set input")
 
-    s = geom.s
     row_blocks = []
     for img, code in zip(images, codes):
         n, c, h, w = img.shape
         if c != 1:
             raise ShapeError(f"patch images must have one channel, got {c}")
-        if h != geom.image_size or w != geom.image_size:
-            raise ShapeError(f"image extent {h}x{w} does not match geometry "
-                             f"{geom.image_size}x{geom.image_size}")
-        expect = (n, s * s, h // s, w // s)
-        if code.shape != expect:
-            raise ShapeError(f"code shape {tuple(code.shape)} does not match {expect}")
+        s = h // code.shape[2]
         rows = concat([_patch_rows(img, s), _code_rows(code)], axis=1)
         row_blocks.append(rows)
 

@@ -36,19 +36,25 @@ store; everything else forms the generator store.
 
 Parameters are float32 (`autodiff.DEFAULT_DTYPE`).
 
+The architecture is fixed by two constants: PATCH_SIZE (the paper's s = 8)
+sets log2(s) = 3 halvings per encoder and s^2 = 64 code channels, and
+BASE_WIDTH = 8 is the stem's channel count, doubled by each halving. Inputs
+are [N,1,H,W] with H and W multiples of s, each code location covering one
+s x s patch.
+
 On-disk checkpoint (`save_checkpoint` / `load_checkpoint`): `manifest.json`
-holds the `variant` value, the `geometry` (`image_size`, `s`) and
-`base_width`; `params.npz` holds one array per parameter, keyed by its
-attribute path, in `named_params()` order. Loading rebuilds the network the
-manifest describes and rejects an archive with a missing or extra name, or
-an array whose shape or dtype differs from the network's.
+holds one key, the `variant` value, since the variant alone fixes the
+network; `params.npz` holds one array per parameter, keyed by its attribute
+path, in `named_params()` order. Loading rebuilds that variant's network and
+rejects an archive with a missing or extra name, or an array whose shape or
+dtype differs from the network's.
 """
 
 import enum
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,34 +63,10 @@ from .autodiff import Tensor, ShapeError
 from .optim import ParameterStore
 
 
-@dataclass(frozen=True)
-class GeometryConfig:
-    """Square image extent and the code down-sampling step s (code has s^2
-    channels).
-
-    Images are `image_size` x `image_size`: ctsim's projector and FBP work
-    on square images only, so no other shape reaches the networks.
-    """
-
-    image_size: int
-    s: int
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError(f"down-sampling step must be >= 2, got {self.s}")
-        n = math.log2(self.s)
-        if n != int(n):
-            raise ValueError(f"down-sampling step must be a power of two, got {self.s}")
-        if self.image_size % self.s:
-            raise ValueError(f"image extent {self.image_size} not divisible by s={self.s}")
-
-    @property
-    def code_channels(self):
-        return self.s * self.s
-
-    @property
-    def n_down(self):
-        return int(math.log2(self.s))
+# the paper's patch size s and the stem's channel count; see the docstring
+PATCH_SIZE = 8
+BASE_WIDTH = 8
+_N_DOWN = int(math.log2(PATCH_SIZE))
 
 
 class NetworkVariant(enum.Enum):
@@ -251,14 +233,12 @@ class Discriminator(_Module):
 class DisentangleNet(_Module):
     """One network instance: modules per variant plus named parameter stores."""
 
-    def __init__(self, variant, geom, base_width, rng):
+    def __init__(self, variant, rng):
         self.variant = variant
-        self.geom = geom
-        self.base_width = base_width
-        n_down = geom.n_down
+        width, n_down = BASE_WIDTH, _N_DOWN
 
-        self.enc_art_content = _Encoder(base_width, n_down, rng)
-        self.dec_clean = _CleanDecoder(base_width, n_down, rng)
+        self.enc_art_content = _Encoder(width, n_down, rng)
+        self.dec_clean = _CleanDecoder(width, n_down, rng)
         self.enc_clean = None
         self.enc_artifact = None
         self.dec_artifact = None
@@ -269,15 +249,16 @@ class DisentangleNet(_Module):
 
         latent_c = self.enc_art_content.latent_channels
         if variant.is_unpaired or variant is NetworkVariant.PAIRED_LDM:
-            self.enc_clean = _Encoder(base_width, n_down, rng)
+            self.enc_clean = _Encoder(width, n_down, rng)
         if variant.is_unpaired:
-            self.enc_artifact = _Encoder(base_width, n_down, rng)
-            self.dec_artifact = _ArtifactDecoder(base_width, n_down, rng)
-            self.d_clean = Discriminator(base_width, rng)
-            self.d_art = Discriminator(base_width, rng)
+            self.enc_artifact = _Encoder(width, n_down, rng)
+            self.dec_artifact = _ArtifactDecoder(width, n_down, rng)
+            self.d_clean = Discriminator(width, rng)
+            self.d_art = Discriminator(width, rng)
         if variant.has_codes:
-            self.compress_art = _Conv(latent_c, geom.code_channels, 1, 1, 0, None, rng)
-            self.compress_clean = _Conv(latent_c, geom.code_channels, 1, 1, 0, None, rng)
+            code_c = PATCH_SIZE * PATCH_SIZE
+            self.compress_art = _Conv(latent_c, code_c, 1, 1, 0, None, rng)
+            self.compress_clean = _Conv(latent_c, code_c, 1, 1, 0, None, rng)
 
         self.gen_params = ParameterStore()
         self.disc_params = ParameterStore() if variant.is_unpaired else None
@@ -286,12 +267,12 @@ class DisentangleNet(_Module):
             (self.disc_params if disc else self.gen_params).add(name, t)
 
     def _check_image(self, t, name):
-        if t.data.ndim != 4 or t.shape[1] != 1:
-            raise ShapeError(f"{name} must be [N,1,H,W], got {tuple(t.shape)}")
-        n = self.geom.image_size
-        if t.shape[2:] != (n, n):
-            raise ShapeError(f"{name} extent {t.shape[2]}x{t.shape[3]} does not match "
-                             f"geometry {n}x{n}")
+        # the encoders halve H and W log2(PATCH_SIZE) times, and the
+        # decoder's up-path and skips must land on the same extents
+        if t.data.ndim != 4 or t.shape[1] != 1 or t.shape[2] % PATCH_SIZE \
+                or t.shape[3] % PATCH_SIZE:
+            raise ShapeError(f"{name} must be [N,1,H,W] with H and W multiples of "
+                             f"{PATCH_SIZE}, got {tuple(t.shape)}")
 
     def forward_corrected(self, x, want_code=False):
         """Artifact-corrected branch only: x -> x_hat (and its code if asked)."""
@@ -395,10 +376,9 @@ def discriminator_loss(net, outputs, x, y):
 # checkpoints
 
 def save_checkpoint(net, directory):
-    """Write `manifest.json` (variant, geometry, width) and `params.npz`."""
+    """Write `manifest.json` (the variant) and `params.npz`."""
     os.makedirs(directory, exist_ok=True)
-    manifest = {"variant": net.variant.value, "geometry": asdict(net.geom),
-                "base_width": net.base_width}
+    manifest = {"variant": net.variant.value}
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1)
     np.savez(os.path.join(directory, "params.npz"),
@@ -414,9 +394,7 @@ def load_checkpoint(directory):
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
     # any generator will do: every weight is overwritten below
-    net = DisentangleNet(NetworkVariant(manifest["variant"]),
-                         GeometryConfig(**manifest["geometry"]),
-                         manifest["base_width"], np.random.default_rng(0))
+    net = DisentangleNet(NetworkVariant(manifest["variant"]), np.random.default_rng(0))
     params = dict(net.named_params())
     with np.load(os.path.join(directory, "params.npz")) as arrays:
         missing = sorted(params.keys() - set(arrays.files))

@@ -2,8 +2,9 @@
 update on the penalized objective, then the dual update at the new weights.
 
 The knobs are the mode, lambda (`lambda_ldm`), mu_bar, the learning rate and
-the run shape (epochs, batch size, seed, s, base width). Nothing else is
-settable: Adam runs at its fixed setting (beta1 = 0.5, beta2 = 0.999,
+the run shape (epochs, batch size, seed). Nothing else is settable: the
+architecture is fixed (`networks.PATCH_SIZE` s = 8, `networks.BASE_WIDTH`
+= 8), Adam runs at its fixed setting (beta1 = 0.5, beta2 = 0.999,
 eps = 1e-8), the kernel bandwidth is chosen per patch set (median squared
 distance / 4), and evaluation measures PSNR/SSIM against each clean image's
 dynamic range.
@@ -23,6 +24,21 @@ the step number. Both patch-set builds take their entries from
 `_patch_entries`, so their rows come in the same order. The step's graph,
 its patch set and W are freed before the dual refresh, whose forward passes
 build no graph (as in `evaluate_pairs`).
+
+The objective's normalisation, as the code runs it:
+- The penalty is lambda * ||U - P + d||^2 summed over all m * d entries,
+  while `loss_sup` and the ADN terms are means over their elements (pixels,
+  or logits for the adversarial terms).
+- P has m = 2 * (branches drawn) * N * (H/s) * (W/s) rows, a corrected and
+  a free entry per branch, and d = 2 * s^2 = 128 columns: the s x s pixel
+  patch, then its s^2 code entries.
+- Each penalised step runs one solve, one Adam step and one graph-free
+  refresh.
+- The dual is one m x d array, min-max normalised jointly over all its
+  entries into [0, 1]. `BatchScheduler` reshuffles every epoch, so row i
+  belongs to another image and branch from one step to the next.
+- At lambda = 0 no solve or dual runs, and LDM-X trains as X bit for bit
+  (tested).
 
 In adversarial modes the discriminators are updated from the discriminator
 loss alone: their gradients are zeroed after the generator backward, whose
@@ -44,8 +60,8 @@ from .ctsim import denormalize_image, normalize_image, psnr, ssim
 from .manifold import (DualVariable, KernelConfig, build_patch_set,
                        dirichlet_energy, gaussian_weights, normalize_dual,
                        solve_coordinates)
-from .networks import (DisentangleNet, GeometryConfig, NetworkVariant,
-                       discriminator_loss, loss_adn, loss_sup, save_checkpoint)
+from .networks import (DisentangleNet, NetworkVariant, discriminator_loss, loss_adn,
+                       loss_sup, save_checkpoint)
 from .optim import adam_step, check_grads
 
 MODES = ("Sup", "LDM-Sup", "ADN", "LDM-DN", "ADN-Sup", "LDM-DN-Sup")
@@ -64,8 +80,6 @@ class TrainConfig:
     mu_bar: float = 0.6
     seed: int = 0
     lr: float = 1e-4
-    s: int = 8
-    base_width: int = 8
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -79,8 +93,8 @@ class TrainConfig:
             raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.base_width < 1:
-            raise ValueError(f"base width must be >= 1, got {self.base_width}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
@@ -317,7 +331,7 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
     u = None
     if cfg.uses_ldm and cfg.lambda_ldm > 0.0:
         images, codes = _patch_entries(unpaired, paired)
-        points = build_patch_set(images, codes, net.geom)
+        points = build_patch_set(images, codes)
         p_now = points.data.astype(np.float64)
         graph = gaussian_weights(p_now)
         if dual is None:  # every batch has the same size, so the shape holds
@@ -372,7 +386,7 @@ def training_step(net, batch, state, cfg, kcfg):
     # dual update against the patch set at the new weights
     if u is not None:
         images, codes = _ldm_entries_fresh(net, batch, cfg)
-        p_new = build_patch_set(images, codes, net.geom).data.astype(np.float64)
+        p_new = build_patch_set(images, codes).data.astype(np.float64)
         state.dual = normalize_dual(DualVariable(dual.values + u - p_new))
         rep.dual_min = float(state.dual.values.min())
         rep.dual_max = float(state.dual.values.max())
@@ -391,9 +405,9 @@ class TrainResult:
     checkpoint_dir: str = None
 
 
-def build_network(cfg, image_size):
+def build_network(cfg):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    return DisentangleNet(cfg.variant, GeometryConfig(image_size, cfg.s), cfg.base_width, rng)
+    return DisentangleNet(cfg.variant, rng)
 
 
 def train(bundle, cfg, out_dir=None):
@@ -402,7 +416,7 @@ def train(bundle, cfg, out_dir=None):
     Returns the trained network, optimizer state and step reports."""
     unpaired_pools, paired_pool = make_pools(bundle)
     sched = BatchScheduler(unpaired_pools, paired_pool, cfg)
-    net = build_network(cfg, bundle.cfg.image_size)
+    net = build_network(cfg)
     state = OptState()
     kcfg = cfg.kernel_config()
 

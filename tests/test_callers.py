@@ -1,16 +1,20 @@
 """Everything src/patchmar defines has a caller in src/ or perfbench/. Tests
 do not count as callers: code that only a test reaches is deleted, not kept
-for the test. Three rules, each matching by bare name as a Name or an
-attribute, not by the object it belongs to:
+for the test, and an option with one value in use is a constant. Four
+rules, each matching by bare name as a Name or an attribute, not by the
+object it belongs to:
 
 - every function and class is read;
 - every field of a @dataclass class is read by some attribute load;
 - every parameter with a default is passed by some call of its function's
-  name, by keyword, by position or through a `*` or `**` argument.
+  name, by keyword, by position or through a `*` or `**` argument;
+- every field of a @dataclass class with a plain default (a
+  `field(default_factory=...)` container is exempt) is set: passed by some
+  call of the class's name, by keyword, by position in field order or
+  through a `*` or `**` argument, or assigned by an attribute store on an
+  object other than `self`.
 
-They leave unchecked the defaults of a dataclass's generated constructor
-(no program caller passes `TrainConfig(lr=...)`, but `cfg.lr` is read) and
-branches inside a function."""
+They leave unchecked branches inside a function and required fields."""
 
 import ast
 import math
@@ -30,6 +34,19 @@ ALLOWED = {
 ALLOWED_FIELDS = {f"TrainResult.{name}": RUN_DIRECTORY
                   for name in ("net", "state", "reports", "metrics_path", "checkpoint_dir")}
 ALLOWED_PARAMETERS = {"train(out_dir=)": RUN_DIRECTORY}
+LDM_SWEEP = "ROADMAP item 2: the LDM objective's weights are what its lambda sweep sets"
+SHIFTED_BUNDLE = "ROADMAP item 7: the shifted bundle sets another severity and noise"
+BENCH_READS = ("ROADMAP item 5: perfbench reads it as a field, so it becomes a "
+               "constant in the benchmark PR")
+ALLOWED_DEFAULTS = {
+    "TrainConfig.lr": "ROADMAP item 1: the quality record states its learning rate",
+    "TrainConfig.lambda_ldm": LDM_SWEEP,
+    "TrainConfig.mu_bar": LDM_SWEEP,
+    "SynthConfig.severity": SHIFTED_BUNDLE,
+    "SynthConfig.noise_scale": SHIFTED_BUNDLE,
+    "SynthConfig.image_size": BENCH_READS,
+    "SynthConfig.amax": BENCH_READS,
+}
 
 
 def _nodes(sources):
@@ -70,14 +87,41 @@ def unread_definitions(defining, reading):
     return sorted(defined - read)
 
 
+def _dataclasses(defining):
+    """(class name, [(field name, its default or None)]) for each @dataclass
+    class in the `defining` sources, fields in declaration order."""
+    for cls in _nodes(defining):
+        if isinstance(cls, ast.ClassDef) and _decorated(cls, "dataclass"):
+            yield cls.name, [(s.target.id, s.value) for s in cls.body
+                             if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def _calls(reading):
+    """Called name -> [(positional count, keyword names)] over every call in
+    the `reading` sources; a `*` argument counts as every position, and a
+    `**` argument as the keyword None."""
+    calls = {}
+    for n in _nodes(reading):
+        if isinstance(n, ast.Call):
+            starred = any(isinstance(arg, ast.Starred) for arg in n.args)
+            calls.setdefault(_name(n.func), []).append(
+                (math.inf if starred else len(n.args), {k.arg for k in n.keywords}))
+    return calls
+
+
+def _passed(calls, fn, param, index):
+    """Whether some call of `fn` passes `param`, by keyword, through `**`,
+    or by position `index` (None: keyword only)."""
+    return any(param in keywords or None in keywords
+               or (index is not None and count > index)
+               for count, keywords in calls.get(fn, ()))
+
+
 def unread_fields(defining, reading):
     """`Class.field` for each field of a @dataclass class in the `defining`
     sources whose name no attribute load in the `reading` sources reads.
     Passing a field to the constructor stores it; it does not read it."""
-    fields = [(cls.name, s.target.id) for cls in _nodes(defining)
-              if isinstance(cls, ast.ClassDef) and _decorated(cls, "dataclass")
-              for s in cls.body
-              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    fields = [(cls, name) for cls, declared in _dataclasses(defining) for name, _ in declared]
     read = {n.attr for n in _nodes(reading)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
@@ -111,20 +155,35 @@ def unpassed_parameters(defining, reading):
             params += [(fn.name, p.arg, None)
                        for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
 
-    calls = {}  # called name -> [(positional count, keyword names; None for **)]
-    for n in _nodes(reading):
-        if isinstance(n, ast.Call):
-            starred = any(isinstance(arg, ast.Starred) for arg in n.args)
-            calls.setdefault(_name(n.func), []).append(
-                (math.inf if starred else len(n.args), {k.arg for k in n.keywords}))
-
-    def passed(fn, param, index):
-        return any(param in keywords or None in keywords
-                   or (index is not None and count > index)
-                   for count, keywords in calls.get(fn, ()))
-
+    calls = _calls(reading)
     return sorted({f"{fn}({param}=)" for fn, param, index in params
-                   if not passed(fn, param, index)})
+                   if not _passed(calls, fn, param, index)})
+
+
+def _is_factory(default):
+    return isinstance(default, ast.Call) and _name(default.func) == "field" \
+        and any(k.arg == "default_factory" for k in default.keywords)
+
+
+def unset_defaults(defining, reading):
+    """`Class.field` for each field with a plain default, of a @dataclass
+    class in the `defining` sources, that the `reading` sources never set.
+
+    A field is set when a call of the class's name passes it (by keyword,
+    by its position in field order, or through a `*` or `**` argument), or
+    when an attribute store assigns its name on an object other than
+    `self`: `rep.k = 1` sets `k`, `self.k = k` does not. A
+    `field(default_factory=...)` default is a container the program fills,
+    not an option, and is exempt.
+    """
+    calls = _calls(reading)
+    stored = {n.attr for n in _nodes(reading)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+              and not (isinstance(n.value, ast.Name) and n.value.id == "self")}
+    return sorted(f"{cls}.{name}" for cls, declared in _dataclasses(defining)
+                  for index, (name, default) in enumerate(declared)
+                  if default is not None and not _is_factory(default)
+                  and name not in stored and not _passed(calls, cls, name, index))
 
 
 def test_finder_reports_only_unread_definitions():
@@ -181,6 +240,36 @@ def test_parameter_finder_reports_a_default_no_call_passes():
     assert unpassed_parameters([defining], [defining, reading, test_only]) == []
 
 
+def test_default_finder_reports_a_default_only_tests_set():
+    defining = ("from dataclasses import dataclass, field\n"
+                "@dataclass\n"
+                "class Cfg:\n"
+                "    required: int\n"
+                "    by_position: int = 1\n"
+                "    by_keyword: int = 2\n"
+                "    stored: int = 3\n"
+                "    self_stored: int = 4\n"
+                "    test_only: float = 0.5\n"
+                "    items: list = field(default_factory=list)\n"
+                "    def __post_init__(self):\n"
+                "        self.self_stored = 5\n"
+                "@dataclass(frozen=True)\n"
+                "class Opts:\n"
+                "    a: int = 0\n"
+                "    b: int = 0\n"
+                "class Plain:\n"
+                "    hint: int = 0\n")
+    reading = ("c = Cfg(0, 1, by_keyword=2)\n"
+               "c.stored = 3\n"
+               "Opts(**{'a': 1})\n")
+    test_only = "Cfg(0, test_only=1.0)\nc.self_stored = 6\n"
+    assert unset_defaults([defining], [defining, reading]) == \
+        ["Cfg.self_stored", "Cfg.test_only"]
+    assert unset_defaults([defining], [defining, reading, test_only]) == []
+    assert unset_defaults([defining], [defining, "Cfg(*[0, 1, 2, 3, 4, 5])\n"]) == \
+        ["Opts.a", "Opts.b"]
+
+
 def test_every_definition_has_a_caller_outside_tests():
     defining = [p.read_text() for p in DEFINING]
     reading = [p.read_text() for p in READING]
@@ -197,3 +286,9 @@ def test_every_default_parameter_is_passed_outside_tests():
     defining = [p.read_text() for p in DEFINING]
     reading = [p.read_text() for p in READING]
     assert unpassed_parameters(defining, reading) == sorted(ALLOWED_PARAMETERS)
+
+
+def test_every_dataclass_default_is_set_outside_tests():
+    defining = [p.read_text() for p in DEFINING]
+    reading = [p.read_text() for p in READING]
+    assert unset_defaults(defining, reading) == sorted(ALLOWED_DEFAULTS)

@@ -101,8 +101,7 @@ def reference_line_integrals(img, geom):
 PROJECTOR_GEOMS = {
     "180x128": ct.ScanGeometry(),
     "45x64": ct.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5),
-    "7x9": ct.ScanGeometry(n_views=7, n_detectors=9, detector_spacing=3.0,
-                           angular_range=2.0),
+    "7x9": ct.ScanGeometry(n_views=7, n_detectors=9, detector_spacing=3.0),
 }
 
 
@@ -422,7 +421,7 @@ def test_ssim_symmetry():
 # ------------------------------------------------------------------ dataset
 
 def small_cfg(**kw):
-    base = dict(image_size=32, severity=0.2, ratio=0.5, seed=7, test_pairs=2)
+    base = dict(image_size=32, severity=0.2, seed=7, test_pairs=2)
     base.update(kw)
     return ct.SynthConfig(**base)
 
@@ -432,11 +431,16 @@ def small_scan():
 
 
 def test_synth_pool_counts_and_disjoint_provenance():
-    bundle = ct.synthesize_dataset(16, small_scan(), small_cfg(ratio=0.5))
-    assert len(bundle.artifact_pool) == 8
-    assert len(bundle.clean_pool) == 8
-    assert set(bundle.artifact_pool).isdisjoint(bundle.clean_pool)
+    bundle = ct.synthesize_dataset(16, small_scan(), small_cfg())
+    assert ct.UNPAIRED_RATIO == 0.15
+    assert bundle.artifact_pool == [0, 1]  # round(0.15 * 16)
+    assert bundle.clean_pool == list(range(2, 16))
     assert len(bundle.train) == 16 and len(bundle.test) == 2
+    # the artifact pool is clamped to [1, n_pairs - 1]; one pair leaves the
+    # clean pool empty
+    for n, art, clean in ((1, [0], []), (2, [0], [1])):
+        bundle = ct.synthesize_dataset(n, small_scan(), small_cfg(test_pairs=0))
+        assert (bundle.artifact_pool, bundle.clean_pool) == (art, clean)
 
 
 def test_synth_same_seed_is_identical():
@@ -466,10 +470,12 @@ def test_synth_matches_reference_projector(monkeypatch):
 
 
 def test_synth_rejects_bad_args():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one pair"):
         ct.synthesize_dataset(0, small_scan(), small_cfg())
-    with pytest.raises(ValueError):
-        ct.synthesize_dataset(4, small_scan(), small_cfg(ratio=0.0))
+    with pytest.raises(ValueError, match="test pair count must be >= 0, got -3"):
+        ct.synthesize_dataset(3, small_scan(), small_cfg(test_pairs=-3))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ct.synthesize_dataset(3, small_scan(), small_cfg(seed=-1))
 
 
 def test_normalize_denormalize_inverse():

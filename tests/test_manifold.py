@@ -12,7 +12,6 @@ from patchmar.manifold import (KernelConfig, DualVariable, GraphOperators,
                                SolverError, build_patch_set, dirichlet_energy,
                                gaussian_weights, normalize_dual,
                                solve_coordinates)
-from patchmar.networks import GeometryConfig
 
 
 def random_points(rng, m, d):
@@ -33,30 +32,27 @@ def energy_of(u, ops):
 # -------------------------------------------------------------- patch sets
 
 def test_patch_set_counts_for_default_geometry():
-    geom = GeometryConfig(64, 8)
     rng = np.random.default_rng(0)
     img = Tensor(rng.standard_normal((1, 1, 64, 64)).astype(np.float32))
     code = Tensor(rng.standard_normal((1, 64, 8, 8)).astype(np.float32))
-    ps = build_patch_set([img, img], [code, code], geom)
+    ps = build_patch_set([img, img], [code, code])
     assert ps.shape == (2 * 64, 128)
 
 
 def test_patch_set_constant_fields():
-    geom = GeometryConfig(16, 4)
     img = Tensor(np.full((1, 1, 16, 16), 0.5, dtype=np.float32))
     code = Tensor(np.full((1, 16, 4, 4), -1.25, dtype=np.float32))
-    ps = build_patch_set([img], [code], geom)
+    ps = build_patch_set([img], [code])
     expected = np.concatenate([np.full(16, 0.5), np.full(16, -1.25)]).astype(np.float32)
     for row in ps.data:
         assert np.array_equal(row, expected)
 
 
 def test_patch_set_rows_match_direct_slicing():
-    geom = GeometryConfig(32, 4)
     rng = np.random.default_rng(1)
     img = rng.standard_normal((1, 1, 32, 32)).astype(np.float32)
     code = rng.standard_normal((1, 16, 8, 8)).astype(np.float32)
-    ps = build_patch_set([Tensor(img)], [Tensor(code)], geom)
+    ps = build_patch_set([Tensor(img)], [Tensor(code)])
     s, gw = 4, 8
     for i in range(8):
         for j in range(gw):
@@ -68,11 +64,10 @@ def test_patch_set_rows_match_direct_slicing():
 
 
 def test_patch_set_batched_images_keep_input_order():
-    geom = GeometryConfig(8, 4)
     rng = np.random.default_rng(2)
     imgs = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
     codes = rng.standard_normal((3, 16, 2, 2)).astype(np.float32)
-    ps = build_patch_set([Tensor(imgs)], [Tensor(codes)], geom)
+    ps = build_patch_set([Tensor(imgs)], [Tensor(codes)])
     assert ps.shape[0] == 3 * 4
     # second image's first location starts at row 4
     patch = imgs[1, 0, :4, :4].ravel()
@@ -80,21 +75,18 @@ def test_patch_set_batched_images_keep_input_order():
 
 
 def test_patch_set_geometry_mismatch_rejected():
-    geom = GeometryConfig(16, 4)
+    # s comes from the heights, so a code grid whose width is not the
+    # image's gives patch and code rows of different counts
     img = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
     bad_code = Tensor(np.zeros((1, 16, 2, 4), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        build_patch_set([img], [bad_code], geom)
-    with pytest.raises(ShapeError):
-        build_patch_set([Tensor(np.zeros((1, 1, 8, 16), dtype=np.float32))],
-                        [Tensor(np.zeros((1, 16, 2, 4), dtype=np.float32))], geom)
+    with pytest.raises(ShapeError, match="concat: extent mismatch on axis 0: 8 vs 4"):
+        build_patch_set([img], [bad_code])
 
 
 def test_patch_set_is_differentiable_through_both_parts():
-    geom = GeometryConfig(8, 4)
     img = Tensor(np.ones((1, 1, 8, 8), dtype=np.float32), requires_grad=True)
     code = Tensor(np.ones((1, 16, 2, 2), dtype=np.float32), requires_grad=True)
-    ps = build_patch_set([img], [code], geom)
+    ps = build_patch_set([img], [code])
     ad.backward(ad.frobenius_sq(ps))  # gradient 2 * ps = 2 everywhere
     assert np.allclose(img.grad, 2.0)
     assert np.allclose(code.grad, 2.0)
@@ -775,7 +767,7 @@ def ldm_sup_systems():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "solve_coordinates", solve)
-        net = training.build_network(cfg, data.cfg.image_size)
+        net = training.build_network(cfg)
         sched = training.BatchScheduler(*training.make_pools(data), cfg)
         state = training.OptState()
         batch = next(sched.epoch_batches(1))

@@ -6,34 +6,17 @@ import pytest
 
 from patchmar import autodiff as ad
 from patchmar.autodiff import Tensor, ShapeError
-from patchmar.networks import (BranchOutputs, DisentangleNet,
-                               GeometryConfig, NetworkVariant, load_checkpoint,
-                               loss_adn, loss_sup, discriminator_loss,
-                               save_checkpoint)
+from patchmar.networks import (BranchOutputs, DisentangleNet, NetworkVariant,
+                               load_checkpoint, loss_adn, loss_sup,
+                               discriminator_loss, save_checkpoint)
 
 
-def small_geom():
-    return GeometryConfig(32, 4)
+def make_net(variant, seed=0):
+    return DisentangleNet(variant, rng=np.random.default_rng(seed))
 
 
-def make_net(variant, seed=0, geom=None):
-    return DisentangleNet(variant, geom or small_geom(), base_width=4,
-                          rng=np.random.default_rng(seed))
-
-
-def rand_img(rng, geom):
-    return Tensor(rng.uniform(-1, 1, (1, 1, geom.image_size, geom.image_size)).astype(np.float32))
-
-
-# ---------------------------------------------------------------- geometry
-
-def test_geometry_validation():
-    with pytest.raises(ValueError):
-        GeometryConfig(60, 8)
-    with pytest.raises(ValueError):
-        GeometryConfig(64, 6)
-    g = GeometryConfig(64, 8)
-    assert g.code_channels == 64
+def rand_img(rng, n=32):
+    return Tensor(rng.uniform(-1, 1, (1, 1, n, n)).astype(np.float32))
 
 
 # ---------------------------------------------------------- parameter names
@@ -65,7 +48,7 @@ def test_parameter_names_are_attribute_paths(variant):
 def test_paired_variant_has_only_x_hat():
     net = make_net(NetworkVariant.PAIRED)
     rng = np.random.default_rng(1)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     assert net.forward_corrected(x).shape == (1, 1, 32, 32)
     with pytest.raises(ValueError, match="no code layers"):
         net.forward_corrected(x, want_code=True)
@@ -74,11 +57,9 @@ def test_paired_variant_has_only_x_hat():
 
 
 def test_paired_ldm_code_shape_matches_grid():
-    geom = GeometryConfig(64, 8)
-    net = DisentangleNet(NetworkVariant.PAIRED_LDM, geom, base_width=4,
-                         rng=np.random.default_rng(2))
+    net = make_net(NetworkVariant.PAIRED_LDM, seed=2)
     rng = np.random.default_rng(3)
-    out = net.forward(rand_img(rng, geom), rand_img(rng, geom))
+    out = net.forward(rand_img(rng, 64), rand_img(rng, 64))
     assert out.z_x_t.shape == (1, 64, 8, 8)
     assert out.z_y_t.shape == (1, 64, 8, 8)
     assert out.x_hat is not None
@@ -89,7 +70,7 @@ def test_paired_ldm_code_shape_matches_grid():
 def test_paired_ldm_forward_is_its_coded_branch():
     net = make_net(NetworkVariant.PAIRED_LDM, seed=20)
     rng = np.random.default_rng(21)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     out = net.forward(x, y)
     x_hat, z_x = net.forward_corrected(x, want_code=True)
     assert np.array_equal(out.x_hat.data, x_hat.data)
@@ -100,34 +81,34 @@ def test_paired_ldm_forward_is_its_coded_branch():
 def test_unpaired_ldm_populates_all_five_fields():
     net = make_net(NetworkVariant.UNPAIRED_LDM)
     rng = np.random.default_rng(4)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     out = net.forward(x, y)
     for f in ("x_hat", "y_hat", "x_recon", "z_x_t", "z_y_t"):
         assert getattr(out, f) is not None, f
     assert out.x_hat.shape == x.shape
     assert out.y_hat.shape == x.shape
     assert out.x_recon.shape == x.shape
-    assert out.z_x_t.shape == (1, 16, 8, 8)
-
-
-def test_indivisible_extents_rejected_at_construction():
-    with pytest.raises(ValueError):
-        GeometryConfig(30, 4)
+    assert out.z_x_t.shape == (1, 64, 4, 4)
 
 
 def test_wrong_input_extent_rejected_at_forward():
-    small = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
-    with pytest.raises(ShapeError, match="x extent 16x16"):
-        make_net(NetworkVariant.PAIRED).forward_corrected(small)
+    # every extent must be a multiple of the patch size, which the encoders
+    # halve down to one code location per patch
+    net = make_net(NetworkVariant.PAIRED)
+    for shape in ((1, 1, 30, 32), (1, 1, 32, 12), (1, 2, 32, 32), (1, 32, 32)):
+        with pytest.raises(ShapeError, match=r"x must be \[N,1,H,W\] with H and W multiples of 8"):
+            net.forward_corrected(Tensor(np.zeros(shape, dtype=np.float32)))
+    assert net.forward_corrected(Tensor(np.zeros((2, 1, 16, 40), np.float32))).shape == \
+        (2, 1, 16, 40)
     net = make_net(NetworkVariant.UNPAIRED)
-    with pytest.raises(ShapeError, match="y extent 16x16"):
-        net.forward(rand_img(np.random.default_rng(5), net.geom), small)
+    with pytest.raises(ShapeError, match="y must be"):
+        net.forward(rand_img(np.random.default_rng(5)), rand_img(np.random.default_rng(5), 20))
 
 
 def test_forward_is_shape_stable_and_deterministic():
     net = make_net(NetworkVariant.UNPAIRED_LDM)
     rng = np.random.default_rng(6)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     o1 = net.forward(x, y)
     o2 = net.forward(x, y)
     assert np.array_equal(o1.x_hat.data, o2.x_hat.data)
@@ -135,9 +116,7 @@ def test_forward_is_shape_stable_and_deterministic():
 
 
 def test_code_location_tracks_perturbed_patch():
-    geom = GeometryConfig(64, 8)
-    net = DisentangleNet(NetworkVariant.UNPAIRED_LDM, geom, base_width=4,
-                         rng=np.random.default_rng(7))
+    net = make_net(NetworkVariant.UNPAIRED_LDM, seed=7)
     rng = np.random.default_rng(8)
     x = rng.uniform(-0.5, 0.5, (1, 1, 64, 64)).astype(np.float32)
     y = rng.uniform(-0.5, 0.5, (1, 1, 64, 64)).astype(np.float32)
@@ -200,7 +179,7 @@ def test_loss_adn_fixed_point_value():
 def test_loss_adn_matches_component_sum_oracle():
     net = make_net(NetworkVariant.UNPAIRED)
     rng = np.random.default_rng(12)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     out = net.forward(x, y)
     total, terms = loss_adn(net, out, x, y)
     assert list(terms) == ["adv_clean", "adv_art", "recon", "cycle", "artifact"]
@@ -212,7 +191,7 @@ def test_loss_adn_nonnegative_with_nonnegative_weights():
     net = make_net(NetworkVariant.UNPAIRED, seed=13)
     rng = np.random.default_rng(14)
     for _ in range(3):
-        x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+        x, y = rand_img(rng), rand_img(rng)
         total, _ = loss_adn(net, net.forward(x, y), x, y)
         assert float(total.data) >= 0.0
 
@@ -220,7 +199,7 @@ def test_loss_adn_nonnegative_with_nonnegative_weights():
 def test_discriminator_loss_runs_and_detaches():
     net = make_net(NetworkVariant.UNPAIRED)
     rng = np.random.default_rng(16)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     out = net.forward(x, y)
     net.gen_params.zero_grad()
     net.disc_params.zero_grad()
@@ -243,7 +222,7 @@ def _param_arrays(net):
 def test_checkpoint_roundtrip_reproduces_outputs(tmp_path):
     net = make_net(NetworkVariant.UNPAIRED_LDM, seed=17)
     rng = np.random.default_rng(18)
-    x, y = rand_img(rng, net.geom), rand_img(rng, net.geom)
+    x, y = rand_img(rng), rand_img(rng)
     before = net.forward(x, y)
     save_checkpoint(net, tmp_path / "ckpt")
     net2 = load_checkpoint(tmp_path / "ckpt")
@@ -261,11 +240,9 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path, variant, dtype):
     with np.load(tmp_path / "ckpt" / "params.npz") as arrays:
         assert arrays.files == [name for name, _ in net.named_params()]
     with open(tmp_path / "ckpt" / "manifest.json") as f:
-        assert json.load(f) == {"variant": variant.value,
-                                "geometry": {"image_size": 32, "s": 4}, "base_width": 4}
+        assert json.load(f) == {"variant": variant.value}
     net2 = load_checkpoint(tmp_path / "ckpt")
-    assert net2.variant is variant and net2.geom == net.geom
-    assert net2.base_width == net.base_width
+    assert net2.variant is variant
     want, got = _param_arrays(net), _param_arrays(net2)
     assert list(got) == list(want)
     for name, arr in want.items():
@@ -290,7 +267,7 @@ def test_checkpoint_missing_or_extra_parameter_rejected(tmp_path):
 
     save_checkpoint(net, tmp_path / "ckpt")
     _rewrite_params(tmp_path / "ckpt",
-                    lambda a: a.update({"compress_art.bias": np.zeros(16, np.float32)}))
+                    lambda a: a.update({"compress_art.bias": np.zeros(64, np.float32)}))
     with pytest.raises(ValueError, match=r"extra \['compress_art\.bias'\]"):
         load_checkpoint(tmp_path / "ckpt")
 

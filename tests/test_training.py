@@ -8,7 +8,7 @@ import pytest
 from patchmar import autodiff, ctsim, training
 from patchmar.autodiff import ShapeError, Tensor
 from patchmar.manifold import DualVariable, SolverError
-from patchmar.networks import NetworkVariant, discriminator_loss, load_checkpoint
+from patchmar.networks import PATCH_SIZE, NetworkVariant, discriminator_loss, load_checkpoint
 from patchmar.optim import NanGradientError
 
 LDM_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_ldm]
@@ -18,12 +18,12 @@ ADN_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_adn]
 @pytest.fixture(scope="module")
 def bundle():
     geom = ctsim.ScanGeometry(n_views=20, n_detectors=32, detector_spacing=1.5)
-    cfg = ctsim.SynthConfig(image_size=16, ratio=0.5, seed=1, test_pairs=2)
+    cfg = ctsim.SynthConfig(image_size=16, seed=1, test_pairs=2)
     return ctsim.synthesize_dataset(4, geom, cfg)
 
 
 def tiny_cfg(mode, **kw):
-    base = dict(mode=mode, epochs=2, batch_size=2, s=4, base_width=4, seed=5, lr=1e-3)
+    base = dict(mode=mode, epochs=2, batch_size=2, seed=5, lr=1e-3)
     base.update(kw)
     return training.TrainConfig(**base)
 
@@ -51,10 +51,10 @@ def test_config_rejects_non_finite_or_out_of_range_knobs(knob, value):
         training.TrainConfig(**{knob: value})
 
 
-@pytest.mark.parametrize("width", [0, -2])
-def test_config_rejects_base_width_below_one(width):
-    with pytest.raises(ValueError, match="base width"):
-        training.TrainConfig(base_width=width)
+@pytest.mark.parametrize("seed", [-1, -2])
+def test_config_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        training.TrainConfig(seed=seed)
 
 
 # --------------------------------------------------------------- batches
@@ -123,7 +123,7 @@ def test_ldm_mode_at_lambda_zero_trains_as_its_base_mode(bundle, mode):
     assert ldm.state.dual is None
 
     shared = dict(plain.net.gen_params.items())
-    init = dict(training.build_network(cfg, bundle.cfg.image_size).gen_params.items())
+    init = dict(training.build_network(cfg).gen_params.items())
     ldm_only = init.keys() - shared.keys()
     assert ldm_only and all(n.startswith(("enc_clean.", "compress_")) for n in ldm_only)
     for name, p in ldm.net.gen_params.items():
@@ -195,19 +195,19 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     built = []
     inner = training.build_patch_set
 
-    def record(images, codes, geom):
-        ps = inner(images, codes, geom)
+    def record(images, codes):
+        ps = inner(images, codes)
         built.append(ps)
         return ps
 
     monkeypatch.setattr(training, "build_patch_set", record)
-    net = training.build_network(cfg, bundle.cfg.image_size)
+    net = training.build_network(cfg)
     training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
                            cfg.kernel_config())
     assert len(built) == 2
     step, refresh = built
     entries = 1 + int(cfg.uses_adn and cfg.uses_sup)
-    rows = cfg.batch_size * (bundle.cfg.image_size // cfg.s) ** 2
+    rows = cfg.batch_size * (bundle.cfg.image_size // PATCH_SIZE) ** 2
     assert step.shape[0] == 2 * entries * rows
     assert np.array_equal(step.data, refresh.data)
 
@@ -222,8 +222,8 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     build, weights, fresh = (training.build_patch_set, training.gaussian_weights,
                              training._ldm_entries_fresh)
 
-    def record_build(images, codes, geom):
-        points = build(images, codes, geom)
+    def record_build(images, codes):
+        points = build(images, codes)
         refs.append(weakref.ref(points.data))
         return points
 
@@ -239,7 +239,7 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     monkeypatch.setattr(training, "build_patch_set", record_build)
     monkeypatch.setattr(training, "gaussian_weights", record_weights)
     monkeypatch.setattr(training, "_ldm_entries_fresh", check)
-    net = training.build_network(cfg, bundle.cfg.image_size)
+    net = training.build_network(cfg)
     training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
                            cfg.kernel_config())
     assert alive == [False, False, False]
@@ -252,7 +252,7 @@ def _graph_free(t):
 @pytest.mark.parametrize("mode", LDM_MODES)
 def test_dual_refresh_builds_no_graph_and_keeps_values(bundle, mode):
     cfg = tiny_cfg(mode)
-    net = training.build_network(cfg, bundle.cfg.image_size)
+    net = training.build_network(cfg)
     batch = first_batch(bundle, cfg)
     images, codes = training._ldm_entries_fresh(net, batch, cfg)
     # the same forward passes with the graph built
@@ -272,7 +272,7 @@ def test_dual_refresh_builds_no_graph_and_keeps_values(bundle, mode):
 
 
 def test_evaluate_pairs_forward_builds_no_graph(bundle, monkeypatch):
-    net = training.build_network(tiny_cfg("Sup"), bundle.cfg.image_size)
+    net = training.build_network(tiny_cfg("Sup"))
     outs = []
     inner = net.forward_corrected
 
@@ -296,7 +296,7 @@ def test_discriminator_step_sees_only_the_discriminator_loss(bundle, mode, monke
     # With lr = 0 the step keeps the weights, so the discriminator loss can
     # be recomputed afterwards at the weights the step used.
     cfg = tiny_cfg(mode, lr=0.0)
-    net = training.build_network(cfg, bundle.cfg.image_size)
+    net = training.build_network(cfg)
     seen = {}
     inner = training.adam_step
 
@@ -343,8 +343,8 @@ def _inject(failure, net, monkeypatch):
         inner_build = training.build_patch_set
         value = np.nan if failure == "nan_patch_set" else np.inf
 
-        def build(images, codes, geom):
-            points = inner_build(images, codes, geom)
+        def build(images, codes):
+            points = inner_build(images, codes)
             points.data[3, 5] = value
             return points
 
@@ -368,7 +368,7 @@ def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     cfg = tiny_cfg("LDM-DN-Sup")
     unpaired, paired = training.make_pools(bundle)
     good, bad = list(training.BatchScheduler(unpaired, paired, cfg).epoch_batches(1))[:2]
-    net = training.build_network(cfg, bundle.cfg.image_size)
+    net = training.build_network(cfg)
     state = training.OptState()
     training.training_step(net, good, state, cfg, cfg.kernel_config())
     before = _snapshot(net, state)
@@ -396,7 +396,7 @@ def test_evaluate_pairs_one_finite_row_per_pair(bundle):
 
 def test_evaluate_pairs_peak_is_the_clean_range(bundle):
     # a constant clean image has no range, so its peak falls back to 1.0
-    net = training.build_network(tiny_cfg("Sup"), bundle.cfg.image_size)
+    net = training.build_network(tiny_cfg("Sup"))
     amax = bundle.cfg.amax
     ref = bundle.test[0]
     flat = ctsim.SynthPair(index=99, artifact=ref.artifact,
@@ -429,7 +429,7 @@ MiB = 2 ** 20
 @pytest.fixture(scope="module")
 def bundle64():
     geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
-    return ctsim.synthesize_dataset(16, geom, ctsim.SynthConfig(seed=1, ratio=0.5, test_pairs=0))
+    return ctsim.synthesize_dataset(16, geom, ctsim.SynthConfig(seed=1, test_pairs=0))
 
 
 def _after_one_step(bundle, mode, batch_size):
@@ -437,7 +437,7 @@ def _after_one_step(bundle, mode, batch_size):
     step has been taken, so Adam's moments and the dual already exist."""
     cfg = training.TrainConfig(mode=mode, batch_size=batch_size, lr=1e-3)
     batches = training.BatchScheduler(*training.make_pools(bundle), cfg).epoch_batches(1)
-    net = training.build_network(cfg, bundle.cfg.image_size)
+    net = training.build_network(cfg)
     state = training.OptState()
     training.training_step(net, next(batches), state, cfg, cfg.kernel_config())
     return cfg, net, state, next(batches)
