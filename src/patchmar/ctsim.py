@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeError
+from .networks import PATCH_SIZE
 
 
 @dataclass(frozen=True)
@@ -390,6 +391,14 @@ class SynthConfig:
     amax: float = 1.0
     seed: int = 0
     test_pairs: int = 8
+
+    def __post_init__(self):
+        # the images feed the network, whose encoders halve each extent down
+        # to one code location per patch; reject a size they cannot take
+        # before minutes of synthesis rather than at the first forward
+        if self.image_size < PATCH_SIZE or self.image_size % PATCH_SIZE:
+            raise ValueError(f"image size must be a positive multiple of {PATCH_SIZE}, "
+                             f"got {self.image_size}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 
 from patchmar import autodiff as ad
 from patchmar.autodiff import Tensor, ShapeError
+from patchmar.ctsim import SynthConfig
 from patchmar.networks import (BranchOutputs, DisentangleNet, NetworkVariant,
                                load_checkpoint, loss_adn, loss_sup,
                                discriminator_loss, save_checkpoint)
@@ -89,6 +90,15 @@ def test_unpaired_ldm_populates_all_five_fields():
     assert out.y_hat.shape == x.shape
     assert out.x_recon.shape == x.shape
     assert out.z_x_t.shape == (1, 64, 4, 4)
+
+
+def test_indivisible_extents_rejected_at_construction():
+    # a dataset is synthesized for the network, so an image size that is not
+    # a multiple of the patch size fails in SynthConfig, before synthesis
+    for size in (0, 4, 20, 30):
+        with pytest.raises(ValueError, match=f"multiple of 8, got {size}"):
+            SynthConfig(image_size=size)
+    assert SynthConfig(image_size=16).image_size == 16
 
 
 def test_wrong_input_extent_rejected_at_forward():
