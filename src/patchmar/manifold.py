@@ -10,12 +10,17 @@ same operator with W replaced by a Nystrom approximation from ceil(sqrt(m))
 landmark rows, applied through the Woodbury identity. W and its row sums
 D are the only stored graph: the Laplacian and the system matrix
 L + mu_bar * W = D - (1 - mu_bar) * W are applied from them, never assembled.
+W is symmetric, so `GraphOperators` keeps only two blocks that cover its
+upper half, W[:h, :h] and W[:, h:] with h about m / 2 (0.75 m^2 weights),
+and every product with W is three GEMMs over them; packed symmetric
+storage can stay on BLAS-3 this way (Gustavson et al., ACM TOMS 2010, on
+the rectangular full packed format).
 CG runs on U^T: W is symmetric bit for bit, so X^T W is exactly (W X)^T, and
 OpenBLAS writes that wide (k, m) product ~25% faster. Transposes are views.
-W is built from blockwise GEMM-form distances in one sweep, which packs
-them at the front of W's own buffer: the bandwidth median is one partition
-of a copy placed right behind them, and the exponentiation unpacks them
-into weights in place. That buffer is the only m x m array allocated.
+W is built from blockwise GEMM-form distances, copied into the two blocks.
+The bandwidth median is one partition of the pair distances as float32
+keys, then one of the few float64 distances whose keys bracket the middle
+ranks; the exponentiation then turns the blocks into weights in place.
 The Dirichlet energy of the points, sum_cols p^T L p
 (= sum_{i<j} w_ij ||p_i - p_j||^2), normalized by the point count, serves as
 the manifold-dimension diagnostic; it is summed from the same distances as
@@ -57,32 +62,68 @@ class KernelConfig:
 class GraphOperators:
     """Symmetric weights W and their row sums D over one patch set.
 
+    W is held as two blocks that cover its upper half: w_top = W[:h, :h]
+    and w_right = W[:, h:], with h = floor(m / 2) rounded down to whole
+    64-row blocks (so m < 128 keeps one block, h = 0). Together they hold
+    0.75 m^2 weights; the strict lower-left block W[h:, :h] is the view
+    w_right[:h].T. Every read of W goes through `matmul`, `apply` or `rows`.
+
     The Laplacian L = D - W is never stored; `apply` multiplies by it and by
     the other operators of the form D - c * W. energy is the points'
     Dirichlet energy, which `gaussian_weights` sums with the weights; the
     kernel bandwidth is internal to that function.
     """
 
-    w: np.ndarray
+    w_top: np.ndarray
+    w_right: np.ndarray
     degrees: np.ndarray
     energy: float
 
     @property
     def m(self):
-        return self.w.shape[0]
+        return self.w_right.shape[0]
+
+    def matmul(self, x, out=None, scratch=None):
+        """x @ W for a (k, m) block x, by three GEMMs over the blocks:
+        x @ w_right gives the columns h:, and x[:, :h] @ w_top plus
+        x[:, h:] @ w_right[:h].T the columns :h.
+
+        `out` receives the product and `scratch`'s first h columns the
+        second term of the columns :h; either may be omitted. Given, each is
+        a (k, m) float64 block disjoint from x and the other.
+        """
+        h = self.w_top.shape[0]
+        if out is None:
+            out = np.empty((x.shape[0], self.m))
+        np.matmul(x, self.w_right, out=out[:, h:])
+        if h:
+            np.matmul(x[:, :h], self.w_top, out=out[:, :h])
+            out[:, :h] += np.matmul(x[:, h:], self.w_right[:h].T,
+                                    out=None if scratch is None else scratch[:, :h])
+        return out
 
     def apply(self, x, c, out=None, scratch=None):
         """x D - c * (x @ W) for a (k, m) block x, one row per signal: that is
         ((D - c * W) x^T)^T, since W is symmetric. c = 1 applies the Laplacian.
 
-        `out` receives the product and `scratch` holds x D; either may be
-        omitted. Given, each is a (k, m) float64 block disjoint from x and
-        the other.
+        `out` receives the product and `scratch` holds `matmul`'s partial
+        product, then x D; either may be omitted. Given, each is a (k, m)
+        float64 block disjoint from x and the other.
         """
-        wx = np.matmul(x, self.w, out=out)
+        wx = self.matmul(x, out, scratch)
         wx *= c
         dx = np.multiply(x, self.degrees, out=scratch)
         return np.subtract(dx, wx, out=wx)
+
+    def rows(self, idx):
+        """W[idx] for a 1-D integer array of row indices, as a new array."""
+        h = self.w_top.shape[0]
+        out = np.empty((len(idx), self.m))
+        out[:, h:] = self.w_right[idx]
+        top = idx < h
+        out[top, :h] = self.w_top[idx[top]]
+        out[~top, :h] = self.w_right[:h, idx[~top] - h].T
+        return out
 
 
 @dataclass
@@ -144,8 +185,9 @@ def build_patch_set(images, codes):
     return concat(row_blocks, axis=0)
 
 
-# Rows per block of gaussian_weights' sweep: each block's scratch is one
-# _BLOCK_ROWS x m array next to W.
+# Rows per block of gaussian_weights' passes: each of its two block
+# scratches is one _BLOCK_ROWS x m array, and the top block of W spans whole
+# blocks, so no block of rows straddles the split.
 _BLOCK_ROWS = 64
 
 
@@ -172,30 +214,35 @@ def gaussian_weights(points):
     infinite entry, or a squared norm past a quarter of the float64 maximum
     (so that some distance would overflow), raises ValueError. The bandwidth
     t is median(squared pairwise distance) / 4, or 1 when that is not
-    positive or there is no pair; it is internal. Squared distances take
-    the GEMM form over blocks of 64 rows (see `_block_sq_dists`), swept once
-    over the upper triangle into W's own buffer:
+    positive or there is no pair; it is internal. W is returned as the two
+    blocks of `GraphOperators`, built in three passes over 64-row blocks:
 
-    1. pack: after its block's sweep, each row i moves its pair distances
-       w[i, i+1:] to flat offset i * m - i * (i + 1) / 2, so the
-       n = m (m - 1) / 2 pair distances end up at the front of the buffer.
-       A row only moves toward the front: it never overwrites a row that
-       is not yet packed;
-    2. median: a copy of them goes right behind them (2n = m^2 - m fits),
-       and one partition of the copy picks the middle ranks, as np.median;
-    3. unpack: the blocks, and each block's rows, go in reverse, each row
-       back to w[i, i+1:]. A row only moves toward the back: it never lands
-       on a packed row still to be read, and a block's mirror writes only
-       rows that are done. Each block's tile on and below the diagonal is
-       set to 0 (so w_ii = exp(0) = 1, adding nothing to the energy), and
-       the block is copied to scratch, exponentiated in place and mirrored
-       below the diagonal. The copy times the weights sums, block sums
-       added in forward order, to the points' Dirichlet energy
+    1. distances: one `_block_sq_dists` GEMM per block of rows i0:i1 (to
+       the columns i0:) goes into a block scratch and is copied into the
+       two blocks;
+    2. median: the n = m (m - 1) / 2 pair distances i < j are copied, as
+       float32 keys, into one array, and one partition picks the middle
+       ranks. Rounding to float32 is monotone, so the float64 distances at
+       those ranks are among the band whose keys lie in [key_lo, key_hi].
+       One pass over the blocks counts the distances whose key is below
+       key_lo and gathers the band, which one more partition ranks: the
+       median equals np.median's. A band whose float64 values are all equal
+       (such as a duplicate majority's zero median) is that value and is
+       not gathered;
+    3. weights: in forward order, each block's distances are copied to
+       scratch, its tile on and below the diagonal set to 0 (so
+       w_ii = exp(0) = 1, adding nothing to the energy), and exponentiated
+       into a block of full rows. The distances times the weights sum,
+       block sums added in forward order, to the points' Dirichlet energy
        sum_{i<j} w_ij ||p_i - p_j||^2 / m, which `dirichlet_energy` returns.
+       The tile's lower triangle is mirrored from its upper one, the rows'
+       columns :i0 come from the blocks above, each full row is summed to
+       its degree, and the rows are written back to the blocks.
 
     So W is symmetric bit for bit, and its diagonal is exactly exp(0) = 1.
-    Degrees are row sums. W's buffer is the only m x m array; the rest is
-    O(m) plus one block of scratch.
+    The blocks (0.75 m^2 doubles) and, during the median, the keys
+    (0.25 m^2 doubles' worth) are the only large arrays; the rest is O(m),
+    two blocks of scratch and the band.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
@@ -211,53 +258,99 @@ def gaussian_weights(points):
     if bad.size:
         raise ValueError(f"points must be finite, with squared norms at most a quarter "
                          f"of the float64 maximum; rows {bad[:8].tolist()} are not")
-    w = np.empty((m, m))
-    flat = w.reshape(-1)
-    scratch = np.empty(min(_BLOCK_ROWS, m) * m)
+    h = m // 2 // _BLOCK_ROWS * _BLOCK_ROWS
+    w_top, w_right = np.empty((h, h)), np.empty((m, m - h))
+    rows = min(_BLOCK_ROWS, m)
     blocks = [(i0, min(i0 + _BLOCK_ROWS, m)) for i0 in range(0, m, _BLOCK_ROWS)]
+    # a block's tile on and below the diagonal, which holds no pair i < j
+    tri = np.tri(rows, dtype=bool)
 
-    def packed(i):  # where row i's pair distances w[i, i+1:] lie once packed
-        k = i * m - i * (i + 1) // 2
-        return flat[k:k + m - 1 - i]
+    def stored(i0, i1, c0, c1):  # W[i0:i1, c0:c1], for c1 <= h (so i1 <= h) or c0 >= h
+        return w_top[i0:i1, c0:c1] if c1 <= h else w_right[i0:i1, c0 - h:c1 - h]
 
+    def upper(i0):  # the column spans of W[i0:i1, i0:], each inside one block
+        return [(i0, h), (h, m)] if i0 < h else [(i0, m)]
+
+    def pairs(i0, i1):  # the distances w_ij, j > i, of rows i0:i1
+        yield stored(i0, i1, i0, i1)[~tri[:i1 - i0, :i1 - i0]]
+        for c0, c1 in upper(i0):
+            if max(c0, i1) < c1:
+                yield stored(i0, i1, max(c0, i1), c1)
+
+    scratch, tmp = np.empty(rows * m), np.empty(rows * m)
     for i0, i1 in blocks:
-        out = w[i0:i1, i0:]
-        _block_sq_dists(pts, norms, i0, i1, out, scratch[:out.size].reshape(out.shape))
-        for i in range(i0, i1):
-            packed(i)[:] = w[i, i + 1:]
+        sq = scratch[:(i1 - i0) * (m - i0)].reshape(i1 - i0, m - i0)
+        _block_sq_dists(pts, norms, i0, i1, sq, tmp[:sq.size].reshape(sq.shape))
+        for c0, c1 in upper(i0):
+            stored(i0, i1, c0, c1)[...] = sq[:, c0 - i0:c1 - i0]
+    del scratch, tmp  # out of the way of the keys
 
     n, t = m * (m - 1) // 2, 0.0
     if n:
-        part = flat[n:2 * n]
-        part[:] = flat[:n]
-        part.partition(n // 2)
-        med = float(part[n // 2])
-        if n % 2 == 0:
-            med = (float(part[:n // 2].max()) + med) / 2.0
-        t = med / 4.0
+        # the middle ranks are hi and, for even n, hi - 1: one partition at
+        # hi and the largest value below it, as np.median takes them (a
+        # partition at both ranks misses numpy's fast single-rank path)
+        hi = n // 2
+        keys, k = np.empty(n, dtype=np.float32), 0
+        with np.errstate(over="ignore"):  # a distance past the float32 range keys as inf
+            for i0, i1 in blocks:
+                for p in pairs(i0, i1):
+                    keys[k:k + p.size].reshape(p.shape)[...] = p
+                    k += p.size
+        keys.partition(hi)
+        key_hi = keys[hi]
+        key_lo = keys[:hi].max() if n % 2 == 0 else key_hi
+        del keys
+        below, band, first, seen = 0, [], None, 0
+        for i0, i1 in blocks:
+            for p in pairs(i0, i1):
+                with np.errstate(over="ignore"):
+                    key = p.astype(np.float32)
+                below += np.count_nonzero(key < key_lo)
+                vals = p[(key >= key_lo) & (key <= key_hi)]
+                if vals.size:
+                    if first is None:
+                        first = vals[0]
+                    if band or (vals != first).any():
+                        if not band:  # the band values so far all equal first
+                            band.append(np.full(seen, first))
+                        band.append(vals)
+                    seen += vals.size
+        if band:
+            band = np.concatenate(band)
+            rank = hi - below
+            band.partition(rank)
+            x_hi = float(band[rank])
+            x_lo = float(band[:rank].max()) if n % 2 == 0 else x_hi
+        else:
+            x_lo = x_hi = float(first)
+        t = (x_hi if n % 2 else (x_lo + x_hi) / 2.0) / 4.0
     t = t if t > 0.0 else 1.0  # no pair, a zero median, or one whose quarter underflows
 
-    # a block's tile on and below the diagonal, which holds no pair i < j
-    tri = np.tri(min(_BLOCK_ROWS, m), dtype=bool)
-    sums = []
-    for i0, i1 in reversed(blocks):
-        for i in range(i1 - 1, i0 - 1, -1):
-            w[i, i + 1:] = packed(i)
+    degrees, energy = np.empty(m), 0.0
+    scratch, full = np.empty(rows * m), np.empty((rows, m))
+    for j, (i0, i1) in enumerate(blocks):
         b = i1 - i0
-        out = w[i0:i1, i0:]
-        np.copyto(out[:, :b], 0.0, where=tri[:b, :b])
-        sq = scratch[:out.size].reshape(out.shape)
-        np.copyto(sq, out)
-        out /= -4.0 * t
-        np.exp(out, out=out)
-        sq *= out
-        sums.append(float(sq.sum()))
-        w[i1:, i0:i1] = out[:, b:].T
-        np.copyto(out[:, :b], out[:, :b].T, where=tri[:b, :b])
-    energy = 0.0
-    for s in reversed(sums):
-        energy += s
-    return GraphOperators(w=w, degrees=w.sum(axis=1), energy=energy / m)
+        sq = scratch[:b * (m - i0)].reshape(b, m - i0)
+        for c0, c1 in upper(i0):
+            sq[:, c0 - i0:c1 - i0] = stored(i0, i1, c0, c1)
+        np.copyto(sq[:, :b], 0.0, where=tri[:b, :b])
+        f = full[:b]
+        wts = f[:, i0:]
+        np.divide(sq, -4.0 * t, out=wts)
+        np.exp(wts, out=wts)
+        sq *= wts
+        energy += float(sq.sum())
+        np.copyto(wts[:, :b], wts[:, :b].T, where=tri[:b, :b])
+        # the columns :i0 from the rows above, one tile at a time: a single
+        # transposed copy of them all reads across pages and took ~5x as long
+        for r0, r1 in blocks[:j]:
+            f[:, r0:r1] = stored(r0, r1, i0, i1).T
+        degrees[i0:i1] = f.sum(axis=1)
+        if i0 < h:
+            w_top[i0:i1] = f[:, :h]
+        w_right[i0:i1] = f[:, h:]
+    return GraphOperators(w_top=w_top, w_right=w_right, degrees=degrees, energy=energy / m)
 
 
 def _nystrom_preconditioner(ops, c):
@@ -283,7 +376,7 @@ def _nystrom_preconditioner(ops, c):
     m = ops.m
     r = math.isqrt(m - 1) + 1
     idx = np.sort(np.random.default_rng(0).permutation(m)[:r])
-    w_s = ops.w[idx]
+    w_s = ops.rows(idx)
     w_ss = w_s[:, idx]
     w_ss[np.diag_indices(r)] += r * r * np.finfo(np.float64).eps
     # an explicit r x r inverse times the r x m block: np.linalg.solve with
@@ -368,7 +461,10 @@ def solve_coordinates(ops, v, cfg):
 
     v is an (m, k) block, k >= 1, C- or F-ordered. CG runs on (k, m) blocks
     from b = mu_bar * (v^T W), v^T a view; u is the F-ordered (m, k) view of
-    the (k, m) solution.
+    the (k, m) solution. W is read only through `ops`: each product is
+    `GraphOperators.matmul`'s three GEMMs over the two blocks, which round
+    differently from one dense GEMM (U moves by ~1e-16 relative), and the
+    preconditioner's landmark rows come from `GraphOperators.rows`.
     """
     v = np.asarray(v, dtype=np.float64)
     m = ops.m
@@ -380,7 +476,7 @@ def solve_coordinates(ops, v, cfg):
         raise SolverError(np.nan, 0)
     if (ops.degrees - c <= 0.0).any():  # the diagonal of A; w_ii = 1
         raise SolverError(np.inf, 0)
-    b = v.T @ ops.w
+    b = ops.matmul(v.T)
     b *= cfg.mu_bar
     bnorm = np.linalg.norm(b, axis=1)
     if not np.isfinite(bnorm).all():  # a NaN norm would pass as converged

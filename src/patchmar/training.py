@@ -336,7 +336,8 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
         graph = gaussian_weights(p_now)
         if dual is None:  # every batch has the same size, so the shape holds
             dual = DualVariable(values=np.zeros_like(p_now))
-        solved = solve_coordinates(graph, p_now - dual.values, kcfg)
+        p_now -= dual.values  # P is not read again
+        solved = solve_coordinates(graph, p_now, kcfg)
         rep.dirichlet_energy = dirichlet_energy(graph)
         del graph  # the backward passes do not need W
         u = solved.u

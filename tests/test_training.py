@@ -229,7 +229,7 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
 
     def record_weights(points):
         ops = weights(points)
-        refs.extend([weakref.ref(points), weakref.ref(ops.w)])
+        refs.extend([weakref.ref(points), weakref.ref(ops.w_top), weakref.ref(ops.w_right)])
         return ops
 
     def check(*args):
@@ -242,7 +242,7 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     net = training.build_network(cfg)
     training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
                            cfg.kernel_config())
-    assert alive == [False, False, False]
+    assert alive == [False] * 4
 
 
 def _graph_free(t):
@@ -419,9 +419,10 @@ def test_evaluate_pairs_peak_is_the_clean_range(bundle):
 
 # ------------------------------------------------------------ graph memory
 # tracemalloc counts every numpy buffer, so these byte counts repeat exactly
-# for a given numpy. Each bound lies between the value measured when each
-# layer kept its conv, bias and activation outputs as three arrays and the
-# value now, with one array per layer.
+# for a given numpy. The graph bound lies between the value measured when
+# each layer kept its conv, bias and activation outputs as three arrays and
+# the value now, with one array per layer; the step bounds lie between the
+# value with a dense m x m W and the value now, with W in two blocks.
 
 MiB = 2 ** 20
 
@@ -460,8 +461,8 @@ def test_paired_ldm_forward_graph_memory(bundle64):
 
 
 @pytest.mark.parametrize("mode,batch_size,bound_mib", [
-    ("LDM-Sup", 8, 31),     # 37.2 MiB with three arrays per layer, 25.7 MiB now
-    ("LDM-DN-Sup", 4, 45),  # 57.1 MiB with three arrays per layer, 33.3 MiB now
+    ("LDM-Sup", 8, 24.5),   # 25.7 MiB with a dense W, 23.1 MiB now
+    ("LDM-DN-Sup", 4, 32),  # 33.3 MiB with a dense W, 30.4 MiB now
 ], ids=["LDM-Sup-b8", "LDM-DN-Sup-b4"])
 def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
     cfg, net, state, batch = _after_one_step(bundle64, mode, batch_size)
