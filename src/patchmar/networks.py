@@ -38,9 +38,10 @@ Parameters are float32 (`autodiff.DEFAULT_DTYPE`).
 
 The architecture is fixed by two constants: PATCH_SIZE (the paper's s = 8)
 sets log2(s) = 3 halvings per encoder and s^2 = 64 code channels, and
-BASE_WIDTH = 8 is the stem's channel count, doubled by each halving. Inputs
-are [N,1,H,W] with H and W multiples of s, each code location covering one
-s x s patch.
+BASE_WIDTH = 8 is the stem's channel count, doubled by each halving (a 4x4
+stride-2 conv) to 64 latent channels. The builders read both constants, and
+the decoders' up-path is 4x4 stride-2 transposed convs. Inputs are [N,1,H,W]
+with H and W multiples of s, each code location covering one s x s patch.
 
 On-disk checkpoint (`save_checkpoint` / `load_checkpoint`): `manifest.json`
 holds one key, the `variant` value, since the variant alone fixes the
@@ -67,6 +68,7 @@ from .optim import ParameterStore
 PATCH_SIZE = 8
 BASE_WIDTH = 8
 _N_DOWN = int(math.log2(PATCH_SIZE))
+_LATENT_WIDTH = BASE_WIDTH << _N_DOWN  # the encoders' output channels
 
 
 class NetworkVariant(enum.Enum):
@@ -149,31 +151,29 @@ class _Conv(_Module):
 
 
 class _ConvT(_Module):
-    def __init__(self, cin, cout, k, stride, pad, rng):
-        std = _he_std(cin * k * k / (stride * stride))
-        self.kernel = _param(rng.normal(0.0, std, (cin, cout, k, k)))
+    def __init__(self, cin, cout, rng):
+        # the up-path's 4x4 stride-2 transposed conv: each output sums
+        # cin * 4 * 4 / 2**2 inputs
+        std = _he_std(cin * 4)
+        self.kernel = _param(rng.normal(0.0, std, (cin, cout, 4, 4)))
         self.bias = _param(np.zeros(cout))
-        self.stride = stride
-        self.pad = pad
 
     def __call__(self, x):
-        return ad.bias_act(
-            ad.conv_transpose2d(x, self.kernel, stride=self.stride, padding=self.pad),
-            self.bias, "leaky_relu")
+        return ad.bias_act(ad.conv_transpose2d(x, self.kernel, stride=2, padding=1),
+                           self.bias, "leaky_relu")
 
 
 class _Encoder(_Module):
-    """Stem conv + n_down stride-2 convs; returns latent and skip features."""
+    """Stem conv + _N_DOWN stride-2 convs; returns latent and skip features."""
 
-    def __init__(self, width, n_down, rng):
-        self.stem = _Conv(1, width, 3, 1, 1, "leaky_relu", rng)
+    def __init__(self, rng):
+        self.stem = _Conv(1, BASE_WIDTH, 3, 1, 1, "leaky_relu", rng)
         self.downs = []
-        c = width
-        for _ in range(n_down):
+        c = BASE_WIDTH
+        for _ in range(_N_DOWN):
             # 4x4 stride-2 halving keeps receptive-field centers on patch centers
             self.downs.append(_Conv(c, 2 * c, 4, 2, 1, "leaky_relu", rng))
             c *= 2
-        self.latent_channels = c
 
     def __call__(self, x):
         f = self.stem(x)
@@ -185,13 +185,13 @@ class _Encoder(_Module):
 
 
 class _CleanDecoder(_Module):
-    """n_down transposed convs + output conv with tanh; optional additive skips."""
+    """_N_DOWN transposed convs + output conv with tanh; optional additive skips."""
 
-    def __init__(self, width, n_down, rng):
+    def __init__(self, rng):
         self.ups = []
-        c = width * (2 ** n_down)
-        for _ in range(n_down):
-            self.ups.append(_ConvT(c, c // 2, 4, 2, 1, rng))
+        c = _LATENT_WIDTH
+        for _ in range(_N_DOWN):
+            self.ups.append(_ConvT(c, c // 2, rng))
             c //= 2
         self.out = _Conv(c, 1, 3, 1, 1, "tanh", rng)
 
@@ -208,10 +208,10 @@ class _ArtifactDecoder(_CleanDecoder):
     """Fuses content and artifact latents, then decodes them to an
     artifact-bearing image on the clean decoder's up-path, without skips."""
 
-    def __init__(self, width, n_down, rng):
-        c = width * (2 ** n_down)
-        self.fuse = _Conv(2 * c, c, 3, 1, 1, "leaky_relu", rng)  # first in parameter and RNG draw order
-        super().__init__(width, n_down, rng)
+    def __init__(self, rng):
+        # first in parameter and RNG draw order
+        self.fuse = _Conv(2 * _LATENT_WIDTH, _LATENT_WIDTH, 3, 1, 1, "leaky_relu", rng)
+        super().__init__(rng)
 
     def __call__(self, content, artifact):
         f = self.fuse(ad.concat([content, artifact], axis=1))
@@ -221,10 +221,10 @@ class _ArtifactDecoder(_CleanDecoder):
 class Discriminator(_Module):
     """Three strided convs ending in a patch logit map (LSGAN, no sigmoid)."""
 
-    def __init__(self, width, rng):
-        self.c1 = _Conv(1, width, 4, 2, 1, "leaky_relu", rng)
-        self.c2 = _Conv(width, 2 * width, 4, 2, 1, "leaky_relu", rng)
-        self.c3 = _Conv(2 * width, 1, 3, 1, 1, None, rng)
+    def __init__(self, rng):
+        self.c1 = _Conv(1, BASE_WIDTH, 4, 2, 1, "leaky_relu", rng)
+        self.c2 = _Conv(BASE_WIDTH, 2 * BASE_WIDTH, 4, 2, 1, "leaky_relu", rng)
+        self.c3 = _Conv(2 * BASE_WIDTH, 1, 3, 1, 1, None, rng)
 
     def __call__(self, img):
         return self.c3(self.c2(self.c1(img)))
@@ -235,10 +235,8 @@ class DisentangleNet(_Module):
 
     def __init__(self, variant, rng):
         self.variant = variant
-        width, n_down = BASE_WIDTH, _N_DOWN
-
-        self.enc_art_content = _Encoder(width, n_down, rng)
-        self.dec_clean = _CleanDecoder(width, n_down, rng)
+        self.enc_art_content = _Encoder(rng)
+        self.dec_clean = _CleanDecoder(rng)
         self.enc_clean = None
         self.enc_artifact = None
         self.dec_artifact = None
@@ -246,19 +244,17 @@ class DisentangleNet(_Module):
         self.compress_clean = None
         self.d_clean = None
         self.d_art = None
-
-        latent_c = self.enc_art_content.latent_channels
         if variant.is_unpaired or variant is NetworkVariant.PAIRED_LDM:
-            self.enc_clean = _Encoder(width, n_down, rng)
+            self.enc_clean = _Encoder(rng)
         if variant.is_unpaired:
-            self.enc_artifact = _Encoder(width, n_down, rng)
-            self.dec_artifact = _ArtifactDecoder(width, n_down, rng)
-            self.d_clean = Discriminator(width, rng)
-            self.d_art = Discriminator(width, rng)
+            self.enc_artifact = _Encoder(rng)
+            self.dec_artifact = _ArtifactDecoder(rng)
+            self.d_clean = Discriminator(rng)
+            self.d_art = Discriminator(rng)
         if variant.has_codes:
             code_c = PATCH_SIZE * PATCH_SIZE
-            self.compress_art = _Conv(latent_c, code_c, 1, 1, 0, None, rng)
-            self.compress_clean = _Conv(latent_c, code_c, 1, 1, 0, None, rng)
+            self.compress_art = _Conv(_LATENT_WIDTH, code_c, 1, 1, 0, None, rng)
+            self.compress_clean = _Conv(_LATENT_WIDTH, code_c, 1, 1, 0, None, rng)
 
         self.gen_params = ParameterStore()
         self.disc_params = ParameterStore() if variant.is_unpaired else None

@@ -35,7 +35,7 @@ The objective's normalisation, as the code runs it:
 - Each penalised step runs one solve, one Adam step and one graph-free
   refresh.
 - The dual is one m x d array, min-max normalised jointly over all its
-  entries into [0, 1]. `BatchScheduler` reshuffles every epoch, so row i
+  entries into [0, 1]. `epoch_batches` reshuffles every epoch, so row i
   belongs to another image and branch from one step to the next.
 - At lambda = 0 no solve or dual runs, and LDM-X trains as X bit for bit
   (tested).
@@ -65,10 +65,6 @@ from .networks import (DisentangleNet, NetworkVariant, discriminator_loss, loss_
 from .optim import adam_step, check_grads
 
 MODES = ("Sup", "LDM-Sup", "ADN", "LDM-DN", "ADN-Sup", "LDM-DN-Sup")
-
-
-class PoolError(ValueError):
-    """A pool required by the training mode is empty."""
 
 
 @dataclass
@@ -172,51 +168,39 @@ def report_row(rep):
 # ---------------------------------------------------------------------------
 # batch scheduling
 
-class BatchScheduler:
-    """Seeded epoch shuffles over the pools a mode requires.
+def epoch_batches(pools, cfg, epoch):
+    """Yield one epoch's batches from make_pools' ((artifact, clean), (x, gt)).
 
-    An epoch is ceil(max(active pool sizes) / bs) steps; shorter pools cycle
+    Each pool the mode draws from is shuffled by a permutation seeded from
+    (seed, 7, epoch), drawn in the order artifact, clean, paired. An epoch
+    is ceil(max(drawn pool sizes) / batch size) steps; shorter pools cycle
     through their permutation so every step carries one sample from each
-    active pool.
+    drawn pool. An empty drawn pool raises ValueError when the first batch
+    is asked for.
     """
+    (art_pool, clean_pool), (x_pool, gt_pool) = pools
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch]))
+    perms = {}
+    if cfg.uses_adn:
+        if not len(art_pool) or not len(clean_pool):
+            raise ValueError(f"mode {cfg.mode} requires non-empty unpaired pools")
+        perms["art"] = rng.permutation(len(art_pool))
+        perms["clean"] = rng.permutation(len(clean_pool))
+    if cfg.uses_sup:
+        if not len(x_pool):
+            raise ValueError(f"mode {cfg.mode} requires a non-empty paired pool")
+        perms["paired"] = rng.permutation(len(x_pool))
+    bs = cfg.batch_size
 
-    def __init__(self, unpaired_pools, paired_pool, cfg):
-        self.cfg = cfg
-        self.art_pool = self.clean_pool = self.x_pool = self.gt_pool = None
+    for step in range(math.ceil(max(map(len, perms.values())) / bs)):
+        idx = np.arange(step * bs, (step + 1) * bs)
+        pick = {k: p[idx % len(p)] for k, p in perms.items()}
+        b = Batch()
         if cfg.uses_adn:
-            if not unpaired_pools or not len(unpaired_pools[0]) or not len(unpaired_pools[1]):
-                raise PoolError(f"mode {cfg.mode} requires non-empty unpaired pools")
-            self.art_pool, self.clean_pool = unpaired_pools
+            b.x_unpaired, b.y_unpaired = art_pool[pick["art"]], clean_pool[pick["clean"]]
         if cfg.uses_sup:
-            if not paired_pool or not len(paired_pool[0]):
-                raise PoolError(f"mode {cfg.mode} requires a non-empty paired pool")
-            self.x_pool, self.gt_pool = paired_pool
-
-    @property
-    def steps_per_epoch(self):
-        pools = (self.art_pool, self.clean_pool, self.x_pool)
-        return math.ceil(max(len(p) for p in pools if p is not None) / self.cfg.batch_size)
-
-    def epoch_batches(self, epoch):
-        rng = np.random.default_rng(np.random.SeedSequence([self.cfg.seed, 7, epoch]))
-        art = clean = paired = None
-        if self.art_pool is not None:
-            art = rng.permutation(len(self.art_pool))
-            clean = rng.permutation(len(self.clean_pool))
-        if self.x_pool is not None:
-            paired = rng.permutation(len(self.x_pool))
-        bs = self.cfg.batch_size
-
-        for step in range(self.steps_per_epoch):
-            idx = np.arange(step * bs, (step + 1) * bs)
-            b = Batch()
-            if art is not None:
-                b.x_unpaired = self.art_pool[art[idx % len(art)]]
-                b.y_unpaired = self.clean_pool[clean[idx % len(clean)]]
-            if paired is not None:
-                pick = paired[idx % len(paired)]
-                b.x_paired, b.gt_paired = self.x_pool[pick], self.gt_pool[pick]
-            yield b
+            b.x_paired, b.gt_paired = x_pool[pick["paired"]], gt_pool[pick["paired"]]
+        yield b
 
 
 def make_pools(bundle):
@@ -415,8 +399,7 @@ def train(bundle, cfg, out_dir=None):
     """Run cfg.epochs over the bundle. With out_dir, write `metrics.csv`
     (one row per step, CSV_COLUMNS) and the final network to `checkpoint/`.
     Returns the trained network, optimizer state and step reports."""
-    unpaired_pools, paired_pool = make_pools(bundle)
-    sched = BatchScheduler(unpaired_pools, paired_pool, cfg)
+    pools = make_pools(bundle)
     net = build_network(cfg)
     state = OptState()
     kcfg = cfg.kernel_config()
@@ -432,7 +415,7 @@ def train(bundle, cfg, out_dir=None):
     reports = []
     try:
         for epoch in range(1, cfg.epochs + 1):
-            for batch in sched.epoch_batches(epoch):
+            for batch in epoch_batches(pools, cfg, epoch):
                 rep = training_step(net, batch, state, cfg, kcfg)
                 rep.epoch = epoch
                 reports.append(rep)

@@ -408,7 +408,7 @@ def test_layer_graph_holds_one_output_buffer(layer, act):
         mod = networks._Conv(8, 16, 4, 2, 1, act, rng)
         x = Tensor(rng.standard_normal((3, 8, 64, 64)).astype(np.float32))
     else:
-        mod = networks._ConvT(16, 8, 4, 2, 1, rng)
+        mod = networks._ConvT(16, 8, rng)
         x = Tensor(rng.standard_normal((3, 16, 32, 32)).astype(np.float32))
     tracemalloc.start()
     try:

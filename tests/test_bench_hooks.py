@@ -3,8 +3,9 @@
 `perfbench/spans.py` replaces functions in the patchmar modules by name, and
 a traced run fails when a span that `perfbench/spec.py` requires records no
 call. This runs both training workloads' modes at a tiny size under the same
-wrappers, so a renamed function or a rerouted branch fails here too. Only
-spans.py and spec.py are imported: workloads.py needs scipy at import.
+wrappers, so a renamed function or a rerouted branch fails here too. The
+synth workload's own op, from workloads.py, runs once under them as well;
+workloads.py needs scipy at import, which the dev extra installs.
 """
 
 import importlib.util
@@ -26,8 +27,26 @@ def _load(name):
 
 spans = _load("spans")
 bench_spec = _load("spec")
+workloads = _load("workloads")
 
 WRAPPED = (autodiff, ctsim, manifold, networks, optim, training, networks.DisentangleNet)
+
+
+def _traced(run):
+    """Run `run()` under the benchmark's wrappers and return their recorder,
+    after asserting that every wrapped name was restored."""
+    originals = [dict(vars(owner)) for owner in WRAPPED]
+    rec = spans.Recorder()
+    restore = spans.install(rec)
+    try:
+        rec.on = True
+        run()
+    finally:
+        restore()
+    for owner, before in zip(WRAPPED, originals):
+        after = vars(owner)
+        assert [k for k in before if after.get(k) is not before[k]] == [], owner
+    return rec
 
 
 @pytest.fixture(scope="module")
@@ -38,19 +57,18 @@ def bundle():
 
 @pytest.mark.parametrize("workload", ["ldm-dn-sup-b1", "ldm-sup-b32"])
 def test_traced_training_records_every_required_span(bundle, workload):
-    originals = [dict(vars(owner)) for owner in WRAPPED]
-    rec = spans.Recorder()
-    restore = spans.install(rec)
-    try:
-        rec.on = True
+    def run():
         cfg = training.TrainConfig(mode=bench_spec.WORKLOADS[workload]["mode"],
                                    batch_size=2, epochs=1, lr=1e-3)
         result = training.train(bundle, cfg)
         training.evaluate_pairs(result.net, bundle.test, bundle.cfg.amax)
-    finally:
-        restore()
+
+    rec = _traced(run)
     missing = [s for s in bench_spec.EXPECTED_SPANS[workload] if rec.calls(s) == 0]
     assert missing == []
-    for owner, before in zip(WRAPPED, originals):
-        after = vars(owner)
-        assert [k for k in before if after.get(k) is not before[k]] == [], owner
+
+
+def test_traced_synth_op_records_every_required_span():
+    rec = _traced(lambda: workloads.synth_op(workloads._pair_seed(1, 0)))
+    missing = [s for s in bench_spec.EXPECTED_SPANS["synth"] if rec.calls(s) == 0]
+    assert missing == []

@@ -857,9 +857,8 @@ def ldm_sup_systems():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "solve_coordinates", solve)
         net = training.build_network(cfg)
-        sched = training.BatchScheduler(*training.make_pools(data), cfg)
         state = training.OptState()
-        batch = next(sched.epoch_batches(1))
+        batch = next(training.epoch_batches(training.make_pools(data), cfg, 1))
         for _ in range(2):
             training.training_step(net, batch, state, cfg, cfg.kernel_config())
     assert len(systems) == 2

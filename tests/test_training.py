@@ -13,6 +13,7 @@ from patchmar.optim import NanGradientError
 
 LDM_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_ldm]
 ADN_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_adn]
+SUP_MODES = [m for m in training.MODES if training.TrainConfig(mode=m).uses_sup]
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +30,7 @@ def tiny_cfg(mode, **kw):
 
 
 def first_batch(bundle, cfg):
-    sched = training.BatchScheduler(*training.make_pools(bundle), cfg)
-    return next(sched.epoch_batches(1))
+    return next(training.epoch_batches(training.make_pools(bundle), cfg, 1))
 
 
 # --------------------------------------------------------------- variants
@@ -69,12 +69,49 @@ def test_batches_take_each_pool_in_its_permutation_order(bundle):
     # permutations are drawn per epoch in the order artifact, clean, paired
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, 1]))
     perms = [rng.permutation(len(p)) for p in (art, clean, x)]
-    sched = training.BatchScheduler((art, clean), (x, gt), cfg)
-    for step, b in enumerate(sched.epoch_batches(1)):
+    for step, b in enumerate(training.epoch_batches(((art, clean), (x, gt)), cfg, 1)):
         for got, pool, perm in ((b.x_unpaired, art, perms[0]), (b.y_unpaired, clean, perms[1]),
                                 (b.x_paired, x, perms[2]), (b.gt_paired, gt, perms[2])):
             want = np.stack([pool[perm[(3 * step + i) % len(perm)]] for i in range(3)])
             assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def one_pair_bundle():
+    # synthesize_dataset's clamp gives one pair to the artifact pool and
+    # leaves the clean pool empty
+    geom = ctsim.ScanGeometry(n_views=20, n_detectors=32, detector_spacing=1.5)
+    bundle = ctsim.synthesize_dataset(1, geom, ctsim.SynthConfig(image_size=16, seed=1,
+                                                                 test_pairs=0))
+    assert bundle.artifact_pool == [0] and bundle.clean_pool == []
+    return bundle
+
+
+@pytest.mark.parametrize("mode", training.MODES)
+def test_a_mode_drawing_from_an_empty_pool_fails_before_its_first_step(
+        one_pair_bundle, mode, monkeypatch):
+    steps = []
+    inner = training.training_step
+
+    def step(*args):
+        steps.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(training, "training_step", step)
+    cfg = tiny_cfg(mode, epochs=1)
+    if cfg.uses_adn:
+        with pytest.raises(ValueError, match=f"mode {mode} requires non-empty unpaired pools"):
+            training.train(one_pair_bundle, cfg)
+        assert steps == []
+    else:
+        assert len(training.train(one_pair_bundle, cfg).reports) == len(steps) == 1
+
+
+def test_epoch_batches_rejects_an_empty_paired_pool(bundle):
+    (art, clean), (x, gt) = training.make_pools(bundle)
+    pools = ((art, clean), (x[:0], gt[:0]))
+    with pytest.raises(ValueError, match="mode ADN-Sup requires a non-empty paired pool"):
+        next(training.epoch_batches(pools, tiny_cfg("ADN-Sup"), 1))
 
 
 # ------------------------------------------------------------- tiny runs
@@ -83,11 +120,13 @@ def test_batches_take_each_pool_in_its_permutation_order(bundle):
 def test_tiny_run_per_mode_is_finite_and_deterministic(bundle, mode):
     cfg = tiny_cfg(mode)
     res = training.train(bundle, cfg)
-    assert len(res.reports) == 2 * training.BatchScheduler(
-        *training.make_pools(bundle), cfg).steps_per_epoch
+    epoch = list(training.epoch_batches(training.make_pools(bundle), cfg, 1))
+    assert len(res.reports) == 2 * len(epoch)
     assert res.net.gen_params.step_count == len(res.reports)
     for rep in res.reports:
         assert all(math.isfinite(v) for v in rep.losses.values()), rep.losses
+        # report_row drops a key it does not know, so metrics.csv would lose it
+        assert set(rep.losses) <= set(training.CSV_COLUMNS), rep.losses
         assert ("loss_sup" in rep.losses) == cfg.uses_sup
         assert ("adv_clean" in rep.losses) == cfg.uses_adn
         assert ("ldm_penalty" in rep.losses) == cfg.uses_ldm
@@ -108,6 +147,23 @@ def test_tiny_run_per_mode_is_finite_and_deterministic(bundle, mode):
     assert again.reports == res.reports
     for (name, t1), (_, t2) in zip(res.net.gen_params.items(), again.net.gen_params.items()):
         assert np.array_equal(t1.data, t2.data), name
+
+
+@pytest.mark.parametrize("mode", SUP_MODES)
+def test_training_improves_on_its_own_start(bundle, mode):
+    # ADN and LDM-DN are left out: they have no loss_sup, and their
+    # adversarial generator loss need not fall as the discriminators learn
+    cfg = tiny_cfg(mode, epochs=10)
+    res = training.train(bundle, cfg)
+    sup = {e: np.mean([r.losses["loss_sup"] for r in res.reports if r.epoch == e])
+           for e in (1, cfg.epochs)}
+    assert sup[cfg.epochs] <= 0.5 * sup[1], sup
+
+    def mean_psnr(net):
+        rows = training.evaluate_pairs(net, bundle.train, bundle.cfg.amax)
+        return np.mean([row["psnr_corrected"] for row in rows])
+
+    assert mean_psnr(res.net) > mean_psnr(training.build_network(cfg))
 
 
 @pytest.mark.parametrize("mode", LDM_MODES)
@@ -366,8 +422,7 @@ def _inject(failure, net, monkeypatch):
                                      "nan_patch_set", "inf_patch_set"])
 def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     cfg = tiny_cfg("LDM-DN-Sup")
-    unpaired, paired = training.make_pools(bundle)
-    good, bad = list(training.BatchScheduler(unpaired, paired, cfg).epoch_batches(1))[:2]
+    good, bad = list(training.epoch_batches(training.make_pools(bundle), cfg, 1))[:2]
     net = training.build_network(cfg)
     state = training.OptState()
     training.training_step(net, good, state, cfg, cfg.kernel_config())
@@ -437,7 +492,7 @@ def _after_one_step(bundle, mode, batch_size):
     """(cfg, net, state, second batch) of a 64x64, width-8 run whose first
     step has been taken, so Adam's moments and the dual already exist."""
     cfg = training.TrainConfig(mode=mode, batch_size=batch_size, lr=1e-3)
-    batches = training.BatchScheduler(*training.make_pools(bundle), cfg).epoch_batches(1)
+    batches = training.epoch_batches(training.make_pools(bundle), cfg, 1)
     net = training.build_network(cfg)
     state = training.OptState()
     training.training_step(net, next(batches), state, cfg, cfg.kernel_config())
