@@ -51,8 +51,9 @@ class ScanGeometry:
             raise ValueError(f"need at least one view, got {self.n_views}")
         if self.n_detectors < 2:
             raise ValueError(f"need at least two detectors, got {self.n_detectors}")
-        if self.detector_spacing <= 0:
-            raise ValueError("detector spacing must be positive")
+        if not 0.0 < self.detector_spacing < math.inf:  # NaN fails the range test
+            raise ValueError(f"detector spacing must be finite and positive, "
+                             f"got {self.detector_spacing}")
 
     @property
     def angles(self):
@@ -399,6 +400,18 @@ class SynthConfig:
         if self.image_size < PATCH_SIZE or self.image_size % PATCH_SIZE:
             raise ValueError(f"image size must be a positive multiple of {PATCH_SIZE}, "
                              f"got {self.image_size}")
+        # a comparison with NaN is False, so NaN fails each range test
+        if not 0.0 <= self.severity < math.inf:
+            raise ValueError(f"severity must be finite and non-negative, got {self.severity}")
+        if not 0.0 <= self.noise_scale < math.inf:
+            raise ValueError(f"noise scale must be finite and non-negative, "
+                             f"got {self.noise_scale}")
+        if not 0.0 < self.amax < math.inf:
+            raise ValueError(f"amax must be finite and positive, got {self.amax}")
+        if self.test_pairs < 0:
+            raise ValueError(f"test pair count must be >= 0, got {self.test_pairs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -439,10 +452,6 @@ def synthesize_dataset(n_pairs, geom, cfg):
     """
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
-    if cfg.test_pairs < 0:
-        raise ValueError(f"test pair count must be >= 0, got {cfg.test_pairs}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
     train = [_make_pair(i, rng, geom, cfg) for i in range(n_pairs)]
     test = [_make_pair(n_pairs + i, rng, geom, cfg) for i in range(cfg.test_pairs)]

@@ -46,6 +46,8 @@ adversarial terms reach them too.
 
 Hybrid modes draw one unpaired (x, y) sample and one paired (x, gt) sample
 per step and feed both loss paths and both patch-set branches at once.
+`make_pools` builds and checks only the pools the mode draws, so an empty
+one fails `train` before it runs a step or writes a file, at any epochs.
 """
 
 import math
@@ -118,6 +120,9 @@ class TrainConfig:
 
 @dataclass
 class Batch:
+    """One step's samples, or from `make_pools` the whole pools: each field a
+    float32 [N,1,H,W] stack, None for a branch the mode does not draw."""
+
     x_unpaired: np.ndarray = None
     y_unpaired: np.ndarray = None
     x_paired: np.ndarray = None
@@ -168,54 +173,45 @@ def report_row(rep):
 # ---------------------------------------------------------------------------
 # batch scheduling
 
-def epoch_batches(pools, cfg, epoch):
-    """Yield one epoch's batches from make_pools' ((artifact, clean), (x, gt)).
-
-    Each pool the mode draws from is shuffled by a permutation seeded from
-    (seed, 7, epoch), drawn in the order artifact, clean, paired. An epoch
-    is ceil(max(drawn pool sizes) / batch size) steps; shorter pools cycle
-    through their permutation so every step carries one sample from each
-    drawn pool. An empty drawn pool raises ValueError when the first batch
-    is asked for.
-    """
-    (art_pool, clean_pool), (x_pool, gt_pool) = pools
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch]))
-    perms = {}
-    if cfg.uses_adn:
-        if not len(art_pool) or not len(clean_pool):
-            raise ValueError(f"mode {cfg.mode} requires non-empty unpaired pools")
-        perms["art"] = rng.permutation(len(art_pool))
-        perms["clean"] = rng.permutation(len(clean_pool))
-    if cfg.uses_sup:
-        if not len(x_pool):
-            raise ValueError(f"mode {cfg.mode} requires a non-empty paired pool")
-        perms["paired"] = rng.permutation(len(x_pool))
-    bs = cfg.batch_size
-
-    for step in range(math.ceil(max(map(len, perms.values())) / bs)):
-        idx = np.arange(step * bs, (step + 1) * bs)
-        pick = {k: p[idx % len(p)] for k, p in perms.items()}
-        b = Batch()
-        if cfg.uses_adn:
-            b.x_unpaired, b.y_unpaired = art_pool[pick["art"]], clean_pool[pick["clean"]]
-        if cfg.uses_sup:
-            b.x_paired, b.gt_paired = x_pool[pick["paired"]], gt_pool[pick["paired"]]
-        yield b
-
-
-def make_pools(bundle):
-    """Normalized training pools from a synthesized dataset bundle, each a
-    float32 [N,1,H,W] stack: (artifact, clean), (x, gt)."""
-    amax, size = bundle.cfg.amax, bundle.cfg.image_size
+def make_pools(bundle, cfg):
+    """The normalized pools the mode draws, as a Batch of whole pools: the
+    unpaired artifact and clean pools (ADN terms) and the paired (x, gt)
+    pool of every training pair (`loss_sup`). An empty one raises ValueError."""
+    amax, train = bundle.cfg.amax, bundle.train
 
     def stack(images):
-        return np.array([normalize_image(im, amax) for im in images],
-                        dtype=np.float32).reshape(-1, 1, size, size)
+        return normalize_image(np.stack(images), amax)[:, None]
 
-    train = bundle.train
-    return ((stack([train[i].artifact for i in bundle.artifact_pool]),
-             stack([train[i].clean for i in bundle.clean_pool])),
-            (stack([p.artifact for p in train]), stack([p.clean for p in train])))
+    pools = Batch()
+    if cfg.uses_adn:
+        if not bundle.artifact_pool or not bundle.clean_pool:
+            raise ValueError(f"mode {cfg.mode} requires non-empty unpaired pools")
+        pools.x_unpaired = stack([train[i].artifact for i in bundle.artifact_pool])
+        pools.y_unpaired = stack([train[i].clean for i in bundle.clean_pool])
+    if cfg.uses_sup:
+        pools.x_paired = stack([p.artifact for p in train])
+        pools.gt_paired = stack([p.clean for p in train])
+    return pools
+
+
+def epoch_batches(pools, cfg, epoch):
+    """Yield one epoch's batches from `make_pools`' pools.
+
+    Each pool drawn is shuffled by a permutation seeded from
+    (seed, 7, epoch), drawn in the order artifact, clean, paired; x and gt
+    share the paired one. An epoch is ceil(max(drawn pool sizes) / batch
+    size) steps; shorter pools cycle through their permutation so every
+    step carries one sample from each drawn pool.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch]))
+    perms = [(names, rng.permutation(len(getattr(pools, names[0]))))
+             for names in (("x_unpaired",), ("y_unpaired",), ("x_paired", "gt_paired"))
+             if getattr(pools, names[0]) is not None]
+    bs = cfg.batch_size
+    for step in range(math.ceil(max(len(p) for _, p in perms) / bs)):
+        idx = np.arange(step * bs, (step + 1) * bs)
+        yield Batch(**{name: getattr(pools, name)[p[idx % len(p)]]
+                       for names, p in perms for name in names})
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +382,6 @@ class TrainResult:
     net: DisentangleNet
     state: OptState
     reports: list
-    metrics_path: str = None
-    checkpoint_dir: str = None
 
 
 def build_network(cfg):
@@ -396,41 +390,34 @@ def build_network(cfg):
 
 
 def train(bundle, cfg, out_dir=None):
-    """Run cfg.epochs over the bundle. With out_dir, write `metrics.csv`
-    (one row per step, CSV_COLUMNS) and the final network to `checkpoint/`.
+    """Run cfg.epochs over the bundle. With out_dir, write
+    `out_dir/metrics.csv` (one row per step, CSV_COLUMNS) and the final
+    network to `out_dir/checkpoint/`. `make_pools` checks the drawn pools
+    first, so a mode with an empty one raises before out_dir is made.
     Returns the trained network, optimizer state and step reports."""
-    pools = make_pools(bundle)
+    pools = make_pools(bundle, cfg)
     net = build_network(cfg)
     state = OptState()
     kcfg = cfg.kernel_config()
 
-    csv_file = None
-    metrics_path = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        csv_file = open(metrics_path, "w")
-        csv_file.write(",".join(CSV_COLUMNS) + "\n")
-
-    reports = []
-    try:
+    def run():
         for epoch in range(1, cfg.epochs + 1):
             for batch in epoch_batches(pools, cfg, epoch):
                 rep = training_step(net, batch, state, cfg, kcfg)
                 rep.epoch = epoch
-                reports.append(rep)
-                if csv_file is not None:
-                    csv_file.write(",".join(report_row(rep)) + "\n")
-    finally:
-        if csv_file is not None:
-            csv_file.close()
+                yield rep
 
-    ckpt_dir = None
-    if out_dir is not None:
-        ckpt_dir = os.path.join(out_dir, "checkpoint")
-        save_checkpoint(net, ckpt_dir)
-    return TrainResult(net=net, state=state, reports=reports,
-                       metrics_path=metrics_path, checkpoint_dir=ckpt_dir)
+    if out_dir is None:
+        return TrainResult(net=net, state=state, reports=list(run()))
+    os.makedirs(out_dir, exist_ok=True)
+    reports = []
+    with open(os.path.join(out_dir, "metrics.csv"), "w") as csv_file:
+        csv_file.write(",".join(CSV_COLUMNS) + "\n")
+        for rep in run():
+            reports.append(rep)
+            csv_file.write(",".join(report_row(rep)) + "\n")
+    save_checkpoint(net, os.path.join(out_dir, "checkpoint"))
+    return TrainResult(net=net, state=state, reports=reports)
 
 
 def evaluate_pairs(net, pairs, amax):

@@ -32,7 +32,7 @@ ALLOWED = {
     "moment_arrays": "ROADMAP item 4: checkpoints save the Adam moments",
 }
 ALLOWED_FIELDS = {f"TrainResult.{name}": RUN_DIRECTORY
-                  for name in ("net", "state", "reports", "metrics_path", "checkpoint_dir")}
+                  for name in ("net", "state", "reports")}
 ALLOWED_PARAMETERS = {"train(out_dir=)": RUN_DIRECTORY}
 LDM_SWEEP = "ROADMAP item 2: the LDM objective's weights are what its lambda sweep sets"
 SHIFTED_BUNDLE = "ROADMAP item 7: the shifted bundle sets another severity and noise"

@@ -34,6 +34,23 @@ def untraced(data):
 
 # -------------------------------------------------------------------- radon
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(n_views=0), "at least one view, got 0"),
+    (dict(n_detectors=1), "at least two detectors, got 1"),
+    (dict(detector_spacing=0.0), "finite and positive, got 0.0"),
+    (dict(detector_spacing=-0.5), "finite and positive, got -0.5"),
+    (dict(detector_spacing=math.nan), "finite and positive, got nan"),
+    (dict(detector_spacing=math.inf), "finite and positive, got inf")])
+def test_scan_geometry_rejects_a_bad_setting(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ct.ScanGeometry(**kwargs)
+
+
+def test_phantom_rejects_a_mask_of_another_shape():
+    with pytest.raises(ShapeError, match="metal mask shape"):
+        ct.PhantomImage(pixels=np.zeros((16, 16)), metal_mask=np.zeros((16, 8), bool))
+
+
 def test_radon_zero_image_gives_zero_sinogram():
     sino = project(np.zeros((32, 32)), geom_small())
     assert np.array_equal(sino.data, np.zeros_like(sino.data))
@@ -187,6 +204,12 @@ def test_radon_rejects_a_non_2d_image_naming_its_shape(shape):
 def test_sinogram_requires_a_trace():
     with pytest.raises(ShapeError):
         ct.Sinogram(data=np.zeros((4, 8)), metal_trace=None)
+
+
+def test_fbp_rejects_a_sinogram_of_another_geometry():
+    g = geom_small()
+    with pytest.raises(ShapeError, match=r"does not match geometry \(60, 96\)"):
+        ct.fbp(untraced(np.zeros((g.n_views, g.n_detectors - 1))), g, image_size=32)
 
 
 def test_fbp_zero_sinogram_gives_zero_image():
@@ -389,6 +412,12 @@ def ssim_loop_oracle(a, b, data_range, k1=0.01, k2=0.03, window=8):
     return float(np.mean(vals))
 
 
+def test_ssim_rejects_an_image_smaller_than_its_window():
+    small = np.zeros((ct.SSIM_WINDOW, ct.SSIM_WINDOW - 1))
+    with pytest.raises(ShapeError, match="smaller than 8x8 window"):
+        ct.ssim(small, small, data_range=1.0)
+
+
 def test_ssim_identical_is_one():
     rng = np.random.default_rng(12)
     a = rng.uniform(size=(16, 16))
@@ -472,10 +501,29 @@ def test_synth_matches_reference_projector(monkeypatch):
 def test_synth_rejects_bad_args():
     with pytest.raises(ValueError, match="at least one pair"):
         ct.synthesize_dataset(0, small_scan(), small_cfg())
-    with pytest.raises(ValueError, match="test pair count must be >= 0, got -3"):
-        ct.synthesize_dataset(3, small_scan(), small_cfg(test_pairs=-3))
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        ct.synthesize_dataset(3, small_scan(), small_cfg(seed=-1))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(severity=-0.1), "severity must be finite and non-negative, got -0.1"),
+    (dict(severity=math.nan), "severity must be finite and non-negative, got nan"),
+    (dict(severity=math.inf), "severity must be finite and non-negative, got inf"),
+    (dict(noise_scale=-0.1), "noise scale must be finite and non-negative, got -0.1"),
+    (dict(noise_scale=math.nan), "noise scale must be finite and non-negative, got nan"),
+    (dict(noise_scale=math.inf), "noise scale must be finite and non-negative, got inf"),
+    (dict(amax=0.0), "amax must be finite and positive, got 0.0"),
+    (dict(amax=-1.0), "amax must be finite and positive, got -1.0"),
+    (dict(amax=math.nan), "amax must be finite and positive, got nan"),
+    (dict(amax=math.inf), "amax must be finite and positive, got inf"),
+    (dict(test_pairs=-3), "test pair count must be >= 0, got -3"),
+    (dict(seed=-1), "seed must be >= 0, got -1")])
+def test_synth_config_rejects_a_bad_setting_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ct.SynthConfig(**kwargs)
+
+
+def test_synth_config_accepts_the_limits_of_its_ranges():
+    cfg = ct.SynthConfig(severity=0.0, noise_scale=0.0, test_pairs=0, seed=0)
+    assert (cfg.severity, cfg.noise_scale, cfg.test_pairs, cfg.seed) == (0.0, 0.0, 0, 0)
 
 
 def test_normalize_denormalize_inverse():

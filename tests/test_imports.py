@@ -1,4 +1,4 @@
-"""No module in src/ or tests/ imports a name it never uses."""
+"""No module in src/, tests/ or perfbench/ imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):

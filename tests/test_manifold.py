@@ -858,7 +858,7 @@ def ldm_sup_systems():
         mp.setattr(training, "solve_coordinates", solve)
         net = training.build_network(cfg)
         state = training.OptState()
-        batch = next(training.epoch_batches(training.make_pools(data), cfg, 1))
+        batch = next(training.epoch_batches(training.make_pools(data, cfg), cfg, 1))
         for _ in range(2):
             training.training_step(net, batch, state, cfg, cfg.kernel_config())
     assert len(systems) == 2

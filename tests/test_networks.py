@@ -55,6 +55,9 @@ def test_paired_variant_has_only_x_hat():
         net.forward_corrected(x, want_code=True)
     with pytest.raises(ValueError, match="no code layers"):
         net.forward(x, y)
+    # forward stops in forward_corrected, so free_code's own check needs a call
+    with pytest.raises(ValueError, match="variant Paired has no code layers"):
+        net.free_code(y)
 
 
 def test_paired_ldm_code_shape_matches_grid():

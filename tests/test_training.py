@@ -30,7 +30,7 @@ def tiny_cfg(mode, **kw):
 
 
 def first_batch(bundle, cfg):
-    return next(training.epoch_batches(training.make_pools(bundle), cfg, 1))
+    return next(training.epoch_batches(training.make_pools(bundle, cfg), cfg, 1))
 
 
 # --------------------------------------------------------------- variants
@@ -61,19 +61,33 @@ def test_config_rejects_a_negative_seed(seed):
 
 def test_batches_take_each_pool_in_its_permutation_order(bundle):
     cfg = tiny_cfg("ADN-Sup", batch_size=3)
-    (art, clean), (x, gt) = training.make_pools(bundle)
-    amax = bundle.cfg.amax
-    assert np.array_equal(x[:, 0], [ctsim.normalize_image(p.artifact, amax) for p in bundle.train])
-    for pool in (art, clean, x, gt):
+    pools = training.make_pools(bundle, cfg)
+    art, clean, x, gt = pools.x_unpaired, pools.y_unpaired, pools.x_paired, pools.gt_paired
+    amax, train = bundle.cfg.amax, bundle.train
+    for pool, images in ((art, [train[i].artifact for i in bundle.artifact_pool]),
+                         (clean, [train[i].clean for i in bundle.clean_pool]),
+                         (x, [p.artifact for p in train]), (gt, [p.clean for p in train])):
+        assert np.array_equal(pool[:, 0], [ctsim.normalize_image(im, amax) for im in images])
         assert pool.dtype == np.float32 and pool.shape[1:] == (1, 16, 16)
     # permutations are drawn per epoch in the order artifact, clean, paired
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, 1]))
     perms = [rng.permutation(len(p)) for p in (art, clean, x)]
-    for step, b in enumerate(training.epoch_batches(((art, clean), (x, gt)), cfg, 1)):
+    for step, b in enumerate(training.epoch_batches(pools, cfg, 1)):
         for got, pool, perm in ((b.x_unpaired, art, perms[0]), (b.y_unpaired, clean, perms[1]),
                                 (b.x_paired, x, perms[2]), (b.gt_paired, gt, perms[2])):
             want = np.stack([pool[perm[(3 * step + i) % len(perm)]] for i in range(3)])
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", training.MODES)
+def test_make_pools_builds_only_the_pools_a_mode_draws(bundle, mode):
+    cfg = tiny_cfg(mode)
+    pools = training.make_pools(bundle, cfg)
+    drawn = {"x_unpaired": cfg.uses_adn, "y_unpaired": cfg.uses_adn,
+             "x_paired": cfg.uses_sup, "gt_paired": cfg.uses_sup}
+    assert {name: getattr(pools, name) is not None for name in drawn} == drawn
+    for b in training.epoch_batches(pools, cfg, 1):
+        assert {name: getattr(b, name) is not None for name in drawn} == drawn
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +103,8 @@ def one_pair_bundle():
 
 @pytest.mark.parametrize("mode", training.MODES)
 def test_a_mode_drawing_from_an_empty_pool_fails_before_its_first_step(
-        one_pair_bundle, mode, monkeypatch):
+        one_pair_bundle, mode, monkeypatch, tmp_path):
+    # the check runs before the run directory is made, and at zero epochs too
     steps = []
     inner = training.training_step
 
@@ -98,20 +113,17 @@ def test_a_mode_drawing_from_an_empty_pool_fails_before_its_first_step(
         return inner(*args)
 
     monkeypatch.setattr(training, "training_step", step)
-    cfg = tiny_cfg(mode, epochs=1)
-    if cfg.uses_adn:
-        with pytest.raises(ValueError, match=f"mode {mode} requires non-empty unpaired pools"):
-            training.train(one_pair_bundle, cfg)
-        assert steps == []
-    else:
-        assert len(training.train(one_pair_bundle, cfg).reports) == len(steps) == 1
-
-
-def test_epoch_batches_rejects_an_empty_paired_pool(bundle):
-    (art, clean), (x, gt) = training.make_pools(bundle)
-    pools = ((art, clean), (x[:0], gt[:0]))
-    with pytest.raises(ValueError, match="mode ADN-Sup requires a non-empty paired pool"):
-        next(training.epoch_batches(pools, tiny_cfg("ADN-Sup"), 1))
+    for epochs in (1, 0):
+        cfg = tiny_cfg(mode, epochs=epochs)
+        out_dir = tmp_path / f"epochs{epochs}"
+        if cfg.uses_adn:
+            with pytest.raises(ValueError, match=f"mode {mode} requires non-empty unpaired pools"):
+                training.train(one_pair_bundle, cfg, out_dir=str(out_dir))
+            assert steps == [] and not out_dir.exists()
+        else:
+            res = training.train(one_pair_bundle, cfg, out_dir=str(out_dir))
+            assert len(res.reports) == epochs and (out_dir / "metrics.csv").exists()
+    assert len(steps) == (0 if cfg.uses_adn else 1)
 
 
 # ------------------------------------------------------------- tiny runs
@@ -120,7 +132,7 @@ def test_epoch_batches_rejects_an_empty_paired_pool(bundle):
 def test_tiny_run_per_mode_is_finite_and_deterministic(bundle, mode):
     cfg = tiny_cfg(mode)
     res = training.train(bundle, cfg)
-    epoch = list(training.epoch_batches(training.make_pools(bundle), cfg, 1))
+    epoch = list(training.epoch_batches(training.make_pools(bundle, cfg), cfg, 1))
     assert len(res.reports) == 2 * len(epoch)
     assert res.net.gen_params.step_count == len(res.reports)
     for rep in res.reports:
@@ -191,7 +203,8 @@ def test_ldm_mode_at_lambda_zero_trains_as_its_base_mode(bundle, mode):
 
 
 def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
-    res = training.train(bundle, tiny_cfg("LDM-DN-Sup"), out_dir=str(tmp_path))
+    cfg = tiny_cfg("LDM-DN-Sup")
+    res = training.train(bundle, cfg, out_dir=str(tmp_path))
     lines = (tmp_path / "metrics.csv").read_text().splitlines()
     assert lines[0].split(",") == list(training.CSV_COLUMNS)
     assert len(lines) == 1 + len(res.reports)
@@ -201,8 +214,8 @@ def test_run_directory_holds_metrics_and_checkpoint(bundle, tmp_path):
         field = line.split(",")[col]
         assert field.isdigit() and int(field) > 0
         assert int(field) == rep.cg_iterations
-    net = load_checkpoint(res.checkpoint_dir)
-    x = Tensor(training.make_pools(bundle)[1][0][:1])
+    net = load_checkpoint(str(tmp_path / "checkpoint"))
+    x = Tensor(training.make_pools(bundle, cfg).x_paired[:1])
     assert np.array_equal(net.forward_corrected(x).data, res.net.forward_corrected(x).data)
 
 
@@ -422,7 +435,7 @@ def _inject(failure, net, monkeypatch):
                                      "nan_patch_set", "inf_patch_set"])
 def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     cfg = tiny_cfg("LDM-DN-Sup")
-    good, bad = list(training.epoch_batches(training.make_pools(bundle), cfg, 1))[:2]
+    good, bad = list(training.epoch_batches(training.make_pools(bundle, cfg), cfg, 1))[:2]
     net = training.build_network(cfg)
     state = training.OptState()
     training.training_step(net, good, state, cfg, cfg.kernel_config())
@@ -492,7 +505,7 @@ def _after_one_step(bundle, mode, batch_size):
     """(cfg, net, state, second batch) of a 64x64, width-8 run whose first
     step has been taken, so Adam's moments and the dual already exist."""
     cfg = training.TrainConfig(mode=mode, batch_size=batch_size, lr=1e-3)
-    batches = training.epoch_batches(training.make_pools(bundle), cfg, 1)
+    batches = training.epoch_batches(training.make_pools(bundle, cfg), cfg, 1)
     net = training.build_network(cfg)
     state = training.OptState()
     training.training_step(net, next(batches), state, cfg, cfg.kernel_config())
