@@ -30,7 +30,8 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """Dense real array, optionally tracked by the autodiff graph.
+    """Dense real array, optionally tracked by the autodiff graph. `data`
+    is a float32 or float64 array, kept as `np.asarray` gives it, not cast.
 
     A leaf (a tensor built with requires_grad=True, not the result of an
     operation) has `grad` allocated as zeros at construction; `backward`
@@ -46,12 +47,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self.data = arr
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents = ()
         self._backward = None
 

@@ -248,8 +248,11 @@ def corrupt_metal(sino, severity, rng, noise_scale):
     standard deviation severity * noise_scale * v, drawn from rng. With
     noise_scale = 0 nothing is drawn, so rng is left as it was.
     """
-    if severity < 0:
-        raise ValueError(f"severity must be non-negative, got {severity}")
+    # a comparison with NaN is False, so NaN fails each range test
+    if not 0.0 <= severity < math.inf:
+        raise ValueError(f"severity must be finite and non-negative, got {severity}")
+    if not 0.0 <= noise_scale < math.inf:
+        raise ValueError(f"noise scale must be finite and non-negative, got {noise_scale}")
     data = sino.data.copy()
     tr = sino.metal_trace
     if severity > 0 and tr.any():

@@ -46,18 +46,6 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Solver coupling: mu_bar weights the smoothing term against the data term.
-
-    The kernel bandwidth is not configurable: `gaussian_weights` fixes it per
-    point set as median(squared pairwise distance) / 4, so the median pair
-    keeps weight e^-1 (a near-dense graph and strong smoothing).
-    """
-
-    mu_bar: float = 0.6  # > 0 by the check of TrainConfig, its only builder
-
-
 @dataclass
 class GraphOperators:
     """Symmetric weights W and their row sums D over one patch set.
@@ -443,11 +431,13 @@ def _pcg_multi(ops, c, b, precondition, tol, max_iter):
     return x, it
 
 
-def solve_coordinates(ops, v, cfg):
+def solve_coordinates(ops, v, mu_bar):
     """Solve (L + mu_bar W) U = mu_bar W V column-independently.
 
-    The system matrix L + mu_bar W = D - (1 - mu_bar) W is applied, not
-    assembled; it is symmetric positive definite for mu_bar > 0. CG is
+    mu_bar weights the smoothing term against the data term; mu_bar > 0
+    holds by `TrainConfig`'s check. The system matrix
+    L + mu_bar W = D - (1 - mu_bar) W is applied, not assembled; it is
+    symmetric positive definite for mu_bar > 0. CG is
     preconditioned by D - (1 - mu_bar) F F^T, F F^T a Nystrom approximation
     of W (see `_nystrom_preconditioner`), so the system solved stays the
     exact dense one. Each column must reach relative residual <= 1e-8
@@ -470,14 +460,14 @@ def solve_coordinates(ops, v, cfg):
     m = ops.m
     if v.ndim != 2 or v.shape[0] != m or v.shape[1] == 0:
         raise ShapeError(f"v must be an (m, k >= 1) block over {m} points, got shape {v.shape}")
-    c = 1.0 - cfg.mu_bar
+    c = 1.0 - mu_bar
     # before v^T W: an inf in v makes OpenBLAS raise an invalid-value flag
     if not (np.isfinite(ops.degrees).all() and np.isfinite(v).all()):
         raise SolverError(np.nan, 0)
     if (ops.degrees - c <= 0.0).any():  # the diagonal of A; w_ii = 1
         raise SolverError(np.inf, 0)
     b = ops.matmul(v.T)
-    b *= cfg.mu_bar
+    b *= mu_bar
     bnorm = np.linalg.norm(b, axis=1)
     if not np.isfinite(bnorm).all():  # a NaN norm would pass as converged
         raise SolverError(np.nan, 0)

@@ -59,9 +59,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
 from .ctsim import denormalize_image, normalize_image, psnr, ssim
-from .manifold import (DualVariable, KernelConfig, build_patch_set,
-                       dirichlet_energy, gaussian_weights, normalize_dual,
-                       solve_coordinates)
+from .manifold import (DualVariable, build_patch_set, dirichlet_energy,
+                       gaussian_weights, normalize_dual, solve_coordinates)
 from .networks import (DisentangleNet, NetworkVariant, discriminator_loss, loss_adn,
                        loss_sup, save_checkpoint)
 from .optim import adam_step, check_grads
@@ -113,9 +112,6 @@ class TrainConfig:
         if self.uses_adn:
             return NetworkVariant.UNPAIRED_LDM if self.uses_ldm else NetworkVariant.UNPAIRED
         return NetworkVariant.PAIRED_LDM if self.uses_ldm else NetworkVariant.PAIRED
-
-    def kernel_config(self):
-        return KernelConfig(mu_bar=self.mu_bar)
 
 
 @dataclass
@@ -267,7 +263,7 @@ def _ldm_entries_fresh(net, batch, cfg):
             if cfg.uses_sup else None)
 
 
-def _gradients(net, batch, dual, cfg, kcfg, rep):
+def _gradients(net, batch, dual, cfg, mu_bar, rep):
     """Forward passes, losses, the manifold solve and both backward passes.
 
     Fills rep's losses and solver fields and returns (dual, U); U is None
@@ -317,7 +313,7 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
         if dual is None:  # every batch has the same size, so the shape holds
             dual = DualVariable(values=np.zeros_like(p_now))
         p_now -= dual.values  # P is not read again
-        solved = solve_coordinates(graph, p_now, kcfg)
+        solved = solve_coordinates(graph, p_now, mu_bar)
         rep.dirichlet_energy = dirichlet_energy(graph)
         del graph  # the backward passes do not need W
         u = solved.u
@@ -343,7 +339,7 @@ def _gradients(net, batch, dual, cfg, kcfg, rep):
     return dual, u
 
 
-def training_step(net, batch, state, cfg, kcfg):
+def training_step(net, batch, state, cfg, mu_bar):
     """One outer iteration; returns a StepReport. Mutations happen only after
     every fallible stage has passed, so each of these failures leaves
     parameters, Adam moments and step counts, and the dual untouched:
@@ -352,9 +348,11 @@ def training_step(net, batch, state, cfg, kcfg):
     - a solve that misses its residual contract: SolverError;
     - a NaN or infinite gradient: NanGradientError.
 
-    kcfg is cfg.kernel_config(), which `train` builds once per run."""
+    mu_bar is cfg.mu_bar. It is passed apart from cfg because the
+    benchmark's `step` wrapper forwards a fifth positional argument; the
+    benchmark change of ROADMAP item 5 removes it."""
     rep = StepReport()
-    dual, u = _gradients(net, batch, state.dual, cfg, kcfg, rep)
+    dual, u = _gradients(net, batch, state.dual, cfg, mu_bar, rep)
 
     # validate everything, then mutate (adam_step checks the generator store)
     if cfg.uses_adn:
@@ -398,12 +396,11 @@ def train(bundle, cfg, out_dir=None):
     pools = make_pools(bundle, cfg)
     net = build_network(cfg)
     state = OptState()
-    kcfg = cfg.kernel_config()
 
     def run():
         for epoch in range(1, cfg.epochs + 1):
             for batch in epoch_batches(pools, cfg, epoch):
-                rep = training_step(net, batch, state, cfg, kcfg)
+                rep = training_step(net, batch, state, cfg, cfg.mu_bar)
                 rep.epoch = epoch
                 yield rep
 

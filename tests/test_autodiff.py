@@ -108,6 +108,32 @@ def test_conv2d_shape_errors_name_dimension():
         ad.conv2d(x, kbig)
     with pytest.raises(ShapeError, match="stride"):
         ad.conv2d(x, Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)), stride=0)
+    kwide = Tensor(np.zeros((1, 2, 3, 7), dtype=np.float32))
+    with pytest.raises(ShapeError, match="kernel width 7 exceeds padded input width 6"):
+        ad.conv2d(x, kwide, padding=1)
+    k3 = Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32))
+    with pytest.raises(ShapeError, match=r"input must be \[N,C,H,W\], got \(2, 4, 4\)"):
+        ad.conv2d(Tensor(np.zeros((2, 4, 4), dtype=np.float32)), k3)
+    with pytest.raises(ShapeError, match=r"kernel must be 4-d, got \(2, 3, 3\)"):
+        ad.conv2d(x, Tensor(np.zeros((2, 3, 3), dtype=np.float32)))
+    with pytest.raises(ShapeError, match="padding must be >= 0, got -1"):
+        ad.conv2d(x, k3, padding=-1)
+    with pytest.raises(ShapeError, match="dtype float32 vs kernel float64"):
+        ad.conv2d(x, Tensor(np.zeros((1, 2, 3, 3))))
+
+
+def test_conv_transpose2d_shape_errors_name_dimension():
+    x = Tensor(np.zeros((1, 2, 1, 3), dtype=np.float32))
+    with pytest.raises(ShapeError, match="input channels 2 != kernel channels 3"):
+        ad.conv_transpose2d(x, Tensor(np.zeros((3, 1, 4, 4), dtype=np.float32)))
+    # (1 - 1) * 2 - 2 * 1 + 2 = 0 rows; (3 - 1) * 2 - 2 * 1 + 2 = 4 columns
+    with pytest.raises(ShapeError, match="output height 0 is not positive"):
+        ad.conv_transpose2d(x, Tensor(np.zeros((2, 1, 2, 2), dtype=np.float32)),
+                            stride=2, padding=1)
+    x_t = Tensor(np.zeros((1, 2, 3, 1), dtype=np.float32))
+    with pytest.raises(ShapeError, match="output width 0 is not positive"):
+        ad.conv_transpose2d(x_t, Tensor(np.zeros((2, 1, 2, 2), dtype=np.float32)),
+                            stride=2, padding=1)
 
 
 def test_conv_transpose2d_matches_naive_oracle():
@@ -446,6 +472,24 @@ def test_backward_rejects_non_scalar():
     p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ShapeError):
         ad.backward(ad.scale(p, 2.0))
+    with pytest.raises(TypeError, match="backward expects a Tensor"):
+        ad.backward(np.float32(1.0))
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.l1_loss, ad.mse_loss])
+def test_binary_ops_reject_operands_of_another_dtype(op):
+    a = Tensor(np.ones((2, 3), dtype=np.float32))
+    b = Tensor(np.ones((2, 3), dtype=np.float64))
+    with pytest.raises(ShapeError, match="dtype float32 vs float64"):
+        op(a, b)
+
+
+def test_concat_rejects_an_empty_list_and_mixed_ranks():
+    with pytest.raises(ShapeError, match="concat of empty list"):
+        ad.concat([])
+    a = Tensor(np.ones((2, 3), dtype=np.float32))
+    with pytest.raises(ShapeError, match="concat: rank 1 vs 2"):
+        ad.concat([a, Tensor(np.ones(3, dtype=np.float32))])
 
 
 def test_backward_accumulates_across_calls():

@@ -5,7 +5,9 @@ a traced run fails when a span that `perfbench/spec.py` requires records no
 call. This runs both training workloads' modes at a tiny size under the same
 wrappers, so a renamed function or a rerouted branch fails here too. The
 synth workload's own op, from workloads.py, runs once under them as well;
-workloads.py needs scipy at import, which the dev extra installs.
+workloads.py needs scipy at import, which the dev extra installs. Each
+training workload's `run_train` also runs once at a shrunk size, so a step
+signature that its op wrapper no longer fits fails here.
 """
 
 import importlib.util
@@ -72,3 +74,15 @@ def test_traced_synth_op_records_every_required_span():
     rec = _traced(lambda: workloads.synth_op(workloads._pair_seed(1, 0)))
     missing = [s for s in bench_spec.EXPECTED_SPANS["synth"] if rec.calls(s) == 0]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["ldm-dn-sup-b1", "ldm-sup-b32"])
+def test_run_train_runs_a_shrunk_workload_without_problems(workload):
+    # the benchmark's own op wrapper replaces training.training_step and
+    # forwards its positional arguments, so a changed step signature fails here
+    w = dict(bench_spec.WORKLOADS[workload], batch_size=2, train_pairs=4, test_pairs=1,
+             quality_ops=2)
+    out = workloads.run_train(w, 1, 0.0, spans.Recorder(), traced=False, setup_only=False)
+    assert out.problems == []
+    assert out.window.failed == 0
+    assert {"artifact_rmse", "corrected_rmse"} <= out.quality.keys()

@@ -263,11 +263,19 @@ def test_corrupt_empty_trace_is_identity():
     assert np.array_equal(out.data, sino.data)
 
 
-def test_corrupt_rejects_negative_severity():
+@pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("arg", ["severity", "noise_scale"])
+def test_corrupt_rejects_a_negative_or_non_finite_amount(arg, value):
+    # a NaN severity once returned the sinogram unchanged, an infinite one
+    # non-finite data, and a NaN or negative noise scale skipped the noise
     g = geom_small()
     sino = untraced(np.zeros((g.n_views, g.n_detectors)))
-    with pytest.raises(ValueError):
-        ct.corrupt_metal(sino, -0.5, np.random.default_rng(0), 0.02)
+    sino.metal_trace[:, 40:50] = True
+    amounts = dict(severity=0.2, noise_scale=0.02) | {arg: value}
+    name = arg.replace("_", " ")
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative, got {value}"):
+        ct.corrupt_metal(sino, amounts["severity"], np.random.default_rng(0),
+                         amounts["noise_scale"])
 
 
 def test_corrupt_without_noise_draws_nothing():
@@ -416,6 +424,11 @@ def test_ssim_rejects_an_image_smaller_than_its_window():
     small = np.zeros((ct.SSIM_WINDOW, ct.SSIM_WINDOW - 1))
     with pytest.raises(ShapeError, match="smaller than 8x8 window"):
         ct.ssim(small, small, data_range=1.0)
+
+
+def test_ssim_rejects_images_of_different_shapes():
+    with pytest.raises(ShapeError, match=r"ssim: shape \(12, 12\) vs \(12, 10\)"):
+        ct.ssim(np.zeros((12, 12)), np.zeros((12, 10)), data_range=1.0)
 
 
 def test_ssim_identical_is_one():

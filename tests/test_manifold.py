@@ -8,8 +8,8 @@ from scipy.spatial.distance import pdist, squareform
 from patchmar import autodiff as ad
 from patchmar import ctsim, manifold, training
 from patchmar.autodiff import Tensor, ShapeError
-from patchmar.manifold import (KernelConfig, DualVariable, GraphOperators,
-                               SolverError, build_patch_set, dirichlet_energy,
+from patchmar.manifold import (DualVariable, GraphOperators, SolverError,
+                               build_patch_set, dirichlet_energy,
                                gaussian_weights, normalize_dual,
                                solve_coordinates)
 
@@ -86,6 +86,18 @@ def test_patch_set_geometry_mismatch_rejected():
     bad_code = Tensor(np.zeros((1, 16, 2, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="concat: extent mismatch on axis 0: 8 vs 4"):
         build_patch_set([img], [bad_code])
+
+
+def test_patch_set_rejects_unmatched_empty_or_multichannel_input():
+    img = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
+    code = Tensor(np.zeros((1, 16, 2, 2), dtype=np.float32))
+    with pytest.raises(ShapeError, match="2 images vs 1 codes"):
+        build_patch_set([img, img], [code])
+    with pytest.raises(ShapeError, match="empty patch-set input"):
+        build_patch_set([], [])
+    two = Tensor(np.zeros((1, 2, 16, 16), dtype=np.float32))
+    with pytest.raises(ShapeError, match="one channel, got 2"):
+        build_patch_set([two], [code])
 
 
 def test_patch_set_is_differentiable_through_both_parts():
@@ -392,6 +404,13 @@ def test_energy_is_the_pairwise_sum_over_points():
     assert dirichlet_energy(gaussian_weights(np.full((5, 3), 2.5))) == 0.0
 
 
+def test_weights_reject_a_non_matrix_or_no_points():
+    with pytest.raises(ShapeError, match=r"m x d matrix, got shape \(4,\)"):
+        gaussian_weights(np.zeros(4))
+    with pytest.raises(ShapeError, match="at least one point"):
+        gaussian_weights(np.zeros((0, 3)))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
 def test_weights_reject_non_finite_points_naming_the_rows(value):
     # 1e160 is finite, but its squared norm overflows every distance from it
@@ -407,32 +426,32 @@ def test_weights_reject_non_finite_points_naming_the_rows(value):
 def test_solve_single_point_returns_v():
     ops = gaussian_weights(np.ones((1, 3)))
     v = np.array([[1.0, -2.0, 3.0]])
-    res = solve_coordinates(ops, v, KernelConfig())
+    res = solve_coordinates(ops, v, 0.6)
     assert np.allclose(res.u, v, atol=1e-12)
 
 
 def test_solve_identical_points_constant_v():
     ops = gaussian_weights(np.zeros((4, 2)))
     v = np.full((4, 3), 2.5)
-    res = solve_coordinates(ops, v, KernelConfig(mu_bar=0.6))
+    res = solve_coordinates(ops, v, 0.6)
     assert np.allclose(res.u, v, atol=1e-8)
 
 
 def test_solve_matches_dense_direct_oracle():
     rng = np.random.default_rng(4)
-    cfg = KernelConfig(mu_bar=0.6)
+    mu_bar = 0.6
     for _ in range(10):
         m = int(rng.integers(5, 21))
         pts = random_points(rng, m, 8)
         v = rng.standard_normal((m, 5))
         ops = gaussian_weights(pts)
-        res = solve_coordinates(ops, v, cfg)
+        res = solve_coordinates(ops, v, mu_bar)
         w = dense_w(ops)
-        a = dense_laplacian(ops) + cfg.mu_bar * w
-        u_direct = np.linalg.solve(a, cfg.mu_bar * w @ v)
+        a = dense_laplacian(ops) + mu_bar * w
+        u_direct = np.linalg.solve(a, mu_bar * w @ v)
         denom = max(np.linalg.norm(u_direct), 1e-12)
         assert np.linalg.norm(res.u - u_direct) / denom < 1e-6
-        b = cfg.mu_bar * w @ v
+        b = mu_bar * w @ v
         col_res = np.linalg.norm(b - a @ res.u, axis=0)
         col_b = np.linalg.norm(b, axis=0)
         assert np.all(col_res <= 1e-8 * np.maximum(col_b, 1e-300))
@@ -455,7 +474,6 @@ def test_applied_operator_matches_dense_reference(mu_bar, monkeypatch):
     # mu_bar = 6 the weight factor 1 - mu_bar is negative. CG runs to
     # 5e-15, far past the contract, so U is compared with the direct solve.
     rng = np.random.default_rng(14)
-    cfg = KernelConfig(mu_bar=mu_bar)
     pts = random_points(rng, 30, 6)
     v = rng.standard_normal((30, 4))
     ops = gaussian_weights(pts)
@@ -464,7 +482,7 @@ def test_applied_operator_matches_dense_reference(mu_bar, monkeypatch):
     a = lap + mu_bar * w
     b = mu_bar * w @ v
     _forced_pcg(monkeypatch, tol=5e-15)
-    res = solve_coordinates(ops, v, cfg)
+    res = solve_coordinates(ops, v, mu_bar)
     applied = ops.apply(np.ascontiguousarray(v.T), 1.0 - mu_bar)
     assert np.linalg.norm(applied - (a @ v).T) <= 1e-12 * np.linalg.norm(a @ v)
     u_direct = np.linalg.solve(a, b)
@@ -481,19 +499,19 @@ def test_solve_nonconvergence_raises_with_residual(monkeypatch):
     v = rng.standard_normal((30, 2))
     _forced_pcg(monkeypatch, max_iter=1)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, KernelConfig(mu_bar=1e-6))
+        solve_coordinates(ops, v, 1e-6)
     assert err.value.worst_residual > 1e-8
     assert err.value.iterations == 3  # one per pass
 
 
 def _restart_setup():
     rng = np.random.default_rng(15)
-    cfg = KernelConfig()
+    mu_bar = 0.6
     ops = gaussian_weights(random_points(rng, 20, 5))
     v = rng.standard_normal((20, 3))
     w = dense_w(ops)
-    a = dense_laplacian(ops) + cfg.mu_bar * w
-    return ops, v, cfg, a, cfg.mu_bar * w @ v
+    a = dense_laplacian(ops) + mu_bar * w
+    return ops, v, mu_bar, a, mu_bar * w @ v
 
 
 def _worst_residual(a, b, u):
@@ -521,9 +539,9 @@ def _drifting_pcg(monkeypatch, every_call):
 
 
 def test_solve_restarts_when_the_true_residual_misses_tol(monkeypatch):
-    ops, v, cfg, a, b = _restart_setup()
+    ops, v, mu_bar, a, b = _restart_setup()
     calls = _drifting_pcg(monkeypatch, every_call=False)
-    res = solve_coordinates(ops, v, cfg)
+    res = solve_coordinates(ops, v, mu_bar)
     assert len(calls) == 2
     assert _worst_residual(a, b, calls[0][0]) > 1e-8
     assert res.residual <= 1e-8
@@ -533,10 +551,10 @@ def test_solve_restarts_when_the_true_residual_misses_tol(monkeypatch):
 
 
 def test_solve_raises_when_every_restart_drifts(monkeypatch):
-    ops, v, cfg, a, b = _restart_setup()
+    ops, v, mu_bar, a, b = _restart_setup()
     calls = _drifting_pcg(monkeypatch, every_call=True)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, cfg)
+        solve_coordinates(ops, v, mu_bar)
     assert len(calls) == 3
     worst = _worst_residual(a, b, sum(dx for dx, _ in calls))
     assert worst > 1e-8
@@ -549,7 +567,7 @@ def test_solve_large_mu_bar_pins_u_to_v():
     pts = random_points(rng, 25, 6)
     v = rng.standard_normal((25, 4))
     ops = gaussian_weights(pts)
-    res = solve_coordinates(ops, v, KernelConfig(mu_bar=1e6))
+    res = solve_coordinates(ops, v, 1e6)
     assert np.linalg.norm(res.u - v) / np.linalg.norm(v) <= 1e-3
 
 
@@ -558,7 +576,7 @@ def test_solve_small_mu_bar_flattens_columns():
     pts = random_points(rng, 25, 6)
     v = rng.standard_normal((25, 4))
     ops = gaussian_weights(pts)
-    res = solve_coordinates(ops, v, KernelConfig(mu_bar=1e-6))
+    res = solve_coordinates(ops, v, 1e-6)
     v_range = v.max(axis=0) - v.min(axis=0)
     u_range = res.u.max(axis=0) - res.u.min(axis=0)
     assert np.all(u_range <= 1e-3 * v_range)
@@ -570,18 +588,18 @@ def test_solve_reduces_dirichlet_energy():
         pts = random_points(rng, 20, 5)
         v = rng.standard_normal((20, 3))
         ops = gaussian_weights(pts)
-        res = solve_coordinates(ops, v, KernelConfig(mu_bar=mu_bar))
+        res = solve_coordinates(ops, v, mu_bar)
         assert energy_of(res.u, ops) <= energy_of(v, ops) + 1e-12
 
 
 def test_solve_permutation_equivariance():
     rng = np.random.default_rng(9)
-    cfg = KernelConfig()
+    mu_bar = 0.6
     pts = random_points(rng, 15, 4)
     v = rng.standard_normal((15, 3))
     perm = rng.permutation(15)
-    u1 = solve_coordinates(gaussian_weights(pts), v, cfg).u
-    u2 = solve_coordinates(gaussian_weights(pts[perm]), v[perm], cfg).u
+    u1 = solve_coordinates(gaussian_weights(pts), v, mu_bar).u
+    u2 = solve_coordinates(gaussian_weights(pts[perm]), v[perm], mu_bar).u
     assert np.allclose(u2, u1[perm], atol=1e-7)
 
 
@@ -589,7 +607,27 @@ def test_solve_shape_mismatch_rejected():
     ops = gaussian_weights(np.zeros((3, 2)))
     for v in (np.zeros((4, 2)), np.zeros((3, 0))):
         with pytest.raises(ShapeError):
-            solve_coordinates(ops, v, KernelConfig())
+            solve_coordinates(ops, v, 0.6)
+
+
+def test_solve_zero_right_hand_side_returns_zero_without_iterating():
+    rng = np.random.default_rng(30)
+    ops = gaussian_weights(random_points(rng, 20, 4))
+    res = solve_coordinates(ops, np.zeros((20, 3)), 0.6)
+    assert np.array_equal(res.u, np.zeros((20, 3)))
+    assert res.residual == 0.0 and res.iterations == 0
+
+
+@pytest.mark.parametrize("mu_bar", [0.06, 0.6])
+def test_solve_rejects_degrees_that_leave_no_positive_diagonal(mu_bar):
+    # the diagonal of D - (1 - mu_bar) W is d_i - (1 - mu_bar), as w_ii = 1;
+    # gaussian_weights gives d_i >= 1, so only a hand-built graph reaches this
+    w = np.eye(3)
+    degrees = np.array([2.0, 1.0 - mu_bar, 0.5 * (1.0 - mu_bar)])
+    bad = GraphOperators(w_top=w[:0, :0], w_right=w, degrees=degrees, energy=0.0)
+    with pytest.raises(SolverError) as err:
+        solve_coordinates(bad, np.ones((3, 2)), mu_bar)
+    assert err.value.worst_residual == math.inf and err.value.iterations == 0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -600,7 +638,7 @@ def test_solve_rejects_a_non_finite_right_hand_side(value):
     v = rng.standard_normal((70, 3))
     v[11, 1] = value
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, KernelConfig())
+        solve_coordinates(ops, v, 0.6)
     assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
 
 
@@ -617,12 +655,12 @@ def test_solve_rejects_a_graph_with_a_nan_row(value):
     bad = GraphOperators(w_top=w[:h, :h], w_right=w[:, h:], degrees=w.sum(axis=1),
                          energy=ops.energy)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(bad, rng.standard_normal((70, 3)), KernelConfig())
+        solve_coordinates(bad, rng.standard_normal((70, 3)), 0.6)
     assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
 
 
 def test_solve_raises_on_a_non_finite_residual(monkeypatch):
-    ops, v, cfg, _, _ = _restart_setup()
+    ops, v, mu_bar, _, _ = _restart_setup()
     inner = manifold._pcg_multi
 
     def pcg(*args):
@@ -632,7 +670,7 @@ def test_solve_raises_on_a_non_finite_residual(monkeypatch):
 
     monkeypatch.setattr(manifold, "_pcg_multi", pcg)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, cfg)
+        solve_coordinates(ops, v, mu_bar)
     assert math.isnan(err.value.worst_residual)
 
 
@@ -714,11 +752,11 @@ def _reference_nystrom(ops, c):
     return precondition
 
 
-def _reference_solve(ops, v, cfg, tol=1e-8):
+def _reference_solve(ops, v, mu_bar, tol=1e-8):
     """(U, iterations) of the (m, k) Nystrom solve, restarts included."""
-    c = 1.0 - cfg.mu_bar
+    c = 1.0 - mu_bar
     apply_a = _reference_apply(ops, c)
-    b = cfg.mu_bar * (dense_w(ops) @ v)
+    b = mu_bar * (dense_w(ops) @ v)
     bnorm = np.linalg.norm(b, axis=0)
     precondition = _reference_nystrom(ops, c)
     x, r, budget, total_it = None, b, 10 * ops.m, 0
@@ -736,16 +774,16 @@ def _reference_solve(ops, v, cfg, tol=1e-8):
     return x, total_it
 
 
-def _jacobi_solve(ops, v, cfg, tol=1e-8):
+def _jacobi_solve(ops, v, mu_bar, tol=1e-8):
     """(U, iterations) of the replaced solve: one Jacobi CG pass at tol / 2,
     as solve_coordinates ran it before any restart."""
-    c = 1.0 - cfg.mu_bar
+    c = 1.0 - mu_bar
     diag_inv = 1.0 / (ops.degrees - c)
 
     def jacobi(r, out, scratch):
         return np.multiply(diag_inv[:, None], r, out=out)
 
-    b = cfg.mu_bar * (dense_w(ops) @ v)
+    b = mu_bar * (dense_w(ops) @ v)
     return _reference_pcg(_reference_apply(ops, c), b, jacobi, tol * 0.5, 10 * ops.m)
 
 
@@ -782,26 +820,25 @@ _EQUIV_CASES = ([(m, "random") for m in (1, 63, 64, 65)]
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
 @pytest.mark.parametrize("m,kind", _EQUIV_CASES)
 def test_nystrom_solve_matches_jacobi_reference(m, kind, mu_bar):
-    cfg = KernelConfig(mu_bar=mu_bar)
     ops = gaussian_weights(_dup_points(m, kind))
     v = np.random.default_rng(20).standard_normal((m, 4))
-    res = solve_coordinates(ops, v, cfg)
+    res = solve_coordinates(ops, v, mu_bar)
     w = dense_w(ops)
     a = dense_laplacian(ops) + mu_bar * w
     b = mu_bar * w @ v
     assert res.residual <= 1e-8
     assert _worst_residual(a, b, res.u) <= 1e-8
-    u_ref, _ = _jacobi_solve(ops, v, cfg)
+    u_ref, _ = _jacobi_solve(ops, v, mu_bar)
     assert _worst_residual(a, b, u_ref) <= 1e-8
     assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
     if mu_bar == 1.0:  # c = 0: the preconditioner is D, the system matrix
         assert res.iterations == 1
 
 
-def _assert_matches_mk_reference(ops, v, cfg, res):
+def _assert_matches_mk_reference(ops, v, mu_bar, res):
     # the (k, m) layout changes only rounding: its row reductions sum in
     # another order than the (m, k) column ones
-    u_ref, ref_iterations = _reference_solve(ops, v, cfg)
+    u_ref, ref_iterations = _reference_solve(ops, v, mu_bar)
     assert res.iterations == ref_iterations
     assert np.linalg.norm(res.u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
 
@@ -809,10 +846,9 @@ def _assert_matches_mk_reference(ops, v, cfg, res):
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
 @pytest.mark.parametrize("m,kind", _EQUIV_CASES)
 def test_km_solve_matches_mk_reference(m, kind, mu_bar):
-    cfg = KernelConfig(mu_bar=mu_bar)
     ops = gaussian_weights(_dup_points(m, kind))
     v = np.random.default_rng(20).standard_normal((m, 4))
-    _assert_matches_mk_reference(ops, v, cfg, solve_coordinates(ops, v, cfg))
+    _assert_matches_mk_reference(ops, v, mu_bar, solve_coordinates(ops, v, mu_bar))
 
 
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
@@ -834,24 +870,24 @@ def test_solve_is_deterministic():
     rng = np.random.default_rng(22)
     ops = gaussian_weights(random_points(rng, 300, 8))
     v = rng.standard_normal((300, 5))
-    first = solve_coordinates(ops, v, KernelConfig())
-    second = solve_coordinates(ops, v, KernelConfig())
+    first = solve_coordinates(ops, v, 0.6)
+    second = solve_coordinates(ops, v, 0.6)
     assert np.array_equal(first.u, second.u)
     assert first.iterations == second.iterations
 
 
 @pytest.fixture(scope="module")
 def ldm_sup_systems():
-    """(ops, v, cfg, result) of the solves of two LDM-Sup steps at batch 4
+    """(ops, v, mu_bar, result) of the solves of two LDM-Sup steps at batch 4
     on 64 x 64 images (m = 512), the second with a non-zero dual."""
     geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
     data = ctsim.synthesize_dataset(4, geom, ctsim.SynthConfig(seed=1, test_pairs=0))
     cfg = training.TrainConfig(mode="LDM-Sup", batch_size=4, seed=0)
     systems = []
 
-    def solve(ops, v, kcfg):
-        res = solve_coordinates(ops, v, kcfg)
-        systems.append((ops, v, kcfg, res))
+    def solve(ops, v, mu_bar):
+        res = solve_coordinates(ops, v, mu_bar)
+        systems.append((ops, v, mu_bar, res))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -860,20 +896,20 @@ def ldm_sup_systems():
         state = training.OptState()
         batch = next(training.epoch_batches(training.make_pools(data, cfg), cfg, 1))
         for _ in range(2):
-            training.training_step(net, batch, state, cfg, cfg.kernel_config())
+            training.training_step(net, batch, state, cfg, cfg.mu_bar)
     assert len(systems) == 2
     assert all(ops.m == 512 for ops, _, _, _ in systems)
     return systems
 
 
 def test_km_solve_matches_mk_reference_on_ldm_sup_patch_sets(ldm_sup_systems):
-    for ops, v, kcfg, res in ldm_sup_systems:
-        _assert_matches_mk_reference(ops, v, kcfg, res)
+    for ops, v, mu_bar, res in ldm_sup_systems:
+        _assert_matches_mk_reference(ops, v, mu_bar, res)
 
 
 def test_nystrom_takes_no_more_iterations_than_jacobi_on_ldm_sup_patch_sets(ldm_sup_systems):
-    for ops, v, kcfg, res in ldm_sup_systems:
-        u_ref, ref_iterations = _jacobi_solve(ops, v, kcfg)
+    for ops, v, mu_bar, res in ldm_sup_systems:
+        u_ref, ref_iterations = _jacobi_solve(ops, v, mu_bar)
         assert res.iterations <= ref_iterations
         assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
 
@@ -889,8 +925,8 @@ def test_solve_gives_the_same_u_for_c_and_f_ordered_v(m, k, exact):
     rng = np.random.default_rng(29)
     ops = gaussian_weights(random_points(rng, m, 8))
     v = rng.standard_normal((m, k))
-    res_c = solve_coordinates(ops, v, KernelConfig())
-    res_f = solve_coordinates(ops, np.asfortranarray(v), KernelConfig())
+    res_c = solve_coordinates(ops, v, 0.6)
+    res_f = solve_coordinates(ops, np.asfortranarray(v), 0.6)
     assert res_c.iterations == res_f.iterations
     assert res_c.u.flags.f_contiguous and res_f.u.flags.f_contiguous
     if exact:
@@ -907,12 +943,12 @@ def _assert_solve_peak_within_bound(order):
     rng = np.random.default_rng(18)
     ops = gaussian_weights(rng.standard_normal((m, k)))
     v = np.asarray(rng.standard_normal((m, k)), order=order)
-    solve_coordinates(ops, v, KernelConfig())  # first-use allocations
+    solve_coordinates(ops, v, 0.6)  # first-use allocations
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        solve_coordinates(ops, v, KernelConfig())
+        solve_coordinates(ops, v, 0.6)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -57,6 +57,15 @@ def test_config_rejects_a_negative_seed(seed):
         training.TrainConfig(seed=seed)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(mode="LDM"), "unknown mode 'LDM'; expected one of"),
+    (dict(batch_size=0), "batch size must be >= 1, got 0"),
+    (dict(epochs=-1), "epochs must be >= 0, got -1")])
+def test_config_rejects_an_unknown_mode_or_run_shape(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        training.TrainConfig(**kwargs)
+
+
 # --------------------------------------------------------------- batches
 
 def test_batches_take_each_pool_in_its_permutation_order(bundle):
@@ -272,7 +281,7 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     monkeypatch.setattr(training, "build_patch_set", record)
     net = training.build_network(cfg)
     training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
-                           cfg.kernel_config())
+                           cfg.mu_bar)
     assert len(built) == 2
     step, refresh = built
     entries = 1 + int(cfg.uses_adn and cfg.uses_sup)
@@ -310,7 +319,7 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     monkeypatch.setattr(training, "_ldm_entries_fresh", check)
     net = training.build_network(cfg)
     training.training_step(net, first_batch(bundle, cfg), training.OptState(), cfg,
-                           cfg.kernel_config())
+                           cfg.mu_bar)
     assert alive == [False] * 4
 
 
@@ -376,7 +385,7 @@ def test_discriminator_step_sees_only_the_discriminator_loss(bundle, mode, monke
 
     monkeypatch.setattr(training, "adam_step", spy)
     batch = first_batch(bundle, cfg)
-    training.training_step(net, batch, training.OptState(), cfg, cfg.kernel_config())
+    training.training_step(net, batch, training.OptState(), cfg, cfg.mu_bar)
     assert seen.keys() == {name for name, _ in net.disc_params.items()}
 
     x, y = Tensor(batch.x_unpaired), Tensor(batch.y_unpaired)
@@ -438,12 +447,12 @@ def test_failed_step_leaves_state_untouched(bundle, failure, monkeypatch):
     good, bad = list(training.epoch_batches(training.make_pools(bundle, cfg), cfg, 1))[:2]
     net = training.build_network(cfg)
     state = training.OptState()
-    training.training_step(net, good, state, cfg, cfg.kernel_config())
+    training.training_step(net, good, state, cfg, cfg.mu_bar)
     before = _snapshot(net, state)
     assert before["gen.step_count"] == before["disc.step_count"] == 1
 
     with pytest.raises(_inject(failure, net, monkeypatch)):
-        training.training_step(net, bad, state, cfg, cfg.kernel_config())
+        training.training_step(net, bad, state, cfg, cfg.mu_bar)
     after = _snapshot(net, state)
     assert after.keys() == before.keys()
     for key, value in before.items():
@@ -508,7 +517,7 @@ def _after_one_step(bundle, mode, batch_size):
     batches = training.epoch_batches(training.make_pools(bundle, cfg), cfg, 1)
     net = training.build_network(cfg)
     state = training.OptState()
-    training.training_step(net, next(batches), state, cfg, cfg.kernel_config())
+    training.training_step(net, next(batches), state, cfg, cfg.mu_bar)
     return cfg, net, state, next(batches)
 
 
@@ -537,7 +546,7 @@ def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = training.training_step(net, batch, state, cfg, cfg.kernel_config())
+        rep = training.training_step(net, batch, state, cfg, cfg.mu_bar)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
