@@ -12,6 +12,13 @@ than kept: `conv2d` keeps its input and rebuilds its column matrix, and
 operation's input must therefore not be mutated between its forward and the
 backward through it. The one exception is `bias_act`, which overwrites its
 input, a fresh conv output that no closure reads, with its own result.
+
+A conv is a GEMM over column matrices: `_im2col` zero-pads its input and
+copies it out as columns, and its adjoint `_col2im` adds columns back and
+crops the padding. Conv backward always forms the kernel gradient, since
+every conv kernel is a network parameter. `conv2d` skips the input gradient
+of an input that needs none, an image read by a first layer; the input of a
+transposed conv is always a layer's output, so its backward forms both.
 """
 
 import contextlib
@@ -322,18 +329,22 @@ def frobenius_sq(a):
 # ---------------------------------------------------------------------------
 # convolutions
 
-def _im2col(xp, kh, kw, stride, hout, wout):
-    """Per-image column matrix [N, C*kh*kw, hout*wout] of padded input xp.
+def _im2col(x, kh, kw, stride, padding, hout, wout):
+    """Per-image column matrix [N, C*kh*kw, hout*wout] of x, zero-padded here.
 
     Row (c, i, j) of image n holds tap (i, j) of channel c at every output
     position, so the copy out of the strided view walks each row along the
     input's own rows, and a conv is one batched `kernel @ cols` whose result
-    is already [N, F, hout*wout].
+    is already [N, F, hout*wout]. `_col2im` of the same geometry is its adjoint.
     """
-    n, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
+    n, c, h, w = x.shape
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
+    s0, s1, s2, s3 = x.strides
     view = np.lib.stride_tricks.as_strided(
-        xp,
+        x,
         shape=(n, c, kh, kw, hout, wout),
         strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
         writeable=False,
@@ -343,7 +354,7 @@ def _im2col(xp, kh, kw, stride, hout, wout):
 
 def _col2im(dcols, xshape, kh, kw, stride, padding, hout, wout):
     """Adjoint of `_im2col`: add per-image columns [N, C*kh*kw, hout*wout]
-    back onto a new C-contiguous [N,C,H,W] array.
+    back onto a new C-contiguous [N,C,H,W] array, cropping the padding.
 
     Each row ends in all hout*wout output positions, so tap (i, j) of every
     channel, `d6[:, :, i, j]`, reads whole contiguous rows; each tap is
@@ -358,15 +369,6 @@ def _col2im(dcols, xshape, kh, kw, stride, padding, hout, wout):
     if padding:
         return np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + w])
     return dxp
-
-
-def _pad_nchw(x, padding):
-    if padding == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding:padding + h, padding:padding + w] = x
-    return xp
 
 
 def _validate_conv(x, kernel, stride, padding, op):
@@ -402,23 +404,21 @@ def conv2d(x, kernel, stride=1, padding=0):
     wout = (w + 2 * padding - kw) // stride + 1
 
     def columns():
-        return _im2col(_pad_nchw(x.data, padding), kh, kw, stride, hout, wout)
+        return _im2col(x.data, kh, kw, stride, padding, hout, wout)
 
     kmat = kernel.data.reshape(f, -1)
     out = np.matmul(kmat, columns()).reshape(n, f, hout, wout)
 
     def bwd(g):
         g3 = g.reshape(n, f, hout * wout)
-        gk = None
+        gk = np.matmul(g3, columns().transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
         gx = None
-        if kernel.requires_grad:
-            gk = np.matmul(g3, columns().transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
         if x.requires_grad and stride == 1 and f < c and kh == kw and padding < kh:
             # at stride 1 the input gradient is g correlated with the flipped,
             # channel-swapped kernel: its columns have f*kh*kw rows, fewer
             # than the c*kh*kw rows that _col2im would scatter
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            gcols = _im2col(_pad_nchw(g, kh - 1 - padding), kh, kw, 1, h, w)
+            gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
             gx = np.matmul(kflip, gcols).reshape(n, c, h, w)
         elif x.requires_grad:
             gx = _col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride, padding,
@@ -451,13 +451,9 @@ def conv_transpose2d(x, kernel, stride=1, padding=0):
     out = _col2im(np.matmul(kmat.T, x3), (n, cout, hout, wout), kh, kw, stride, padding, h, w)
 
     def bwd(g):
-        cols_g = _im2col(_pad_nchw(g, padding), kh, kw, stride, h, w)
-        gx = None
-        gk = None
-        if x.requires_grad:
-            gx = np.matmul(kmat, cols_g).reshape(n, cin, h, w)
-        if kernel.requires_grad:
-            gk = np.matmul(x3, cols_g.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, kh, kw)
+        cols_g = _im2col(g, kh, kw, stride, padding, h, w)
+        gx = np.matmul(kmat, cols_g).reshape(n, cin, h, w)
+        gk = np.matmul(x3, cols_g.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, kh, kw)
         return gx, gk
 
     return _node(out, (x, kernel), bwd)

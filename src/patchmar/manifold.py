@@ -445,9 +445,10 @@ def solve_coordinates(ops, v, mu_bar):
     three passes; otherwise SolverError carries the worst column residual.
     The true residual is re-checked after the recurrence converges, with a
     restart if rounding drift ate the contract. A NaN or infinite weight in
-    W or entry in v (both caught before any product with W) raises
-    SolverError with a NaN residual after 0 iterations; a non-finite
-    residual fails the contract like any other.
+    W (caught from the degrees, before any product with W), a NaN or
+    infinite entry in v, or a v whose right-hand side overflows raises
+    SolverError with a NaN residual after 0 iterations, and no warning; a
+    non-finite residual fails the contract like any other.
 
     v is an (m, k) block, k >= 1, C- or F-ordered. CG runs on (k, m) blocks
     from b = mu_bar * (v^T W), v^T a view; u is the F-ordered (m, k) view of
@@ -461,14 +462,15 @@ def solve_coordinates(ops, v, mu_bar):
     if v.ndim != 2 or v.shape[0] != m or v.shape[1] == 0:
         raise ShapeError(f"v must be an (m, k >= 1) block over {m} points, got shape {v.shape}")
     c = 1.0 - mu_bar
-    # before v^T W: an inf in v makes OpenBLAS raise an invalid-value flag
-    if not (np.isfinite(ops.degrees).all() and np.isfinite(v).all()):
+    if not np.isfinite(ops.degrees).all():
         raise SolverError(np.nan, 0)
     if (ops.degrees - c <= 0.0).any():  # the diagonal of A; w_ii = 1
         raise SolverError(np.inf, 0)
-    b = ops.matmul(v.T)
-    b *= mu_bar
-    bnorm = np.linalg.norm(b, axis=1)
+    # a non-finite or overflowing v leaves bnorm non-finite, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = ops.matmul(v.T)
+        b *= mu_bar
+        bnorm = np.linalg.norm(b, axis=1)
     if not np.isfinite(bnorm).all():  # a NaN norm would pass as converged
         raise SolverError(np.nan, 0)
     precondition = _nystrom_preconditioner(ops, c)

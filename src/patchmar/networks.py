@@ -42,6 +42,9 @@ BASE_WIDTH = 8 is the stem's channel count, doubled by each halving (a 4x4
 stride-2 conv) to 64 latent channels. The builders read both constants, and
 the decoders' up-path is 4x4 stride-2 transposed convs. Inputs are [N,1,H,W]
 with H and W multiples of s, each code location covering one s x s patch.
+A k x k stride-s conv pads each side by (k - s) / 2: "same" padding at
+stride 1 and an exact halving at stride 2. The transposed convs pad by the
+same (4 - 2) / 2 = 1, so each up-step is the adjoint of a halving.
 
 On-disk checkpoint (`save_checkpoint` / `load_checkpoint`): `manifest.json`
 holds one key, the `variant` value, since the variant alone fixes the
@@ -137,12 +140,12 @@ def _param(values):
 
 
 class _Conv(_Module):
-    def __init__(self, cin, cout, k, stride, pad, act, rng):
+    def __init__(self, cin, cout, k, stride, act, rng):
         std = _he_std(cin * k * k)
         self.kernel = _param(rng.normal(0.0, std, (cout, cin, k, k)))
         self.bias = _param(np.zeros(cout))
         self.stride = stride
-        self.pad = pad
+        self.pad = (k - stride) // 2
         self.act = act
 
     def __call__(self, x):
@@ -167,12 +170,12 @@ class _Encoder(_Module):
     """Stem conv + _N_DOWN stride-2 convs; returns latent and skip features."""
 
     def __init__(self, rng):
-        self.stem = _Conv(1, BASE_WIDTH, 3, 1, 1, "leaky_relu", rng)
+        self.stem = _Conv(1, BASE_WIDTH, 3, 1, "leaky_relu", rng)
         self.downs = []
         c = BASE_WIDTH
         for _ in range(_N_DOWN):
             # 4x4 stride-2 halving keeps receptive-field centers on patch centers
-            self.downs.append(_Conv(c, 2 * c, 4, 2, 1, "leaky_relu", rng))
+            self.downs.append(_Conv(c, 2 * c, 4, 2, "leaky_relu", rng))
             c *= 2
 
     def __call__(self, x):
@@ -193,7 +196,7 @@ class _CleanDecoder(_Module):
         for _ in range(_N_DOWN):
             self.ups.append(_ConvT(c, c // 2, rng))
             c //= 2
-        self.out = _Conv(c, 1, 3, 1, 1, "tanh", rng)
+        self.out = _Conv(c, 1, 3, 1, "tanh", rng)
 
     def __call__(self, latent, skips=None):
         f = latent
@@ -210,7 +213,7 @@ class _ArtifactDecoder(_CleanDecoder):
 
     def __init__(self, rng):
         # first in parameter and RNG draw order
-        self.fuse = _Conv(2 * _LATENT_WIDTH, _LATENT_WIDTH, 3, 1, 1, "leaky_relu", rng)
+        self.fuse = _Conv(2 * _LATENT_WIDTH, _LATENT_WIDTH, 3, 1, "leaky_relu", rng)
         super().__init__(rng)
 
     def __call__(self, content, artifact):
@@ -222,9 +225,9 @@ class Discriminator(_Module):
     """Three strided convs ending in a patch logit map (LSGAN, no sigmoid)."""
 
     def __init__(self, rng):
-        self.c1 = _Conv(1, BASE_WIDTH, 4, 2, 1, "leaky_relu", rng)
-        self.c2 = _Conv(BASE_WIDTH, 2 * BASE_WIDTH, 4, 2, 1, "leaky_relu", rng)
-        self.c3 = _Conv(2 * BASE_WIDTH, 1, 3, 1, 1, None, rng)
+        self.c1 = _Conv(1, BASE_WIDTH, 4, 2, "leaky_relu", rng)
+        self.c2 = _Conv(BASE_WIDTH, 2 * BASE_WIDTH, 4, 2, "leaky_relu", rng)
+        self.c3 = _Conv(2 * BASE_WIDTH, 1, 3, 1, None, rng)
 
     def __call__(self, img):
         return self.c3(self.c2(self.c1(img)))
@@ -253,8 +256,8 @@ class DisentangleNet(_Module):
             self.d_art = Discriminator(rng)
         if variant.has_codes:
             code_c = PATCH_SIZE * PATCH_SIZE
-            self.compress_art = _Conv(_LATENT_WIDTH, code_c, 1, 1, 0, None, rng)
-            self.compress_clean = _Conv(_LATENT_WIDTH, code_c, 1, 1, 0, None, rng)
+            self.compress_art = _Conv(_LATENT_WIDTH, code_c, 1, 1, None, rng)
+            self.compress_clean = _Conv(_LATENT_WIDTH, code_c, 1, 1, None, rng)
 
         self.gen_params = ParameterStore()
         self.disc_params = ParameterStore() if variant.is_unpaired else None

@@ -230,6 +230,28 @@ NETWORK_CONV_SHAPES = [
 CONV_RTOL = {np.float32: 2e-5, np.float64: 1e-12}
 
 
+@pytest.mark.parametrize("kind,k0,k1,kh,stride,extent", NETWORK_CONV_SHAPES,
+                         ids=[f"{s[0]}.k{s[1]}x{s[2]}x{s[3]}s{s[4]}i{s[5]}"
+                              for s in NETWORK_CONV_SHAPES])
+def test_column_kernels_are_adjoint(kind, k0, k1, kh, stride, extent):
+    # <im2col(x), C> = <x, col2im(C)> at the geometry each layer passes the
+    # pair: a conv's input and output extent, or a transposed conv's output
+    # and input extent. Either way x has k1 channels.
+    padding = (kh - stride) // 2
+    if kind == "conv2d":
+        h = extent
+        hout = (h + 2 * padding - kh) // stride + 1
+    else:
+        hout = extent
+        h = (hout - 1) * stride - 2 * padding + kh
+    rng = np.random.default_rng(zlib.crc32(f"{kind}{k0}x{k1}x{kh}s{stride}i{extent}".encode()))
+    x = rng.standard_normal((2, k1, h, h))
+    cols = rng.standard_normal((2, k1 * kh * kh, hout * hout))
+    lhs = np.vdot(ad._im2col(x, kh, kh, stride, padding, hout, hout), cols)
+    rhs = np.vdot(x, ad._col2im(cols, x.shape, kh, kh, stride, padding, hout, hout))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("kind,k0,k1,kh,stride,extent", NETWORK_CONV_SHAPES,
@@ -265,19 +287,17 @@ def _kept_columns_conv2d(x, kernel, stride, padding):
     f, _, kh, kw = kernel.data.shape
     hout = (h + 2 * padding - kh) // stride + 1
     wout = (w + 2 * padding - kw) // stride + 1
-    cols = ad._im2col(ad._pad_nchw(x.data, padding), kh, kw, stride, hout, wout)
+    cols = ad._im2col(x.data, kh, kw, stride, padding, hout, wout)
     kmat = kernel.data.reshape(f, -1)
     out = np.matmul(kmat, cols).reshape(n, f, hout, wout)
 
     def bwd(g):
         g3 = g.reshape(n, f, hout * wout)
-        gk = None
+        gk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
         gx = None
-        if kernel.requires_grad:
-            gk = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
         if x.requires_grad and stride == 1 and f < c and kh == kw and padding < kh:
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            gcols = ad._im2col(ad._pad_nchw(g, kh - 1 - padding), kh, kw, 1, h, w)
+            gcols = ad._im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
             gx = np.matmul(kflip, gcols).reshape(n, c, h, w)
         elif x.requires_grad:
             gx = ad._col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride, padding,
@@ -431,7 +451,7 @@ def test_layer_graph_holds_one_output_buffer(layer, act):
     # biased and activated in place, is the only output-sized array it keeps
     rng = np.random.default_rng(37)
     if layer == "conv":
-        mod = networks._Conv(8, 16, 4, 2, 1, act, rng)
+        mod = networks._Conv(8, 16, 4, 2, act, rng)
         x = Tensor(rng.standard_normal((3, 8, 64, 64)).astype(np.float32))
     else:
         mod = networks._ConvT(16, 8, rng)
@@ -499,6 +519,25 @@ def test_backward_accumulates_across_calls():
     once = p.grad.copy()
     ad.backward(loss)
     assert np.array_equal(p.grad, 2 * once)
+
+
+@pytest.mark.parametrize("op,factor", [(ad.add, 8.0), (lambda a, b: ad.concat([a, b]), 4.0),
+                                       (ad.sub, 0.0)], ids=["add", "concat", "sub"])
+def test_backward_visits_a_tensor_read_twice_once(op, factor):
+    # the op pushes its one parent twice; the second visit is skipped, and
+    # both of the op's gradients still reach the leaf
+    a = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+    inner = op(a, a)
+    loss = ad.frobenius_sq(inner)
+    runs = []
+    for node in (inner, loss):
+        def counted(g, bwd=node._backward, node=node):
+            runs.append(node)
+            return bwd(g)
+        node._backward = counted
+    ad.backward(loss)
+    assert np.array_equal(a.grad, factor * a.data)
+    assert runs == [loss, inner]
 
 
 def test_backward_adds_into_the_grad_array_in_place():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -562,6 +563,25 @@ def test_solve_raises_when_every_restart_drifts(monkeypatch):
     assert err.value.iterations == sum(used for _, used in calls)
 
 
+def test_solve_raises_when_one_pass_uses_the_whole_budget(monkeypatch):
+    ops, v, mu_bar, _, _ = _restart_setup()
+    inner = manifold._pcg_multi
+    calls = []
+
+    def pcg(*args):
+        dx, _ = inner(*args)
+        budget = args[-1]
+        calls.append(budget)
+        return dx + 1e-6 * dx, budget  # drifted, and the whole budget spent
+
+    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
+    with pytest.raises(SolverError) as err:
+        solve_coordinates(ops, v, mu_bar)
+    assert calls == [10 * ops.m]
+    assert err.value.worst_residual > 1e-8
+    assert err.value.iterations == 10 * ops.m
+
+
 def test_solve_large_mu_bar_pins_u_to_v():
     rng = np.random.default_rng(6)
     pts = random_points(rng, 25, 6)
@@ -639,6 +659,24 @@ def test_solve_rejects_a_non_finite_right_hand_side(value):
     v[11, 1] = value
     with pytest.raises(SolverError) as err:
         solve_coordinates(ops, v, 0.6)
+    assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
+
+
+@pytest.mark.parametrize("m,rows,scale", [(2, slice(None), 1e308), (300, 0, 1e160)],
+                         ids=["matmul", "norm"])
+def test_solve_rejects_a_right_hand_side_that_overflows(m, rows, scale):
+    # v is finite, but b = mu_bar v^T W overflows in the product (two equal
+    # points, so b = 0.6 * (1e308 + 1e308)) or only in its norm's squares;
+    # either way the norm is not finite, and the solve raises unwarned
+    rng = np.random.default_rng(32)
+    points = np.zeros((2, 4)) if m == 2 else random_points(rng, m, 4)
+    ops = gaussian_weights(points)
+    v = rng.standard_normal((m, 2))
+    v[rows, 0] = scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            solve_coordinates(ops, v, 0.6)
     assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
 
 
