@@ -151,9 +151,7 @@ def backward(loss):
     # backward calls accumulate instead of compounding stale values
     flow = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = flow.pop(id(node), None)
-        if g is None:
-            continue
+        g = flow.pop(id(node))
         if node._backward is None:
             if node.requires_grad:
                 # in place, 0-d leaves included; "safe" casting raises rather
@@ -161,7 +159,7 @@ def backward(loss):
                 np.add(node.grad, g, out=node.grad, casting="safe")
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+            if not parent.requires_grad:  # its closure may return None
                 continue
             key = id(parent)
             if key in flow:

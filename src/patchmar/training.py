@@ -5,15 +5,17 @@ The knobs are the mode, lambda (`lambda_ldm`), mu_bar, the learning rate and
 the run shape (epochs, batch size, seed). Nothing else is settable: the
 architecture is fixed (`networks.PATCH_SIZE` s = 8, `networks.BASE_WIDTH`
 = 8), Adam runs at its fixed setting (beta1 = 0.5, beta2 = 0.999,
-eps = 1e-8), the kernel bandwidth is chosen per patch set (median squared
-distance / 4), and evaluation measures PSNR/SSIM against each clean image's
-dynamic range.
+eps = 1e-8), the kernel bandwidth is chosen per group of the patch set
+(median squared distance / 4), and evaluation measures PSNR/SSIM against
+each clean image's dynamic range.
 
 Each step with the manifold penalty active runs, in order: forward passes and
-network losses; the Gaussian weight matrix W over the patch set P, whose
-build also sums P's Dirichlet energy (the step's diagnostic); the solve
-(L + mu_bar W) U = mu_bar W (P - d), with L = D - W applied from W and its
-row sums D; one Adam update of
+network losses; the Gaussian weights W over the patch set P, one block per
+group of `manifold.patch_groups` (a batch row's corrected-entry and
+free-entry patches), whose build also sums P's Dirichlet energy, the block
+sums over m (the step's diagnostic); the direct solve
+(L + mu_bar W) U = mu_bar W (P - d), L = D - W, of all blocks at once, each
+column to relative residual 1e-8; one Adam update of
 J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
@@ -32,8 +34,10 @@ The objective's normalisation, as the code runs it:
 - P has m = 2 * (branches drawn) * N * (H/s) * (W/s) rows, a corrected and
   a free entry per branch, and d = 2 * s^2 = 128 columns: the s x s pixel
   patch, then its s^2 code entries.
-- Each penalised step runs one solve, one Adam step and one graph-free
-  refresh.
+- Each penalised step runs one stacked solve over G = (branches drawn) * N
+  blocks of 2 * (H/s) * (W/s) = 128 points, one Adam step and one
+  graph-free refresh. The report's `cg_residual` is the solve's worst
+  relative column residual, and `cg_iterations` is 0: the solve is direct.
 - The dual is one m x d array, min-max normalised jointly over all its
   entries into [0, 1]. `epoch_batches` reshuffles every epoch, so row i
   belongs to another image and branch from one step to the next.
@@ -60,7 +64,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
 from .ctsim import denormalize_image, normalize_image, psnr, ssim
 from .manifold import (DualVariable, build_patch_set, dirichlet_energy,
-                       gaussian_weights, normalize_dual, solve_coordinates)
+                       gaussian_weights, normalize_dual, patch_groups, solve_coordinates)
 from .networks import (DisentangleNet, NetworkVariant, discriminator_loss, loss_adn,
                        loss_sup, save_checkpoint)
 from .optim import adam_step, check_grads
@@ -267,8 +271,9 @@ def _gradients(net, batch, dual, cfg, mu_bar, rep):
     """Forward passes, losses, the manifold solve and both backward passes.
 
     Fills rep's losses and solver fields and returns (dual, U); U is None
-    when the penalty is off. The step's graph, its patch set and W are
-    locals here, so they are freed when this returns.
+    when the penalty is off. The step's graph and its patch set are locals
+    here, so they are freed when this returns; W goes before the backward
+    passes.
     """
     losses = rep.losses
 
@@ -308,17 +313,18 @@ def _gradients(net, batch, dual, cfg, mu_bar, rep):
     if cfg.uses_ldm and cfg.lambda_ldm > 0.0:
         images, codes = _patch_entries(unpaired, paired)
         points = build_patch_set(images, codes)
+        n, _, gh, gw = codes[0].shape
         p_now = points.data.astype(np.float64)
-        graph = gaussian_weights(p_now)
+        graph = gaussian_weights(p_now, patch_groups(len(codes), n, gh * gw))
         if dual is None:  # every batch has the same size, so the shape holds
             dual = DualVariable(values=np.zeros_like(p_now))
         p_now -= dual.values  # P is not read again
         solved = solve_coordinates(graph, p_now, mu_bar)
         rep.dirichlet_energy = dirichlet_energy(graph)
-        del graph  # the backward passes do not need W
+        del graph, p_now  # the backward passes need neither
         u = solved.u
         rep.cg_residual = solved.residual
-        rep.cg_iterations = solved.iterations
+        rep.cg_iterations = 0  # the solve is direct
         penalty = ldm_penalty(u, points, dual, cfg.lambda_ldm)
         losses["ldm_penalty"] = float(penalty.data)
         total = penalty if total is None else ad.add(total, penalty)
@@ -343,9 +349,12 @@ def training_step(net, batch, state, cfg, mu_bar):
     """One outer iteration; returns a StepReport. Mutations happen only after
     every fallible stage has passed, so each of these failures leaves
     parameters, Adam moments and step counts, and the dual untouched:
-    - a patch set with a NaN or infinite entry: ValueError from
-      `gaussian_weights`;
-    - a solve that misses its residual contract: SolverError;
+    - a patch set with a NaN or infinite entry, or one whose squared norm
+      would overflow a distance: ValueError from `gaussian_weights`, before
+      any solve;
+    - a solve whose factorization fails or whose worst column misses
+      relative residual 1e-8 (a mu_bar so small that 1 - mu_bar rounds to 1
+      does): SolverError from `solve_coordinates`;
     - a NaN or infinite gradient: NanGradientError.
 
     mu_bar is cfg.mu_bar. It is passed apart from cfg because the

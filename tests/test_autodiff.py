@@ -552,6 +552,24 @@ def test_backward_adds_into_the_grad_array_in_place():
         assert np.array_equal(held, 2 * p.data)
 
 
+def test_backward_gives_a_parent_that_needs_no_gradient_none():
+    # conv2d's closure returns None for an input image that needs no
+    # gradient; backward skips that parent, leaves its grad None and still
+    # gives the kernel its gradient
+    rng = np.random.default_rng(9)
+    image = Tensor(rng.standard_normal((1, 1, 6, 6)))
+    kernel = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
+    ad.backward(ad.frobenius_sq(ad.conv2d(image, kernel, stride=1, padding=1)))
+    assert image.grad is None
+
+    def f():
+        return float(ad.frobenius_sq(ad.conv2d(image, Tensor(kernel.data), stride=1,
+                                                  padding=1)).data)
+
+    (g,) = numeric_grad(f, [kernel.data])
+    assert rel_err(kernel.grad, g) < 1e-4
+
+
 def test_backward_keeps_gradients_on_leaves_only():
     # operation results get no grad; the leaves get the full gradient, and a
     # second backward through the same graph adds to it

@@ -9,9 +9,9 @@ from scipy.spatial.distance import pdist, squareform
 from patchmar import autodiff as ad
 from patchmar import ctsim, manifold, training
 from patchmar.autodiff import Tensor, ShapeError
-from patchmar.manifold import (DualVariable, GraphOperators, SolverError,
+from patchmar.manifold import (DualVariable, PatchGraph, SolverError,
                                build_patch_set, dirichlet_energy,
-                               gaussian_weights, normalize_dual,
+                               gaussian_weights, normalize_dual, patch_groups,
                                solve_coordinates)
 
 
@@ -19,20 +19,53 @@ def random_points(rng, m, d):
     return rng.standard_normal((m, d))
 
 
-def dense_w(ops):
-    """W as one m x m array, assembled from the operator's rows."""
-    return ops.rows(np.arange(ops.m))
+def one_group(m):
+    return np.arange(m)[None]
 
 
-def dense_laplacian(ops):
-    return np.diag(ops.degrees) - dense_w(ops)
+def graph_of(points, groups=None):
+    """The graph of points, over one group of all rows unless groups is given."""
+    return gaussian_weights(points, one_group(len(points)) if groups is None else groups)
 
 
-def energy_of(u, ops):
+def dense_w(graph):
+    """W as one m x m array, block diagonal over the groups, rows in
+    patch-set order."""
+    m = graph.groups.size
+    w = np.zeros((m, m))
+    for rows, block in zip(graph.groups, graph.w):
+        w[np.ix_(rows, rows)] = block
+    return w
+
+
+def dense_degrees(graph):
+    d = np.empty(graph.groups.size)
+    d[graph.groups] = graph.degrees
+    return d
+
+
+def dense_laplacian(graph):
+    return np.diag(dense_degrees(graph)) - dense_w(graph)
+
+
+def energy_of(u, graph):
     """sum over the columns of an (m, k) block u of u^T L u, divided by m:
-    the Dirichlet energy of any u, through the Laplacian applied to the
-    (k, m) view u^T."""
-    return float((u.T * ops.apply(u.T, 1.0)).sum()) / ops.m
+    the Dirichlet energy of any u, through the assembled Laplacian."""
+    return float(np.sum(u * (dense_laplacian(graph) @ u))) / graph.groups.size
+
+
+def dense_solve(graph, v, mu_bar):
+    """U from one np.linalg.solve of the assembled m x m system."""
+    w = dense_w(graph)
+    return np.linalg.solve(dense_laplacian(graph) + mu_bar * w, mu_bar * w @ v)
+
+
+def worst_residual(graph, v, mu_bar, u):
+    """The worst relative column residual of u in the assembled system."""
+    w = dense_w(graph)
+    a = dense_laplacian(graph) + mu_bar * w
+    b = mu_bar * w @ v
+    return float((np.linalg.norm(b - a @ u, axis=0) / np.linalg.norm(b, axis=0)).max())
 
 
 # -------------------------------------------------------------- patch sets
@@ -110,12 +143,42 @@ def test_patch_set_is_differentiable_through_both_parts():
     assert np.allclose(code.grad, 2.0)
 
 
+# ------------------------------------------------------------- group index
+
+@pytest.mark.parametrize("branches", [1, 2])
+@pytest.mark.parametrize("batch", [1, 2, 32])
+def test_patch_groups_gather_each_rows_corrected_and_free_entries(batch, branches):
+    # Image r of entry e is 1000 e + r in every pixel, and the first code
+    # channel holds each location's row-major index, so every patch-set row
+    # names its entry, image and location. Entries come as training's
+    # `_patch_entries` lays them out: the corrected branches, then the free
+    # ones.
+    entries, gh = 2 * branches, 4
+    images = [Tensor(np.broadcast_to(1000.0 * e + np.arange(batch)[:, None, None, None],
+                                     (batch, 1, 4 * gh, 4 * gh)).astype(np.float32))
+              for e in range(entries)]
+    code = np.zeros((batch, 16, gh, gh), dtype=np.float32)
+    code[:, 0] = np.arange(gh * gh).reshape(gh, gh)
+    points = build_patch_set(images, [Tensor(code)] * entries).data
+    groups = patch_groups(entries, batch, gh * gh)
+    assert groups.shape == (branches * batch, 2 * gh * gh)
+    assert np.array_equal(np.sort(groups, axis=None), np.arange(len(points)))
+    for b in range(branches):
+        for r in range(batch):
+            rows = groups[b * batch + r]
+            assert np.all(np.diff(rows) > 0)  # patch-set order
+            owner, location = points[rows, 0], points[rows, 16]
+            assert np.all(owner[:gh * gh] == 1000 * b + r)
+            assert np.all(owner[gh * gh:] == 1000 * (branches + b) + r)
+            assert np.array_equal(location, np.tile(np.arange(gh * gh), 2))
+
+
 # ---------------------------------------------------------------- weights
 
 def test_weights_identical_points():
-    ops = gaussian_weights(np.zeros((2, 3)))
-    assert np.array_equal(dense_w(ops), np.ones((2, 2)))
-    assert np.array_equal(dense_laplacian(ops), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    graph = graph_of(np.zeros((2, 3)))
+    assert np.array_equal(dense_w(graph), np.ones((2, 2)))
+    assert np.array_equal(dense_laplacian(graph), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_weights_analytic_kernel_value():
@@ -123,29 +186,29 @@ def test_weights_analytic_kernel_value():
     # the pair keeps weight e^-1
     p = np.zeros((2, 4))
     p[1, 0] = np.sqrt(2.8)
-    ops = gaussian_weights(p)
-    assert abs(dense_w(ops)[0, 1] - np.exp(-1.0)) < 1e-12
-    assert abs(dense_w(ops)[0, 1] - 0.3679) < 1e-4
+    graph = graph_of(p)
+    assert abs(dense_w(graph)[0, 1] - np.exp(-1.0)) < 1e-12
+    assert abs(dense_w(graph)[0, 1] - 0.3679) < 1e-4
 
 
 def test_weights_random_points_laplacian_properties():
     rng = np.random.default_rng(3)
     pts = random_points(rng, 10, 6)
-    ops = gaussian_weights(pts)
-    lap = dense_laplacian(ops)
+    graph = graph_of(pts)
+    lap = dense_laplacian(graph)
     row_sums = lap.sum(axis=1)
-    assert np.all(np.abs(row_sums) < 1e-12 * np.maximum(ops.degrees, 1.0))
-    w = dense_w(ops)
+    assert np.all(np.abs(row_sums) < 1e-12 * np.maximum(dense_degrees(graph), 1.0))
+    w = dense_w(graph)
     assert np.array_equal(w, w.T)
     assert np.linalg.eigvalsh(lap).min() >= -1e-9
     assert np.allclose(np.diag(w), 1.0)
 
 
 def test_weights_single_point():
-    ops = gaussian_weights(np.ones((1, 5)))
-    assert dense_w(ops).tolist() == [[1.0]]
-    assert ops.degrees.tolist() == [1.0]
-    assert dense_laplacian(ops)[0, 0] == 0.0
+    graph = graph_of(np.ones((1, 5)))
+    assert dense_w(graph).tolist() == [[1.0]]
+    assert graph.degrees.tolist() == [[1.0]]
+    assert dense_laplacian(graph)[0, 0] == 0.0
 
 
 def _difference_form_weights(pts):
@@ -175,17 +238,16 @@ def _points_with_duplicates(m, kind):
 def test_weights_match_difference_form(m, kind):
     # The GEMM-form distances round differently from pdist's difference form
     # (by ~1e-15 on W), so the difference form is the reference up to a
-    # tolerance; symmetry and the unit diagonal stay exact. The sizes
-    # straddle the 64-row block height.
+    # tolerance; symmetry and the unit diagonal stay exact.
     pts = _points_with_duplicates(m, kind)
-    ops = gaussian_weights(pts)
+    graph = graph_of(pts)
     ref = _difference_form_weights(pts)
-    w = dense_w(ops)
+    w = dense_w(graph)
     assert np.array_equal(w, w.T)
     assert np.all(np.diag(w) == 1.0)
     assert np.abs(w - ref).max() <= 1e-13
     ref_degrees = ref.sum(axis=1)
-    assert np.all(np.abs(ops.degrees - ref_degrees) <= 1e-13 * ref_degrees)
+    assert np.all(np.abs(dense_degrees(graph) - ref_degrees) <= 1e-13 * ref_degrees)
 
 
 def _points_sharing_one_key(m):
@@ -193,9 +255,8 @@ def _points_sharing_one_key(m):
     the squared distance of a pair is n_i + n_j, with squared norms
     n_i ~ 1 + max(i - 63, 0) * 1e-12 and every fourth ~ 4 x that: the
     median lies among ~56% of the pairs, many distinct float64 distances in
-    [2, 2 + 4e-10], which all round to one float32 key. Those of the first
-    64 rows' tile are all equal, so the distinct ones come after a run of
-    equal ones."""
+    [2, 2 + 4e-10], which all round to one float32 value. A selection that
+    ranked the distances in float32 would not tell them apart."""
     scale = 1.0 + 1e-12 * np.maximum(np.arange(m) - 63, 0)
     scale[::4] *= 4.0
     return np.diag(np.sqrt(scale))
@@ -208,31 +269,24 @@ _MEDIAN_CASES = ([(m, "normal") for m in (2, 3, 4, 5, 45, 46, 63, 64, 65, 127, 1
 
 @pytest.mark.parametrize("m,kind", _MEDIAN_CASES)
 def test_bandwidth_is_numpy_median_of_pair_distances_over_four(m, kind):
-    # Odd and even pair counts, with m on both sides of the 64-row block and
-    # of the two-block split (h = 64 from m = 128). The distances are
-    # computed as gaussian_weights computes them, one _block_sq_dists GEMM
-    # per 64-row block, so they round the same. One point has no pair, and
-    # one outlier beside m - 1 copies leaves a zero median: t falls back to
-    # 1 for both. "one key" puts many distinct distances under the float32
-    # key of the median. The bandwidth is internal, so it is checked through
-    # W, exponentiated as gaussian_weights does.
+    # Odd and even pair counts. The distances are the ones gaussian_weights
+    # computes (`_sq_dists`), so they round the same. One point has no pair,
+    # and one outlier beside m - 1 copies leaves a zero median: t falls back
+    # to 1 for both. "one key" crowds many distinct distances around the
+    # median. The bandwidth is internal, so it is checked through W,
+    # exponentiated as gaussian_weights does.
     if kind == "normal":
         pts = np.random.default_rng(29 + m).standard_normal((m, 8))
     elif kind == "one key":
         pts = _points_sharing_one_key(m)
     else:
         pts = _points_with_duplicates(m, kind)
-    ops = gaussian_weights(pts)
-    norms = np.einsum("ij,ij->i", pts, pts)
-    sq = np.zeros((m, m))
-    for i0 in range(0, m, 64):
-        out = np.empty((min(64, m - i0), m - i0))
-        manifold._block_sq_dists(pts, norms, i0, i0 + len(out), out, np.empty_like(out))
-        sq[i0:i0 + len(out), i0:] = out
+    graph = graph_of(pts)
+    sq = manifold._sq_dists(pts, np.einsum("ij,ij->i", pts, pts), one_group(m))[0]
     upper = np.triu_indices(m, 1)
     pairs = sq[upper]
     if m == 1:
-        assert pairs.size == 0 and dense_w(ops).tolist() == [[1.0]]
+        assert pairs.size == 0 and dense_w(graph).tolist() == [[1.0]]
         return
     if kind == "one key":
         key = np.float32(np.median(pairs))
@@ -242,33 +296,98 @@ def test_bandwidth_is_numpy_median_of_pair_distances_over_four(m, kind):
     ref = pairs.copy()
     ref /= -4.0 * (t if t > 0.0 else 1.0)
     np.exp(ref, out=ref)
-    assert np.array_equal(dense_w(ops)[upper], ref)
+    assert np.array_equal(dense_w(graph)[upper], ref)
+
+
+def _clustered_blocks(rng, groups, d):
+    """Points in groups.shape[0] clusters of different spreads, one per
+    group, so the blocks' bandwidths differ."""
+    pts = np.empty((groups.size, d))
+    for g, rows in enumerate(groups):
+        pts[rows] = rng.standard_normal(d) + (0.5 + g) * rng.standard_normal((len(rows), d))
+    return pts
+
+
+def test_block_weights_degrees_and_energy_match_dense_reference():
+    # Each block against exp(-||p_i - p_j||^2 / 4t) in float64 from pdist's
+    # difference form, t = np.median of the block's distances / 4. The
+    # group index interleaves the blocks' rows, as a two-branch patch set's
+    # does. Through the GEMM-form distances of `_sq_dists`, t is np.median's
+    # bit for bit.
+    rng = np.random.default_rng(40)
+    groups = patch_groups(4, 2, 64)
+    pts = _clustered_blocks(rng, groups, 128)
+    graph = gaussian_weights(pts, groups)
+    assert graph.w.shape == (4, 128, 128) and graph.degrees.shape == (4, 128)
+    sq = manifold._sq_dists(pts, np.einsum("ij,ij->i", pts, pts), groups)
+    upper = np.triu_indices(128, 1)
+    for g, rows in enumerate(groups):
+        dists = pdist(pts[rows], "sqeuclidean")
+        ref = np.exp(-squareform(dists) / np.median(dists))  # 4t = median
+        assert np.all(np.abs(graph.w[g] - ref) <= 1e-12 * ref)
+        ref_degrees = ref.sum(axis=1)
+        assert np.all(np.abs(graph.degrees[g] - ref_degrees) <= 1e-12 * ref_degrees)
+        ref_energy = float(np.triu(ref * squareform(dists), 1).sum())
+        assert abs(graph.energy[g] - ref_energy) <= 1e-12 * ref_energy
+        t = np.median(sq[g][upper]) / 4.0
+        assert np.array_equal(graph.w[g][upper], np.exp(sq[g][upper] / (-4.0 * t)))
+    assert dirichlet_energy(graph) == float(graph.energy.sum()) / 512
+
+
+def test_all_equal_block_gets_unit_bandwidth_and_a_finite_u():
+    # Every distance in the first block is 0, so its median is 0 and its
+    # bandwidth falls back to 1: W is all ones there, not 0 / 0. Its system
+    # (n I - (1 - mu_bar) 1 1^T) u = mu_bar 1 1^T v has the column means of v
+    # as its solution.
+    rng = np.random.default_rng(41)
+    groups = patch_groups(2, 2, 16)
+    pts = rng.standard_normal((64, 8))
+    pts[groups[0]] = pts[groups[0][0]]
+    graph = gaussian_weights(pts, groups)
+    assert np.array_equal(graph.w[0], np.ones((32, 32)))
+    assert graph.energy[0] == 0.0 and np.isfinite(graph.w).all()
+    v = rng.standard_normal((64, 3))
+    res = solve_coordinates(graph, v, 0.6)
+    assert np.isfinite(res.u).all() and res.residual <= 1e-8
+    block = res.u[groups[0]]
+    assert np.abs(block - v[groups[0]].mean(axis=0)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["normal", "one point", "one outlier"])
 def test_weights_peak_memory_is_w(kind):
-    # The two blocks (0.75 m^2 doubles) and the float32 keys of the median
-    # (0.25 m^2 doubles' worth) are the only large allocations, on
-    # degenerate sets too, whose all-zero band at the median is not
-    # gathered; gathering it would put the peak at ~1.25 m^2 doubles, and
-    # holding pdist's condensed distances next to a dense W at 1.5.
+    # The distances, exponentiated in place into W, and the rounding bound
+    # of their GEMM form are the only stacks of W's size; the median's
+    # strict-upper pairs are half of one. A batch-wide graph over the same
+    # points would hold 8 x W, and its pair list 4 x W.
     m = 1024
     pts = (np.random.default_rng(16).standard_normal((m, 128)) if kind == "normal"
            else _points_with_duplicates(m, kind))
+    groups = np.arange(m).reshape(8, 128)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ops = gaussian_weights(pts)
+        graph = gaussian_weights(pts, groups)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * m * m * 8
-    held = ops.w_top.nbytes + ops.w_right.nbytes + ops.degrees.nbytes
-    assert held <= 0.76 * m * m * 8
+    held = graph.w.nbytes
+    assert held == 8 * 128 * 128 * 8
+    assert peak <= 2.75 * held
 
 
 # ------------------------------------- one sweep against the two-sweep build
+
+def _reference_block_sq_dists(pts, norms, i0, i1, out, scratch):
+    """Squared distances from rows i0:i1 of pts to rows i0:, in the GEMM
+    form and clamp of `_sq_dists`, over one block of rows."""
+    np.matmul(pts[i0:i1], pts[i0:].T, out=out)
+    np.add(norms[i0:i1, None], norms[None, i0:], out=scratch)
+    out *= -2.0
+    out += scratch
+    scratch *= pts.shape[1] * np.finfo(np.float64).eps
+    np.copyto(out, 0.0, where=out <= scratch)
+
 
 def _two_sweep_auto_bandwidth(sq_dists):
     """The bandwidth rule: median / 4 by one in-place partition."""
@@ -286,9 +405,10 @@ def _two_sweep_auto_bandwidth(sq_dists):
 
 
 def _two_sweep_weights(points):
-    """The replaced gaussian_weights, kept as the reference: one sweep packs
-    the strict upper distances into W's buffer for the median, a second
-    recomputes them and exponentiates. Returns (W, degrees)."""
+    """A batch-wide gaussian_weights, kept as the reference: one sweep over
+    64-row blocks packs the strict upper distances into W's buffer for the
+    median, a second recomputes them and exponentiates. Returns
+    (W, degrees)."""
     pts = np.asarray(points, dtype=np.float64)
     m = pts.shape[0]
     norms = np.einsum("ij,ij->i", pts, pts)
@@ -299,8 +419,8 @@ def _two_sweep_weights(points):
         for i0 in range(0, m, 64):
             i1 = min(i0 + 64, m)
             out = w[i0:i1, i0:]
-            manifold._block_sq_dists(pts, norms, i0, i1, out,
-                                     scratch[:out.size].reshape(out.shape))
+            _reference_block_sq_dists(pts, norms, i0, i1, out,
+                                      scratch[:out.size].reshape(out.shape))
             yield i0, i1 - i0, out
 
     packed = w.reshape(-1)
@@ -324,16 +444,18 @@ def _two_sweep_weights(points):
 
 
 def _assert_matches_two_sweep(pts):
-    ops = gaussian_weights(pts)
+    # One stacked GEMM rounds differently from 64-row ones, so W and the
+    # degrees agree to a tolerance.
+    graph = graph_of(pts)
     w, degrees = _two_sweep_weights(pts)
-    assert np.array_equal(dense_w(ops), w)
-    assert np.array_equal(ops.degrees, degrees)
+    assert np.abs(dense_w(graph) - w).max() <= 1e-13
+    assert np.all(np.abs(dense_degrees(graph) - degrees) <= 1e-13 * degrees)
     # the energy sums the same distances in another order than u^T L u,
     # whose rounding scales with the terms that cancel, sum_i d_i |p_i|^2
-    ref = energy_of(pts, ops)
-    scale = float(ops.degrees @ np.einsum("ij,ij->i", pts, pts)) / ops.m
-    assert abs(dirichlet_energy(ops) - ref) <= 1e-12 * max(ref, scale)
-    assert dirichlet_energy(ops) >= 0.0
+    ref = energy_of(pts, graph)
+    scale = float(dense_degrees(graph) @ np.einsum("ij,ij->i", pts, pts)) / len(pts)
+    assert abs(dirichlet_energy(graph) - ref) <= 1e-12 * max(ref, scale)
+    assert dirichlet_energy(graph) >= 0.0
 
 
 @pytest.mark.parametrize("kind", ["copies", "one point", "one outlier"])
@@ -348,68 +470,46 @@ def test_weights_match_two_sweep_build_on_normal_points():
 
 @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 127, 128, 129, 200, 257])
 def test_operator_matches_dense_w(m):
-    # W is held as two blocks split at h rows (one block below m = 128).
-    # rows copies weights, so it is exact; matmul and apply add three GEMMs
-    # over the blocks, which round differently from one dense GEMM.
+    # A shuffled group index, two groups for an even m: each block is the
+    # batch-wide reference W of its own points, in the index's order, and
+    # the assembled W is zero between groups.
     rng = np.random.default_rng(31 + m)
     pts = random_points(rng, m, 6)
-    ops = gaussian_weights(pts)
-    w, _ = _two_sweep_weights(pts)
-    h = m // 2 // 64 * 64
-    assert ops.w_top.shape == (h, h) and ops.w_right.shape == (m, m - h)
-    idx = rng.integers(0, m, size=m // 2 + 1)  # unsorted, with repeats
-    assert np.array_equal(ops.rows(idx), w[idx])
-    for x in (rng.standard_normal((5, m)), rng.standard_normal((m, 5)).T):  # C and F
-        wx = x @ w
-        assert np.linalg.norm(ops.matmul(x) - wx) <= 1e-13 * np.linalg.norm(wx)
-        ref = x * ops.degrees - 0.4 * wx
-        out, scratch = np.empty_like(wx), np.empty_like(wx)
-        assert ops.apply(x, 0.4, out, scratch) is out
-        assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
-        assert np.linalg.norm(ops.apply(x, 0.4) - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_apply_into_given_blocks_allocates_no_block(order):
-    # matmul's partial product for the columns :h goes in scratch before
-    # x D overwrites it, so CG's iterations allocate no (k, m) or (k, h)
-    # block. numpy's ufuncs still allocate iteration buffers of up to 8192
-    # elements per operand (~200 KB for the strided in-place add).
-    m, k = 2048, 128
-    rng = np.random.default_rng(32)
-    ops = gaussian_weights(rng.standard_normal((m, 8)))
-    x = np.asarray(rng.standard_normal((k, m)), order=order)
-    out, scratch = np.empty((k, m)), np.empty((k, m))
-    ops.apply(x, 0.4, out, scratch)  # first-use allocations
-    tracemalloc.start()
-    try:
-        ops.apply(x, 0.4, out, scratch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < k * (m // 2) * 8 / 2
+    groups = rng.permutation(m).reshape(2 - m % 2, -1)
+    graph = gaussian_weights(pts, groups)
+    for rows, block, degrees in zip(groups, graph.w, graph.degrees):
+        w, ref_degrees = _two_sweep_weights(pts[rows])
+        assert np.array_equal(block, block.T)
+        assert np.abs(block - w).max() <= 1e-13
+        assert np.all(np.abs(degrees - ref_degrees) <= 1e-13 * ref_degrees)
+    if len(groups) == 2:
+        assert not dense_w(graph)[np.ix_(groups[0], groups[1])].any()
 
 
 def test_energy_is_the_pairwise_sum_over_points():
     # sum_{i<j} w_ij ||p_i - p_j||^2 / m, distances in difference form
     pts = random_points(np.random.default_rng(25), 40, 6)
-    ops = gaussian_weights(pts)
+    graph = graph_of(pts)
     sq = squareform(pdist(pts, "sqeuclidean"))
-    oracle = float(np.triu(dense_w(ops) * sq, 1).sum()) / 40
-    assert abs(dirichlet_energy(ops) - oracle) <= 1e-12 * oracle
+    oracle = float(np.triu(dense_w(graph) * sq, 1).sum()) / 40
+    assert abs(dirichlet_energy(graph) - oracle) <= 1e-12 * oracle
     # two points sq = 2.8 apart: t = 0.7, w = e^-1, energy 2.8 e^-1 / 2
     p = np.zeros((2, 4))
     p[1, 0] = np.sqrt(2.8)
-    two = dirichlet_energy(gaussian_weights(p))
+    two = dirichlet_energy(graph_of(p))
     assert abs(two - 1.4 * np.exp(-1.0)) <= 1e-14
-    assert dirichlet_energy(gaussian_weights(np.full((5, 3), 2.5))) == 0.0
+    assert dirichlet_energy(graph_of(np.full((5, 3), 2.5))) == 0.0
 
 
 def test_weights_reject_a_non_matrix_or_no_points():
     with pytest.raises(ShapeError, match=r"m x d matrix, got shape \(4,\)"):
-        gaussian_weights(np.zeros(4))
+        gaussian_weights(np.zeros(4), one_group(4))
     with pytest.raises(ShapeError, match="at least one point"):
-        gaussian_weights(np.zeros((0, 3)))
+        gaussian_weights(np.zeros((0, 3)), one_group(0))
+    # an index that misses a row, repeats one or is not (G, n)
+    for groups in (np.arange(3)[None], np.array([[0, 1], [1, 3]]), np.arange(4)):
+        with pytest.raises(ShapeError, match="each of the 4 rows once"):
+            gaussian_weights(np.zeros((4, 3)), groups)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
@@ -419,22 +519,22 @@ def test_weights_reject_non_finite_points_naming_the_rows(value):
     pts[3, 2] = value
     pts[41, 0] = value
     with pytest.raises(ValueError, match=r"rows \[3, 41\]"):
-        gaussian_weights(pts)
+        gaussian_weights(pts, np.arange(70).reshape(2, 35))
 
 
 # ------------------------------------------------------------------ solver
 
 def test_solve_single_point_returns_v():
-    ops = gaussian_weights(np.ones((1, 3)))
+    graph = graph_of(np.ones((1, 3)))
     v = np.array([[1.0, -2.0, 3.0]])
-    res = solve_coordinates(ops, v, 0.6)
+    res = solve_coordinates(graph, v, 0.6)
     assert np.allclose(res.u, v, atol=1e-12)
 
 
 def test_solve_identical_points_constant_v():
-    ops = gaussian_weights(np.zeros((4, 2)))
+    graph = graph_of(np.zeros((4, 2)))
     v = np.full((4, 3), 2.5)
-    res = solve_coordinates(ops, v, 0.6)
+    res = solve_coordinates(graph, v, 0.6)
     assert np.allclose(res.u, v, atol=1e-8)
 
 
@@ -445,149 +545,67 @@ def test_solve_matches_dense_direct_oracle():
         m = int(rng.integers(5, 21))
         pts = random_points(rng, m, 8)
         v = rng.standard_normal((m, 5))
-        ops = gaussian_weights(pts)
-        res = solve_coordinates(ops, v, mu_bar)
-        w = dense_w(ops)
-        a = dense_laplacian(ops) + mu_bar * w
-        u_direct = np.linalg.solve(a, mu_bar * w @ v)
+        graph = graph_of(pts)
+        res = solve_coordinates(graph, v, mu_bar)
+        u_direct = dense_solve(graph, v, mu_bar)
         denom = max(np.linalg.norm(u_direct), 1e-12)
-        assert np.linalg.norm(res.u - u_direct) / denom < 1e-6
-        b = mu_bar * w @ v
-        col_res = np.linalg.norm(b - a @ res.u, axis=0)
-        col_b = np.linalg.norm(b, axis=0)
-        assert np.all(col_res <= 1e-8 * np.maximum(col_b, 1e-300))
-
-
-def _forced_pcg(monkeypatch, **fixed):
-    """Run every CG pass of the solve with the given tol or max_iter."""
-    inner = manifold._pcg_multi
-
-    def pcg(ops, c, b, precondition, tol, max_iter):
-        args = dict(tol=tol, max_iter=max_iter) | fixed
-        return inner(ops, c, b, precondition, **args)
-
-    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
+        assert np.linalg.norm(res.u - u_direct) / denom < 1e-12
+        assert worst_residual(graph, v, mu_bar, res.u) <= 1e-8
 
 
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 6.0])
-def test_applied_operator_matches_dense_reference(mu_bar, monkeypatch):
-    # The system matrix D - (1 - mu_bar) W is applied, never stored; at
-    # mu_bar = 6 the weight factor 1 - mu_bar is negative. CG runs to
-    # 5e-15, far past the contract, so U is compared with the direct solve.
+def test_applied_operator_matches_dense_reference(mu_bar):
+    # The blocks' system matrices D - (1 - mu_bar) W are assembled per block;
+    # at mu_bar = 6 the weight factor 1 - mu_bar is negative. Three groups
+    # over shuffled rows: U and its energy equal those of the assembled
+    # m x m system.
     rng = np.random.default_rng(14)
     pts = random_points(rng, 30, 6)
     v = rng.standard_normal((30, 4))
-    ops = gaussian_weights(pts)
-    lap = dense_laplacian(ops)
-    w = dense_w(ops)
-    a = lap + mu_bar * w
-    b = mu_bar * w @ v
-    _forced_pcg(monkeypatch, tol=5e-15)
-    res = solve_coordinates(ops, v, mu_bar)
-    applied = ops.apply(np.ascontiguousarray(v.T), 1.0 - mu_bar)
-    assert np.linalg.norm(applied - (a @ v).T) <= 1e-12 * np.linalg.norm(a @ v)
-    u_direct = np.linalg.solve(a, b)
-    assert np.linalg.norm(res.u - u_direct) / np.linalg.norm(u_direct) < 1e-10
+    graph = gaussian_weights(pts, rng.permutation(30).reshape(3, 10))
+    lap = dense_laplacian(graph)
+    res = solve_coordinates(graph, v, mu_bar)
+    u_direct = dense_solve(graph, v, mu_bar)
+    assert np.linalg.norm(res.u - u_direct) / np.linalg.norm(u_direct) < 1e-12
+    assert res.residual <= 1e-8
     for u in (v, res.u):
         e_dense = float(np.sum(u * (lap @ u)))
-        assert abs(energy_of(u, ops) * ops.m - e_dense) < 1e-10 * e_dense
+        blocks = sum(float(np.sum(u[rows] * ((np.diag(d) - w) @ u[rows])))
+                     for rows, w, d in zip(graph.groups, graph.w, graph.degrees))
+        assert abs(blocks - e_dense) < 1e-10 * e_dense
 
 
 def test_solve_nonconvergence_raises_with_residual(monkeypatch):
+    # a solve whose answer is off by a relative 1e-6 misses the contract
     rng = np.random.default_rng(5)
-    pts = random_points(rng, 30, 4)
-    ops = gaussian_weights(pts)
+    graph = gaussian_weights(random_points(rng, 30, 4), np.arange(30).reshape(3, 10))
     v = rng.standard_normal((30, 2))
-    _forced_pcg(monkeypatch, max_iter=1)
-    with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, 1e-6)
+    inner = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: inner(a, b) * (1.0 + 1e-6))
+    with pytest.raises(SolverError, match="worst column residual") as err:
+        solve_coordinates(graph, v, 1e-6)
     assert err.value.worst_residual > 1e-8
-    assert err.value.iterations == 3  # one per pass
+    assert err.value.group in (0, 1, 2)
 
 
-def _restart_setup():
-    rng = np.random.default_rng(15)
-    mu_bar = 0.6
-    ops = gaussian_weights(random_points(rng, 20, 5))
-    v = rng.standard_normal((20, 3))
-    w = dense_w(ops)
-    a = dense_laplacian(ops) + mu_bar * w
-    return ops, v, mu_bar, a, mu_bar * w @ v
-
-
-def _worst_residual(a, b, u):
-    return float((np.linalg.norm(b - a @ u, axis=0) / np.linalg.norm(b, axis=0)).max())
-
-
-def _drifting_pcg(monkeypatch, every_call):
-    """Offset the first CG correction by a relative 1e-6 (and, with
-    every_call, each later one by that same vector); returns the
-    ((m, k) view of the correction, iterations) of every call."""
-    inner = manifold._pcg_multi
-    calls, error = [], []
-
-    def pcg(*args):
-        dx, used = inner(*args)
-        if not calls:
-            error.append(1e-6 * dx)
-        if every_call or not calls:
-            dx = dx + error[0]
-        calls.append((dx.T, used))
-        return dx, used
-
-    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
-    return calls
-
-
-def test_solve_restarts_when_the_true_residual_misses_tol(monkeypatch):
-    ops, v, mu_bar, a, b = _restart_setup()
-    calls = _drifting_pcg(monkeypatch, every_call=False)
-    res = solve_coordinates(ops, v, mu_bar)
-    assert len(calls) == 2
-    assert _worst_residual(a, b, calls[0][0]) > 1e-8
-    assert res.residual <= 1e-8
-    assert _worst_residual(a, b, res.u) <= 1e-8
-    assert calls[1][1] > 0
-    assert res.iterations == calls[0][1] + calls[1][1]
-
-
-def test_solve_raises_when_every_restart_drifts(monkeypatch):
-    ops, v, mu_bar, a, b = _restart_setup()
-    calls = _drifting_pcg(monkeypatch, every_call=True)
-    with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, mu_bar)
-    assert len(calls) == 3
-    worst = _worst_residual(a, b, sum(dx for dx, _ in calls))
-    assert worst > 1e-8
-    assert err.value.worst_residual == pytest.approx(worst, rel=1e-6)
-    assert err.value.iterations == sum(used for _, used in calls)
-
-
-def test_solve_raises_when_one_pass_uses_the_whole_budget(monkeypatch):
-    ops, v, mu_bar, _, _ = _restart_setup()
-    inner = manifold._pcg_multi
-    calls = []
-
-    def pcg(*args):
-        dx, _ = inner(*args)
-        budget = args[-1]
-        calls.append(budget)
-        return dx + 1e-6 * dx, budget  # drifted, and the whole budget spent
-
-    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
-    with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, mu_bar)
-    assert calls == [10 * ops.m]
-    assert err.value.worst_residual > 1e-8
-    assert err.value.iterations == 10 * ops.m
+def test_solve_raises_on_a_vanishing_mu_bar():
+    # TrainConfig accepts any mu_bar > 0. At 1e-300, 1 - mu_bar rounds to 1,
+    # so each block's system is its singular Laplacian: the solve raises
+    # SolverError, not LinAlgError, and returns no U.
+    rng = np.random.default_rng(33)
+    graph = gaussian_weights(random_points(rng, 64, 8), patch_groups(2, 2, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            solve_coordinates(graph, rng.standard_normal((64, 3)), 1e-300)
+    assert not err.value.worst_residual <= 1e-8
 
 
 def test_solve_large_mu_bar_pins_u_to_v():
     rng = np.random.default_rng(6)
     pts = random_points(rng, 25, 6)
     v = rng.standard_normal((25, 4))
-    ops = gaussian_weights(pts)
-    res = solve_coordinates(ops, v, 1e6)
+    res = solve_coordinates(graph_of(pts), v, 1e6)
     assert np.linalg.norm(res.u - v) / np.linalg.norm(v) <= 1e-3
 
 
@@ -595,8 +613,7 @@ def test_solve_small_mu_bar_flattens_columns():
     rng = np.random.default_rng(7)
     pts = random_points(rng, 25, 6)
     v = rng.standard_normal((25, 4))
-    ops = gaussian_weights(pts)
-    res = solve_coordinates(ops, v, 1e-6)
+    res = solve_coordinates(graph_of(pts), v, 1e-6)
     v_range = v.max(axis=0) - v.min(axis=0)
     u_range = res.u.max(axis=0) - res.u.min(axis=0)
     assert np.all(u_range <= 1e-3 * v_range)
@@ -607,9 +624,9 @@ def test_solve_reduces_dirichlet_energy():
     for mu_bar in (0.06, 0.6, 6.0):
         pts = random_points(rng, 20, 5)
         v = rng.standard_normal((20, 3))
-        ops = gaussian_weights(pts)
-        res = solve_coordinates(ops, v, mu_bar)
-        assert energy_of(res.u, ops) <= energy_of(v, ops) + 1e-12
+        graph = gaussian_weights(pts, np.arange(20).reshape(2, 10))
+        res = solve_coordinates(graph, v, mu_bar)
+        assert energy_of(res.u, graph) <= energy_of(v, graph) + 1e-12
 
 
 def test_solve_permutation_equivariance():
@@ -618,212 +635,119 @@ def test_solve_permutation_equivariance():
     pts = random_points(rng, 15, 4)
     v = rng.standard_normal((15, 3))
     perm = rng.permutation(15)
-    u1 = solve_coordinates(gaussian_weights(pts), v, mu_bar).u
-    u2 = solve_coordinates(gaussian_weights(pts[perm]), v[perm], mu_bar).u
+    u1 = solve_coordinates(graph_of(pts), v, mu_bar).u
+    u2 = solve_coordinates(graph_of(pts[perm]), v[perm], mu_bar).u
     assert np.allclose(u2, u1[perm], atol=1e-7)
 
 
 def test_solve_shape_mismatch_rejected():
-    ops = gaussian_weights(np.zeros((3, 2)))
+    graph = graph_of(np.zeros((3, 2)))
     for v in (np.zeros((4, 2)), np.zeros((3, 0))):
         with pytest.raises(ShapeError):
-            solve_coordinates(ops, v, 0.6)
+            solve_coordinates(graph, v, 0.6)
 
 
 def test_solve_zero_right_hand_side_returns_zero_without_iterating():
     rng = np.random.default_rng(30)
-    ops = gaussian_weights(random_points(rng, 20, 4))
-    res = solve_coordinates(ops, np.zeros((20, 3)), 0.6)
+    graph = graph_of(random_points(rng, 20, 4))
+    res = solve_coordinates(graph, np.zeros((20, 3)), 0.6)
     assert np.array_equal(res.u, np.zeros((20, 3)))
-    assert res.residual == 0.0 and res.iterations == 0
+    assert res.residual == 0.0
+
+
+def _hand_built(w, degrees):
+    """A one-block graph from a given W and degrees, as gaussian_weights
+    never builds it."""
+    m = len(degrees)
+    return PatchGraph(groups=one_group(m), w=w[None], degrees=degrees[None],
+                      energy=np.zeros(1))
 
 
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6])
 def test_solve_rejects_degrees_that_leave_no_positive_diagonal(mu_bar):
     # the diagonal of D - (1 - mu_bar) W is d_i - (1 - mu_bar), as w_ii = 1;
-    # gaussian_weights gives d_i >= 1, so only a hand-built graph reaches this
-    w = np.eye(3)
+    # gaussian_weights gives d_i >= 1, so only a hand-built graph reaches
+    # this. Here W = I, so the system is diagonal, with a zero on it: its
+    # factorization fails.
     degrees = np.array([2.0, 1.0 - mu_bar, 0.5 * (1.0 - mu_bar)])
-    bad = GraphOperators(w_top=w[:0, :0], w_right=w, degrees=degrees, energy=0.0)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(bad, np.ones((3, 2)), mu_bar)
-    assert err.value.worst_residual == math.inf and err.value.iterations == 0
+        solve_coordinates(_hand_built(np.eye(3), degrees), np.ones((3, 2)), mu_bar)
+    assert err.value.worst_residual == math.inf and err.value.group is None
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_a_non_finite_right_hand_side(value):
     # a NaN column norm once passed as a zero right-hand side, converged
     rng = np.random.default_rng(27)
-    ops = gaussian_weights(random_points(rng, 70, 5))
+    graph = gaussian_weights(random_points(rng, 70, 5), np.arange(70).reshape(2, 35))
     v = rng.standard_normal((70, 3))
-    v[11, 1] = value
+    v[41, 1] = value
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, 0.6)
-    assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
+        solve_coordinates(graph, v, 0.6)
+    assert math.isnan(err.value.worst_residual) and err.value.group == 1
 
 
 @pytest.mark.parametrize("m,rows,scale", [(2, slice(None), 1e308), (300, 0, 1e160)],
                          ids=["matmul", "norm"])
 def test_solve_rejects_a_right_hand_side_that_overflows(m, rows, scale):
-    # v is finite, but b = mu_bar v^T W overflows in the product (two equal
+    # v is finite, but b = mu_bar W v overflows in the product (two equal
     # points, so b = 0.6 * (1e308 + 1e308)) or only in its norm's squares;
     # either way the norm is not finite, and the solve raises unwarned
     rng = np.random.default_rng(32)
     points = np.zeros((2, 4)) if m == 2 else random_points(rng, m, 4)
-    ops = gaussian_weights(points)
+    graph = graph_of(points)
     v = rng.standard_normal((m, 2))
     v[rows, 0] = scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError) as err:
-            solve_coordinates(ops, v, 0.6)
-    assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
+            solve_coordinates(graph, v, 0.6)
+    assert math.isnan(err.value.worst_residual) and err.value.group == 0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_solve_rejects_a_graph_with_a_nan_row(value):
     # the graph a NaN patch entry made before gaussian_weights rejected it:
-    # the solve returned U = 0 with residual 0. An infinite row must raise
-    # before W @ v, whose invalid-value warning would come first.
+    # the solve returned U = 0 with residual 0. It raises before the
+    # factorization, and an infinite row raises unwarned too.
     rng = np.random.default_rng(28)
-    ops = gaussian_weights(random_points(rng, 70, 5))
-    w = dense_w(ops)
+    graph = graph_of(random_points(rng, 70, 5))
+    w = graph.w[0].copy()
     w[11, :] = w[:, 11] = value
-    h = ops.w_top.shape[0]
-    bad = GraphOperators(w_top=w[:h, :h], w_right=w[:, h:], degrees=w.sum(axis=1),
-                         energy=ops.energy)
-    with pytest.raises(SolverError) as err:
-        solve_coordinates(bad, rng.standard_normal((70, 3)), 0.6)
-    assert math.isnan(err.value.worst_residual) and err.value.iterations == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as err:
+            solve_coordinates(_hand_built(w, w.sum(axis=1)), rng.standard_normal((70, 3)), 0.6)
+    assert math.isnan(err.value.worst_residual) and err.value.group == 0
 
 
 def test_solve_raises_on_a_non_finite_residual(monkeypatch):
-    ops, v, mu_bar, _, _ = _restart_setup()
-    inner = manifold._pcg_multi
+    rng = np.random.default_rng(15)
+    graph = gaussian_weights(random_points(rng, 20, 5), np.arange(20).reshape(2, 10))
+    inner = np.linalg.solve
 
-    def pcg(*args):
-        dx, used = inner(*args)
-        dx[0, 0] = np.nan  # the (k, m) correction's first entry, u[0, 0]
-        return dx, used
+    def solve(a, b):
+        x = inner(a, b)
+        x[1, 0, 0] = np.nan  # the second block's first entry
+        return x
 
-    monkeypatch.setattr(manifold, "_pcg_multi", pcg)
+    monkeypatch.setattr(np.linalg, "solve", solve)
     with pytest.raises(SolverError) as err:
-        solve_coordinates(ops, v, mu_bar)
-    assert math.isnan(err.value.worst_residual)
+        solve_coordinates(graph, rng.standard_normal((20, 3)), 0.6)
+    assert math.isnan(err.value.worst_residual) and err.value.group == 1
 
 
-# ------------------------------------- references: (m, k) and Jacobi CG
-# The solve as it ran on (m, k) blocks before it moved to the (k, m) layout,
-# kept as the reference for that layout change, and the Jacobi-preconditioned
-# CG that the Nystrom preconditioner replaced. Both share the (m, k) CG.
-
-def _reference_pcg(apply_a, b, precondition, tol, max_iter):
-    """Preconditioned CG for A X = B on (m, k) blocks, all columns at once."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = np.linalg.norm(b, axis=0)
-    active = bnorm > 0.0
-    if not active.any():
-        return x, 0
-    z = np.empty_like(b)
-    ap = np.empty_like(b)
-    precondition(r, z, ap)
-    p = z.copy()
-    rz = np.einsum("ij,ij->j", r, z)
-    it = 0
-    while it < max_iter:
-        it += 1
-        apply_a(p, ap, z)
-        pap = np.einsum("ij,ij->j", p, ap)
-        safe = np.where(active & (pap > 0.0), pap, 1.0)
-        alpha = np.where(active & (pap > 0.0), rz / safe, 0.0)
-        x += np.multiply(p, alpha, out=z)
-        ap *= alpha
-        r -= ap
-        rnorm = np.sqrt(np.add.reduce(np.multiply(r, r, out=ap), axis=0))
-        active = rnorm > tol * bnorm
-        if not active.any():
-            break
-        precondition(r, z, ap)
-        rz_new = np.einsum("ij,ij->j", r, z)
-        beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
-        p *= beta
-        p += z
-        rz = rz_new
-    return x, it
+def test_solve_is_deterministic():
+    rng = np.random.default_rng(22)
+    graph = gaussian_weights(random_points(rng, 300, 8), np.arange(300).reshape(3, 100))
+    v = rng.standard_normal((300, 5))
+    first = solve_coordinates(graph, v, 0.6)
+    second = solve_coordinates(graph, v, 0.6)
+    assert np.array_equal(first.u, second.u)
+    assert first.residual == second.residual
 
 
-def _reference_apply(ops, c):
-    """apply_a(X, out, scratch) writing (D - c W) @ X for an (m, k) block."""
-    w = dense_w(ops)
-
-    def apply_a(x, out=None, scratch=None):
-        wx = np.matmul(w, x, out=out)
-        wx *= c
-        dx = np.multiply(ops.degrees[:, None], x, out=scratch)
-        return np.subtract(dx, wx, out=wx)
-
-    return apply_a
-
-
-def _reference_nystrom(ops, c):
-    """The Woodbury-applied Nystrom preconditioner on (m, k) blocks."""
-    m = ops.m
-    r = math.isqrt(m - 1) + 1
-    idx = np.sort(np.random.default_rng(0).permutation(m)[:r])
-    w_s = dense_w(ops)[idx]
-    w_ss = w_s[:, idx]
-    w_ss[np.diag_indices(r)] += r * r * np.finfo(np.float64).eps
-    ft = np.linalg.inv(np.linalg.cholesky(w_ss)) @ w_s
-    dft = ft / ops.degrees
-    ht = np.linalg.inv(np.linalg.cholesky(np.eye(r) - c * (dft @ ft.T))) @ dft
-    d_inv = 1.0 / ops.degrees[:, None]
-
-    def precondition(res, out, scratch):
-        t = ht @ res
-        t *= c
-        np.matmul(ht.T, t, out=scratch)
-        np.multiply(d_inv, res, out=out)
-        out += scratch
-        return out
-
-    return precondition
-
-
-def _reference_solve(ops, v, mu_bar, tol=1e-8):
-    """(U, iterations) of the (m, k) Nystrom solve, restarts included."""
-    c = 1.0 - mu_bar
-    apply_a = _reference_apply(ops, c)
-    b = mu_bar * (dense_w(ops) @ v)
-    bnorm = np.linalg.norm(b, axis=0)
-    precondition = _reference_nystrom(ops, c)
-    x, r, budget, total_it = None, b, 10 * ops.m, 0
-    for _ in range(3):
-        dx, used = _reference_pcg(apply_a, r, precondition, tol * 0.5, budget)
-        x = dx if x is None else x + dx
-        total_it += used
-        budget -= used
-        r = b - apply_a(x)
-        res = np.linalg.norm(r, axis=0)
-        rel = np.where(bnorm > 0.0, res / np.where(bnorm > 0.0, bnorm, 1.0), 0.0)
-        if rel.max() <= tol or budget <= 0:
-            break
-    assert rel.max() <= tol
-    return x, total_it
-
-
-def _jacobi_solve(ops, v, mu_bar, tol=1e-8):
-    """(U, iterations) of the replaced solve: one Jacobi CG pass at tol / 2,
-    as solve_coordinates ran it before any restart."""
-    c = 1.0 - mu_bar
-    diag_inv = 1.0 / (ops.degrees - c)
-
-    def jacobi(r, out, scratch):
-        return np.multiply(diag_inv[:, None], r, out=out)
-
-    b = mu_bar * (dense_w(ops) @ v)
-    return _reference_pcg(_reference_apply(ops, c), b, jacobi, tol * 0.5, 10 * ops.m)
-
+# ------------------------------------------------ against a dense solve
 
 def _dup_points(m, kind):
     rng = np.random.default_rng(19 + m)
@@ -837,95 +761,103 @@ def _dup_points(m, kind):
     return pts
 
 
-def _nystrom_low_rank(ops):
-    """F F^T by the documented landmark rule, through a dense solve."""
-    m = ops.m
-    r = int(np.ceil(np.sqrt(m)))
-    s = np.sort(np.random.default_rng(0).permutation(m)[:r])
-    w = dense_w(ops)
-    w_ss = w[np.ix_(s, s)] + r * r * np.finfo(np.float64).eps * np.eye(r)
-    return w[:, s] @ np.linalg.solve(w_ss, w[s])
-
-
-# m = 63, 64, 65 straddle a square, where the landmark count ceil(sqrt(m))
-# steps from 8 to 9; the duplicate-heavy sets also run at m = 257, past
-# 16^2, with 17 landmarks.
+# m = 1 is one point; the duplicate-heavy sets (a zero median for "all
+# equal", two distances for "two clusters") run on both sides of 64 and at
+# m = 257
 _EQUIV_CASES = ([(m, "random") for m in (1, 63, 64, 65)]
                 + [(m, kind) for m in (63, 64, 65, 257)
                    for kind in ("all equal", "two clusters", "every third")])
 
 
-@pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
-@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
-def test_nystrom_solve_matches_jacobi_reference(m, kind, mu_bar):
-    ops = gaussian_weights(_dup_points(m, kind))
-    v = np.random.default_rng(20).standard_normal((m, 4))
-    res = solve_coordinates(ops, v, mu_bar)
-    w = dense_w(ops)
-    a = dense_laplacian(ops) + mu_bar * w
-    b = mu_bar * w @ v
+def _assert_matches_dense_solve(graph, v, mu_bar, res):
     assert res.residual <= 1e-8
-    assert _worst_residual(a, b, res.u) <= 1e-8
-    u_ref, _ = _jacobi_solve(ops, v, mu_bar)
-    assert _worst_residual(a, b, u_ref) <= 1e-8
-    assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
-    if mu_bar == 1.0:  # c = 0: the preconditioner is D, the system matrix
-        assert res.iterations == 1
-
-
-def _assert_matches_mk_reference(ops, v, mu_bar, res):
-    # the (k, m) layout changes only rounding: its row reductions sum in
-    # another order than the (m, k) column ones
-    u_ref, ref_iterations = _reference_solve(ops, v, mu_bar)
-    assert res.iterations == ref_iterations
+    assert worst_residual(graph, v, mu_bar, res.u) <= 1e-8
+    u_ref = dense_solve(graph, v, mu_bar)
     assert np.linalg.norm(res.u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
 
+
+def _jacobi_solve(graph, v, mu_bar, tol=1e-8):
+    """(U, iterations) of a Jacobi-preconditioned CG on the assembled m x m
+    system, all columns at once, each column stopped at tol / 2 of its
+    right-hand side: an iterative reference that shares no arithmetic with
+    the stacked direct solve."""
+    w = dense_w(graph)
+    a = dense_laplacian(graph) + mu_bar * w
+    b = mu_bar * w @ v
+    diag_inv = 1.0 / np.diag(a)[:, None]
+    bnorm = np.linalg.norm(b, axis=0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    active = bnorm > 0.0
+    z = diag_inv * r
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    it = 0
+    while active.any() and it < 10 * len(b):
+        it += 1
+        ap = a @ p
+        pap = np.einsum("ij,ij->j", p, ap)
+        alpha = np.where(active & (pap > 0.0), rz / np.where(pap > 0.0, pap, 1.0), 0.0)
+        x += alpha * p
+        r -= alpha * ap
+        active = np.linalg.norm(r, axis=0) > 0.5 * tol * bnorm
+        z = diag_inv * r
+        rz_new = np.einsum("ij,ij->j", r, z)
+        p = z + np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0) * p
+        rz = rz_new
+    return x, it
+
+
+def _assert_matches_jacobi_reference(graph, v, mu_bar, res):
+    u_ref, iterations = _jacobi_solve(graph, v, mu_bar)
+    assert worst_residual(graph, v, mu_bar, u_ref) <= 1e-8
+    assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
+    return iterations
+
+
+# The two tests below keep the names they had under the conjugate-gradient
+# solve this direct solve replaced: "km" was its (k, m) layout, checked
+# against a solve on (m, k) blocks, and "nystrom" its preconditioner,
+# checked against Jacobi CG. The cases are the same. The stacked per-group
+# solve is checked against one dense np.linalg.solve of the assembled
+# m x m system, with v as one (m, k) block, to 1e-12, and against the
+# Jacobi CG to the 1e-7 the iterative reference allows.
 
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
 @pytest.mark.parametrize("m,kind", _EQUIV_CASES)
 def test_km_solve_matches_mk_reference(m, kind, mu_bar):
-    ops = gaussian_weights(_dup_points(m, kind))
+    graph = graph_of(_dup_points(m, kind))
     v = np.random.default_rng(20).standard_normal((m, 4))
-    _assert_matches_mk_reference(ops, v, mu_bar, solve_coordinates(ops, v, mu_bar))
+    _assert_matches_dense_solve(graph, v, mu_bar, solve_coordinates(graph, v, mu_bar))
 
 
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
-@pytest.mark.parametrize("m,kind", [(1, "random"), (65, "random"), (65, "two clusters"),
-                                    (257, "every third"), (257, "all equal")])
-def test_woodbury_apply_matches_dense_preconditioner(m, kind, mu_bar):
-    c = 1.0 - mu_bar
-    ops = gaussian_weights(_dup_points(m, kind))
-    r = np.random.default_rng(21).standard_normal((m, 3))
-    expect = np.linalg.solve(np.diag(ops.degrees) - c * _nystrom_low_rank(ops), r)
-    r_t = np.ascontiguousarray(r.T)  # the (k, m) block the solve passes
-    out, scratch = np.empty_like(r_t), np.empty_like(r_t)
-    got = manifold._nystrom_preconditioner(ops, c)(r_t, out, scratch)
-    assert got is out
-    assert np.linalg.norm(got.T - expect) <= 1e-12 * np.linalg.norm(expect)
-
-
-def test_solve_is_deterministic():
-    rng = np.random.default_rng(22)
-    ops = gaussian_weights(random_points(rng, 300, 8))
-    v = rng.standard_normal((300, 5))
-    first = solve_coordinates(ops, v, 0.6)
-    second = solve_coordinates(ops, v, 0.6)
-    assert np.array_equal(first.u, second.u)
-    assert first.iterations == second.iterations
+@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
+def test_nystrom_solve_matches_jacobi_reference(m, kind, mu_bar):
+    graph = graph_of(_dup_points(m, kind))
+    v = np.random.default_rng(20).standard_normal((m, 4))
+    res = solve_coordinates(graph, v, mu_bar)
+    assert res.residual <= 1e-8
+    _assert_matches_jacobi_reference(graph, v, mu_bar, res)
+    if mu_bar == 1.0:  # the system matrix is D: U is each row's W-weighted mean of v
+        w = dense_w(graph)
+        u_mean = (w @ v) / dense_degrees(graph)[:, None]
+        assert np.linalg.norm(res.u - u_mean) <= 1e-12 * np.linalg.norm(u_mean)
 
 
 @pytest.fixture(scope="module")
 def ldm_sup_systems():
-    """(ops, v, mu_bar, result) of the solves of two LDM-Sup steps at batch 4
-    on 64 x 64 images (m = 512), the second with a non-zero dual."""
+    """(graph, v, mu_bar, result) of the solves of two LDM-Sup steps at
+    batch 4 on 64 x 64 images (m = 512 in four groups of 128), the second
+    with a non-zero dual."""
     geom = ctsim.ScanGeometry(n_views=45, n_detectors=64, detector_spacing=1.5)
     data = ctsim.synthesize_dataset(4, geom, ctsim.SynthConfig(seed=1, test_pairs=0))
     cfg = training.TrainConfig(mode="LDM-Sup", batch_size=4, seed=0)
     systems = []
 
-    def solve(ops, v, mu_bar):
-        res = solve_coordinates(ops, v, mu_bar)
-        systems.append((ops, v, mu_bar, res))
+    def solve(graph, v, mu_bar):
+        res = solve_coordinates(graph, v, mu_bar)
+        systems.append((graph, v, mu_bar, res))
         return res
 
     with pytest.MonkeyPatch.context() as mp:
@@ -936,61 +868,56 @@ def ldm_sup_systems():
         for _ in range(2):
             training.training_step(net, batch, state, cfg, cfg.mu_bar)
     assert len(systems) == 2
-    assert all(ops.m == 512 for ops, _, _, _ in systems)
+    assert all(np.array_equal(graph.groups, patch_groups(2, 4, 64))
+               for graph, _, _, _ in systems)
     return systems
 
 
 def test_km_solve_matches_mk_reference_on_ldm_sup_patch_sets(ldm_sup_systems):
-    for ops, v, mu_bar, res in ldm_sup_systems:
-        _assert_matches_mk_reference(ops, v, mu_bar, res)
+    for graph, v, mu_bar, res in ldm_sup_systems:
+        _assert_matches_dense_solve(graph, v, mu_bar, res)
 
 
 def test_nystrom_takes_no_more_iterations_than_jacobi_on_ldm_sup_patch_sets(ldm_sup_systems):
-    for ops, v, mu_bar, res in ldm_sup_systems:
-        u_ref, ref_iterations = _jacobi_solve(ops, v, mu_bar)
-        assert res.iterations <= ref_iterations
-        assert np.linalg.norm(res.u - u_ref) <= 1e-7 * np.linalg.norm(u_ref)
+    # the direct solve takes no iterations; the Jacobi CG needs at least one
+    for graph, v, mu_bar, res in ldm_sup_systems:
+        assert _assert_matches_jacobi_reference(graph, v, mu_bar, res) >= 1
 
 
-@pytest.mark.parametrize("m,k,exact", [(256, 128, True), (300, 5, False)])
-def test_solve_gives_the_same_u_for_c_and_f_ordered_v(m, k, exact):
-    # v^T is a view: F-ordered for a C-ordered v, which BLAS reads with a
-    # transpose flag. At the b1 training shape (m = 256, k = 128 patch
-    # entries) U is the same bit for bit. Below about 1e6 multiply-adds
-    # OpenBLAS 0.3.31 switches to small-matrix GEMM kernels that sum the
-    # transposed operand in another order, so at m = 300, k = 5 only
-    # rounding may differ.
+@pytest.mark.parametrize("m,k,single", [(256, 128, True), (300, 5, False)])
+def test_solve_gives_the_same_u_for_c_and_f_ordered_v(m, k, single):
+    # The solve gathers each group's rows of v into a new stack, so the
+    # order v is stored in cannot reach the arithmetic: U is the same bit
+    # for bit, for one group (the b1 training shape, m = 256, k = 128 patch
+    # entries) and for three.
     rng = np.random.default_rng(29)
-    ops = gaussian_weights(random_points(rng, m, 8))
+    groups = np.arange(m).reshape(1 if single else 3, -1)
+    graph = gaussian_weights(random_points(rng, m, 8), groups)
     v = rng.standard_normal((m, k))
-    res_c = solve_coordinates(ops, v, 0.6)
-    res_f = solve_coordinates(ops, np.asfortranarray(v), 0.6)
-    assert res_c.iterations == res_f.iterations
-    assert res_c.u.flags.f_contiguous and res_f.u.flags.f_contiguous
-    if exact:
-        assert res_c.u.tobytes() == res_f.u.tobytes()
-    assert np.linalg.norm(res_c.u - res_f.u) <= 1e-12 * np.linalg.norm(res_f.u)
+    res_c = solve_coordinates(graph, v, 0.6)
+    res_f = solve_coordinates(graph, np.asfortranarray(v), 0.6)
+    assert res_c.u.tobytes() == res_f.u.tobytes()
 
 
 def _assert_solve_peak_within_bound(order):
-    # b, the solution and the CG's four working blocks are six (k, m)
-    # blocks, next to the Nystrom factor's r x m; a zero block for the first
-    # correction to be added into, or a copy of v or of the factor's
-    # transpose, would make seven
+    # At n = k = 128 the blocks' system matrices are one m x k block's
+    # worth. The peak is in np.linalg.solve: the matrices, the right-hand
+    # side b, the solution and the copies of the matrices and of b that it
+    # factors and solves in, five m x k blocks.
     m, k = 1024, 128
     rng = np.random.default_rng(18)
-    ops = gaussian_weights(rng.standard_normal((m, k)))
+    graph = gaussian_weights(rng.standard_normal((m, k)), np.arange(m).reshape(8, 128))
     v = np.asarray(rng.standard_normal((m, k)), order=order)
-    solve_coordinates(ops, v, 0.6)  # first-use allocations
+    solve_coordinates(graph, v, 0.6)  # first-use allocations
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        solve_coordinates(ops, v, 0.6)
+        solve_coordinates(graph, v, 0.6)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 6.75 * m * k * 8
+    assert peak <= 5.25 * m * k * 8
 
 
 def test_solve_peak_memory_bound():
@@ -1005,30 +932,30 @@ def test_solve_peak_memory_bound_with_f_ordered_v():
 
 def test_energy_constant_columns_are_zero():
     rng = np.random.default_rng(10)
-    ops = gaussian_weights(random_points(rng, 12, 4))
+    graph = graph_of(random_points(rng, 12, 4))
     u = np.tile(rng.standard_normal(3), (12, 1))
-    assert energy_of(u, ops) < 1e-10
+    assert energy_of(u, graph) < 1e-10
 
 
 def test_energy_two_point_hand_value():
-    ops = gaussian_weights(np.zeros((2, 2)))
+    graph = graph_of(np.zeros((2, 2)))
     u = np.array([[0.0], [1.0]])
-    assert abs(energy_of(u, ops) * ops.m - 1.0) < 1e-12
-    assert abs(energy_of(u, ops) - 0.5) < 1e-12
+    assert abs(energy_of(u, graph) * 2 - 1.0) < 1e-12
+    assert abs(energy_of(u, graph) - 0.5) < 1e-12
 
 
 def test_energy_matches_pairwise_sum_oracle():
     rng = np.random.default_rng(11)
     pts = random_points(rng, 14, 5)
-    ops = gaussian_weights(pts)
+    graph = graph_of(pts)
     u = rng.standard_normal((14, 6))
-    w = dense_w(ops)
+    w = dense_w(graph)
     oracle = 0.0
     for i in range(14):
         for j in range(14):
             oracle += w[i, j] * np.sum((u[i] - u[j]) ** 2)
     oracle /= 2.0
-    assert abs(energy_of(u, ops) * ops.m - oracle) < 1e-8 * max(oracle, 1.0)
+    assert abs(energy_of(u, graph) * 14 - oracle) < 1e-8 * max(oracle, 1.0)
 
 
 # ------------------------------------------------------------ dual variable
