@@ -14,9 +14,9 @@ two images of one batch row and branch. W is block diagonal over the
 groups, so each block has its own bandwidth, weights, row sums D and
 Dirichlet energy. All groups have one size, so the blocks are one
 (G, n, n) stack, and the system matrices L + mu_bar * W = D - (1 - mu_bar) * W
-of all blocks are solved in one stacked LU solve; each column must then meet
-relative residual 1e-8 against the assembled system, or `SolverError` is
-raised. The Dirichlet energy of the points, the block sums of
+of all blocks are solved in one stacked LU solve, for mu_bar >= `MU_BAR_MIN`;
+each column's normwise backward error must then be at most 1e-12, or
+`SolverError` is raised. The Dirichlet energy of the points, the block sums of
 sum_{i<j} w_ij ||p_i - p_j||^2 divided by the point count m, serves as the
 manifold-dimension diagnostic.
 """
@@ -27,9 +27,11 @@ import numpy as np
 
 from .autodiff import ShapeError, concat, reshape, transpose
 
+MU_BAR_MIN = 1e-8  # the solve's floor on mu_bar; see `solve_coordinates`
+
 
 class SolverError(RuntimeError):
-    """The patch-graph solve failed: its factorization, or its residual
+    """The patch-graph solve failed: its factorization, or its backward-error
     contract.
 
     group is the block whose column missed worst, or None when the stacked
@@ -37,7 +39,7 @@ class SolverError(RuntimeError):
 
     def __init__(self, worst_residual, group):
         where = "" if group is None else f" in group {group}"
-        super().__init__(f"patch-graph solve failed: worst column residual "
+        super().__init__(f"patch-graph solve failed: worst column backward error "
                          f"{worst_residual:.3e}{where}")
         self.worst_residual = worst_residual
         self.group = group
@@ -209,21 +211,22 @@ def gaussian_weights(points, groups):
 def solve_coordinates(graph, v, mu_bar):
     """Solve (L + mu_bar W) U = mu_bar W V on every block of the graph.
 
-    mu_bar weights the smoothing term against the data term; mu_bar > 0
-    holds by `TrainConfig`'s check. v is an (m, k) block, k >= 1, rows in
+    mu_bar >= `MU_BAR_MIN` weights the smoothing term against the data term;
+    `TrainConfig`'s check holds it. v is an (m, k) block, k >= 1, rows in
     patch-set order. Each group's rows of v are gathered into a (G, n, k)
-    stack, and the blocks' system matrices D - (1 - mu_bar) W, symmetric
+    stack, and the blocks' system matrices A = D - (1 - mu_bar) W, symmetric
     positive definite for mu_bar > 0, are assembled and solved in one stacked
     `np.linalg.solve`; U is scattered back to the rows v came from.
 
-    Each column of each block must reach relative residual
-    ||b - A u|| <= 1e-8 ||b|| against the assembled system, both norms taken
-    on the column scaled by its largest entry of b; otherwise SolverError
-    carries the worst residual and its group. A factorization that fails (a
-    singular system, such as a mu_bar so small that 1 - mu_bar rounds to 1
-    leaves) raises it with an infinite residual. A NaN or infinite weight, or
-    a v whose right-hand side or its column norm is not finite, raises it
-    with a NaN residual before the solve, and no warning.
+    Each column x of each block must have normwise backward error
+    ||b - A x|| / (||A|| ||x|| + ||b||) <= 1e-12 in the max norm (Rigal &
+    Gaches; a zero column reads 0), or SolverError carries the worst ratio
+    and its group. That puts U near the solution of a nearby system; its
+    distance to the exact U grows with A's condition number, ~1 / mu_bar,
+    hence the floor (at 1e-8 U is still good to ~1e-9). A factorization that
+    fails raises it with an infinite ratio. A NaN or infinite weight, or a v
+    whose right-hand side or its column norm is not finite, raises it with a
+    NaN ratio before the solve, and no warning.
     """
     v = np.asarray(v, dtype=np.float64)
     groups = graph.groups
@@ -246,21 +249,16 @@ def solve_coordinates(graph, v, mu_bar):
         x = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         raise SolverError(np.inf, None) from None
-    # each column is scaled by its largest entry, so that neither norm
-    # underflows (at mu_bar = 1e-300 the plain norm of b is 0); a zero
-    # column keeps scale 1, and its residual is 0
-    scale = np.abs(b).max(axis=1, keepdims=True)
-    scale[scale == 0.0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
+        anorm = np.abs(a).sum(axis=2).max(axis=1)
         r = np.matmul(a, x)
         np.subtract(b, r, out=r)
-        r /= scale
-        b /= scale
-        bnorm = np.linalg.norm(b, axis=1)
-        rel = np.linalg.norm(r, axis=1) / np.where(bnorm > 0.0, bnorm, 1.0)
-    worst = rel.max(axis=1)
-    g = int(np.argmax(worst))  # a NaN residual is the first maximum
-    if not worst[g] <= 1e-8:
+        scale = anorm[:, None] * np.abs(x).max(axis=1) + np.abs(b).max(axis=1)
+        scale[scale == 0.0] = 1.0  # b = 0, so x = 0 and r = 0
+        eta = np.abs(r, out=r).max(axis=1) / scale
+    worst = eta.max(axis=1)
+    g = int(np.argmax(worst))  # a NaN ratio is the first maximum
+    if not worst[g] <= 1e-12:
         raise SolverError(float(worst[g]), g)
     u = np.empty(v.shape)
     u[groups.reshape(-1)] = x.reshape(-1, v.shape[1])

@@ -15,7 +15,7 @@ group of `manifold.patch_groups` (a batch row's corrected-entry and
 free-entry patches), whose build also sums P's Dirichlet energy, the block
 sums over m (the step's diagnostic); the direct solve
 (L + mu_bar W) U = mu_bar W (P - d), L = D - W, of all blocks at once, each
-column to relative residual 1e-8; one Adam update of
+column to backward error 1e-12; one Adam update of
 J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
@@ -37,7 +37,7 @@ The objective's normalisation, as the code runs it:
 - Each penalised step runs one stacked solve over G = (branches drawn) * N
   blocks of 2 * (H/s) * (W/s) = 128 points, one Adam step and one
   graph-free refresh. The report's `cg_residual` is the solve's worst
-  relative column residual, and `cg_iterations` is 0: the solve is direct.
+  column backward error, and `cg_iterations` is 0: the solve is direct.
 - The dual is one m x d array, min-max normalised jointly over all its
   entries into [0, 1]. `epoch_batches` reshuffles every epoch, so row i
   belongs to another image and branch from one step to the next.
@@ -63,7 +63,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
 from .ctsim import denormalize_image, normalize_image, psnr, ssim
-from .manifold import (DualVariable, build_patch_set, dirichlet_energy,
+from .manifold import (MU_BAR_MIN, DualVariable, build_patch_set, dirichlet_energy,
                        gaussian_weights, normalize_dual, patch_groups, solve_coordinates)
 from .networks import (DisentangleNet, NetworkVariant, discriminator_loss, loss_adn,
                        loss_sup, save_checkpoint)
@@ -88,8 +88,8 @@ class TrainConfig:
         # a comparison with NaN is False, so NaN fails each range test
         if not 0.0 <= self.lambda_ldm < math.inf:
             raise ValueError(f"lambda must be finite and non-negative, got {self.lambda_ldm}")
-        if not 0.0 < self.mu_bar < math.inf:
-            raise ValueError(f"mu_bar must be finite and positive, got {self.mu_bar}")
+        if not MU_BAR_MIN <= self.mu_bar < math.inf:
+            raise ValueError(f"mu_bar must be finite and at least {MU_BAR_MIN}, got {self.mu_bar}")
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
         if self.batch_size < 1:
@@ -353,8 +353,7 @@ def training_step(net, batch, state, cfg, mu_bar):
       would overflow a distance: ValueError from `gaussian_weights`, before
       any solve;
     - a solve whose factorization fails or whose worst column misses
-      relative residual 1e-8 (a mu_bar so small that 1 - mu_bar rounds to 1
-      does): SolverError from `solve_coordinates`;
+      backward error 1e-12: SolverError from `solve_coordinates`;
     - a NaN or infinite gradient: NanGradientError.
 
     mu_bar is cfg.mu_bar. It is passed apart from cfg because the

@@ -7,7 +7,7 @@ import pytest
 
 from patchmar import autodiff, ctsim, training
 from patchmar.autodiff import ShapeError, Tensor
-from patchmar.manifold import DualVariable, SolverError
+from patchmar.manifold import MU_BAR_MIN, DualVariable, SolverError
 from patchmar.networks import PATCH_SIZE, NetworkVariant, discriminator_loss, load_checkpoint
 from patchmar.optim import NanGradientError
 
@@ -45,6 +45,7 @@ def test_variant_builds_only_the_branches_a_mode_trains():
 @pytest.mark.parametrize("knob,value", [
     ("lambda_ldm", math.nan), ("lambda_ldm", math.inf), ("lambda_ldm", -0.1),
     ("mu_bar", math.nan), ("mu_bar", math.inf), ("mu_bar", 0.0), ("mu_bar", -1.0),
+    ("mu_bar", 1e-300), ("mu_bar", 9e-9),
     ("lr", math.nan), ("lr", math.inf), ("lr", -1.0)])
 def test_config_rejects_non_finite_or_out_of_range_knobs(knob, value):
     with pytest.raises(ValueError, match="must be finite"):
@@ -153,7 +154,7 @@ def test_tiny_run_per_mode_is_finite_and_deterministic(bundle, mode):
         assert ("ldm_penalty" in rep.losses) == cfg.uses_ldm
         if cfg.uses_ldm:
             assert rep.cg_iterations == 0  # the solve is direct
-            assert rep.cg_residual <= 1e-8
+            assert rep.cg_residual <= 1e-12
             assert math.isfinite(rep.dirichlet_energy) and rep.dirichlet_energy >= 0.0
             assert 0.0 <= rep.dual_min <= rep.dual_max <= 1.0
         else:
@@ -549,5 +550,16 @@ def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert rep.k == 2 and rep.cg_residual <= 1e-8
+    assert rep.k == 2 and rep.cg_residual <= 1e-12
     assert peak < bound_mib * MiB
+
+
+def test_ldm_sup_step_at_the_mu_bar_floor(bundle64):
+    # The smallest mu_bar the config takes still gives a step. Its systems'
+    # residuals reach 3.5e-8 relative to b, whose norm scales with mu_bar,
+    # while the backward error stays ~1e-15.
+    cfg = training.TrainConfig(mode="LDM-Sup", batch_size=8, mu_bar=MU_BAR_MIN)
+    net = training.build_network(cfg)
+    state = training.OptState()
+    rep = training.training_step(net, first_batch(bundle64, cfg), state, cfg, cfg.mu_bar)
+    assert rep.k == 1 and rep.cg_residual <= 1e-12
