@@ -225,21 +225,21 @@ def solve_coordinates(graph, v, mu_bar):
     distance to the exact U grows with A's condition number, ~1 / mu_bar,
     hence the floor (at 1e-8 U is still good to ~1e-9). A factorization that
     fails raises it with an infinite ratio. A NaN or infinite weight, or a v
-    whose right-hand side or its column norm is not finite, raises it with a
-    NaN ratio before the solve, and no warning.
+    whose right-hand side is not finite (a NaN or infinite entry, or one
+    that overflows the product), raises it with a NaN ratio before the
+    solve, and no warning.
     """
     v = np.asarray(v, dtype=np.float64)
     groups = graph.groups
     if v.ndim != 2 or v.shape[0] != groups.size or v.shape[1] == 0:
         raise ShapeError(f"v must be an (m, k >= 1) block over {groups.size} points, "
                          f"got shape {v.shape}")
-    # a non-finite weight or v, or a v whose right-hand side or its norm
-    # overflows, leaves bnorm non-finite, unwarned
+    # a non-finite weight or v, or a v whose right-hand side overflows,
+    # leaves b non-finite, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.matmul(graph.w, v[groups])
         b *= mu_bar
-        bnorm = np.linalg.norm(b, axis=1)
-    bad = ~np.isfinite(bnorm).all(axis=1)
+    bad = ~np.isfinite(b).all(axis=(1, 2))
     if bad.any():
         raise SolverError(np.nan, int(np.argmax(bad)))
     diag = np.arange(groups.shape[1])

@@ -2,12 +2,13 @@
 update on the penalized objective, then the dual update at the new weights.
 
 The knobs are the mode, lambda (`lambda_ldm`), mu_bar, the learning rate and
-the run shape (epochs, batch size, seed). Nothing else is settable: the
-architecture is fixed (`networks.PATCH_SIZE` s = 8, `networks.BASE_WIDTH`
-= 8), Adam runs at its fixed setting (beta1 = 0.5, beta2 = 0.999,
-eps = 1e-8), the kernel bandwidth is chosen per group of the patch set
-(median squared distance / 4), and evaluation measures PSNR/SSIM against
-each clean image's dynamic range.
+the run shape (epochs, batch size, seed), the fields of `TrainConfig`; the
+`patchmar train` driver (`cli`) has exactly one training flag for each.
+Nothing else is settable: the architecture is fixed (`networks.PATCH_SIZE`
+s = 8, `networks.BASE_WIDTH` = 8), Adam runs at its fixed setting
+(beta1 = 0.5, beta2 = 0.999, eps = 1e-8), the kernel bandwidth is chosen per
+group of the patch set (median squared distance / 4), and evaluation
+measures PSNR/SSIM against each clean image's dynamic range.
 
 Each step with the manifold penalty active runs, in order: forward passes and
 network losses; the Gaussian weights W over the patch set P, one block per
@@ -386,7 +387,6 @@ def training_step(net, batch, state, cfg, mu_bar):
 @dataclass
 class TrainResult:
     net: DisentangleNet
-    state: OptState
     reports: list
 
 
@@ -400,7 +400,7 @@ def train(bundle, cfg, out_dir=None):
     `out_dir/metrics.csv` (one row per step, CSV_COLUMNS) and the final
     network to `out_dir/checkpoint/`. `make_pools` checks the drawn pools
     first, so a mode with an empty one raises before out_dir is made.
-    Returns the trained network, optimizer state and step reports."""
+    Returns the trained network and the step reports."""
     pools = make_pools(bundle, cfg)
     net = build_network(cfg)
     state = OptState()
@@ -413,7 +413,7 @@ def train(bundle, cfg, out_dir=None):
                 yield rep
 
     if out_dir is None:
-        return TrainResult(net=net, state=state, reports=list(run()))
+        return TrainResult(net=net, reports=list(run()))
     os.makedirs(out_dir, exist_ok=True)
     reports = []
     with open(os.path.join(out_dir, "metrics.csv"), "w") as csv_file:
@@ -422,7 +422,7 @@ def train(bundle, cfg, out_dir=None):
             reports.append(rep)
             csv_file.write(",".join(report_row(rep)) + "\n")
     save_checkpoint(net, os.path.join(out_dir, "checkpoint"))
-    return TrainResult(net=net, state=state, reports=reports)
+    return TrainResult(net=net, reports=reports)
 
 
 def evaluate_pairs(net, pairs, amax):

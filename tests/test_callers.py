@@ -26,22 +26,14 @@ READING = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py
 
 # kept although nothing in src/ or perfbench/ reads or passes them yet,
 # each with its reason
-RUN_DIRECTORY = "ROADMAP item 1: the driver is the run directory's first caller"
 ALLOWED = {
     "load_checkpoint": "ROADMAP item 4: a run resumes from its checkpoint",
     "moment_arrays": "ROADMAP item 4: checkpoints save the Adam moments",
 }
-ALLOWED_FIELDS = {f"TrainResult.{name}": RUN_DIRECTORY
-                  for name in ("net", "state", "reports")}
-ALLOWED_PARAMETERS = {"train(out_dir=)": RUN_DIRECTORY}
-LDM_SWEEP = "ROADMAP item 2: the LDM objective's weights are what its lambda sweep sets"
 SHIFTED_BUNDLE = "ROADMAP item 7: the shifted bundle sets another severity and noise"
 BENCH_READS = ("ROADMAP item 5: perfbench reads it as a field, so it becomes a "
                "constant in the benchmark PR")
 ALLOWED_DEFAULTS = {
-    "TrainConfig.lr": "ROADMAP item 1: the quality record states its learning rate",
-    "TrainConfig.lambda_ldm": LDM_SWEEP,
-    "TrainConfig.mu_bar": LDM_SWEEP,
     "SynthConfig.severity": SHIFTED_BUNDLE,
     "SynthConfig.noise_scale": SHIFTED_BUNDLE,
     "SynthConfig.image_size": BENCH_READS,
@@ -279,13 +271,13 @@ def test_every_definition_has_a_caller_outside_tests():
 def test_every_dataclass_field_is_read_outside_tests():
     defining = [p.read_text() for p in DEFINING]
     reading = [p.read_text() for p in READING]
-    assert unread_fields(defining, reading) == sorted(ALLOWED_FIELDS)
+    assert unread_fields(defining, reading) == []
 
 
 def test_every_default_parameter_is_passed_outside_tests():
     defining = [p.read_text() for p in DEFINING]
     reading = [p.read_text() for p in READING]
-    assert unpassed_parameters(defining, reading) == sorted(ALLOWED_PARAMETERS)
+    assert unpassed_parameters(defining, reading) == []
 
 
 def test_every_dataclass_default_is_set_outside_tests():
