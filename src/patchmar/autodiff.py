@@ -15,10 +15,20 @@ input, a fresh conv output that no closure reads, with its own result.
 
 A conv is a GEMM over column matrices: `_im2col` zero-pads its input and
 copies it out as columns, and its adjoint `_col2im` adds columns back and
-crops the padding. Conv backward always forms the kernel gradient, since
-every conv kernel is a network parameter. `conv2d` skips the input gradient
-of an input that needs none, an image read by a first layer; the input of a
-transposed conv is always a layer's output, so its backward forms both.
+crops the padding into a given output. Conv backward always forms the kernel
+gradient, since every conv kernel is a network parameter. `conv2d` skips the
+input gradient of an input that needs none, an image read by a first layer;
+the input of a transposed conv is always a layer's output, so its backward
+forms both.
+
+Convs run `_CONV_CHUNK` images at a time. Built for a whole batch of 32, a
+column matrix, GEMM product or `_col2im` buffer is a fresh 16-36 MiB array
+that is faulted in again on every call; a chunk's are an eighth of that.
+Each chunk's results are written into the preallocated output or input
+gradient, and the kernel gradient is summed image by image in batch order,
+the same additions as a sum over the stacked per-image products. No
+temporary is larger than one chunk's, and results are bit-identical to
+building them for the whole batch.
 """
 
 import contextlib
@@ -30,6 +40,10 @@ DEFAULT_DTYPE = np.float32
 # negative-side slope of `bias_act`'s leaky ReLU; it must lie in [0, 1) for
 # max(a, slope * a) to be the leaky ReLU and its output mask to equal the input's
 LEAKY_SLOPE = 0.2
+
+# images per conv chunk: each chunk builds its own column matrix and GEMM
+# product, so no conv temporary grows with the batch
+_CONV_CHUNK = 4
 
 
 class ShapeError(ValueError):
@@ -350,23 +364,30 @@ def _im2col(x, kh, kw, stride, padding, hout, wout):
     return np.ascontiguousarray(view).reshape(n, c * kh * kw, hout * wout)
 
 
-def _col2im(dcols, xshape, kh, kw, stride, padding, hout, wout):
+def _col2im(dcols, out, kh, kw, stride, padding, hout, wout):
     """Adjoint of `_im2col`: add per-image columns [N, C*kh*kw, hout*wout]
-    back onto a new C-contiguous [N,C,H,W] array, cropping the padding.
+    back into the images `out` [N,C,H,W], cropping the padding, and return
+    `out`. Whatever `out` held before is overwritten.
 
     Each row ends in all hout*wout output positions, so tap (i, j) of every
     channel, `d6[:, :, i, j]`, reads whole contiguous rows; each tap is
-    added onto a strided window of the padded image.
+    added onto a strided window of the padded image. Unpadded, that image
+    is `out` itself; padded, it is a scratch array of out's images plus the
+    border, and the crop is copied into `out`.
     """
-    n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    n, c, h, w = out.shape
+    if padding:
+        dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    else:
+        dxp = out
+        dxp.fill(0)
     d6 = dcols.reshape(n, c, kh, kw, hout, wout)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += d6[:, :, i, j]
     if padding:
-        return np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + w])
-    return dxp
+        out[...] = dxp[:, :, padding:padding + h, padding:padding + w]
+    return out
 
 
 def _validate_conv(x, kernel, stride, padding, op):
@@ -382,12 +403,37 @@ def _validate_conv(x, kernel, stride, padding, op):
         raise ShapeError(f"{op}: dtype {x.data.dtype} vs kernel {kernel.data.dtype}")
 
 
+def _chunks(n):
+    """Slices of up to `_CONV_CHUNK` images that cover a batch of n in order."""
+    return [slice(i, i + _CONV_CHUNK) for i in range(0, n, _CONV_CHUNK)]
+
+
+def _add_kernel_grad(gk, prods):
+    """Kernel gradient gk plus one chunk's per-image products `prods`, added
+    image by image in batch order; gk None starts the sum.
+
+    numpy sums over axis 0 one row at a time from 0, so the first chunk's
+    sum and the later chunks' in-place adds make the same additions, in the
+    same order, as summing the whole batch's products over axis 0.
+    """
+    if gk is None:
+        return prods.sum(axis=0)
+    for p in prods:
+        gk += p
+    return gk
+
+
 def conv2d(x, kernel, stride=1, padding=0):
     """Cross-correlation of x [N,C,H,W] with kernel [F,C,kh,kw].
 
     The column matrix is C*kh*kw/F times the output's size, so it is not
     kept: backward rebuilds it from x, which the graph holds anyway, to
-    take the kernel gradient from the same bytes.
+    take the kernel gradient from the same bytes. It runs `_CONV_CHUNK`
+    images at a time, since at batch 32 a whole-batch column matrix is a
+    fresh 16-36 MiB array faulted in on every call. The forward writes each
+    chunk's product into the output. Backward sums the kernel gradient image
+    by image in batch order, then writes the input gradient chunk by chunk,
+    so no temporary is larger than one chunk's.
     """
     _validate_conv(x, kernel, stride, padding, "conv2d")
     n, c, h, w = x.data.shape
@@ -401,36 +447,52 @@ def conv2d(x, kernel, stride=1, padding=0):
     hout = (h + 2 * padding - kh) // stride + 1
     wout = (w + 2 * padding - kw) // stride + 1
 
-    def columns():
-        return _im2col(x.data, kh, kw, stride, padding, hout, wout)
+    def columns(s):
+        return _im2col(x.data[s], kh, kw, stride, padding, hout, wout)
 
     kmat = kernel.data.reshape(f, -1)
-    out = np.matmul(kmat, columns()).reshape(n, f, hout, wout)
+    out = np.empty((n, f, hout * wout), dtype=x.data.dtype)
+    for s in _chunks(n):
+        np.matmul(kmat, columns(s), out=out[s])
 
     def bwd(g):
         g3 = g.reshape(n, f, hout * wout)
-        gk = np.matmul(g3, columns().transpose(0, 2, 1)).sum(axis=0).reshape(f, c, kh, kw)
-        gx = None
-        if x.requires_grad and stride == 1 and f < c and kh == kw and padding < kh:
+        gk = None
+        for s in _chunks(n):
+            gk = _add_kernel_grad(gk, np.matmul(g3[s], columns(s).transpose(0, 2, 1)))
+        gk = gk.reshape(f, c, kh, kw)
+        if not x.requires_grad:
+            return None, gk
+        gx = np.empty((n, c, h, w), dtype=g.dtype)
+        if stride == 1 and f < c and kh == kw and padding < kh:
             # at stride 1 the input gradient is g correlated with the flipped,
             # channel-swapped kernel: its columns have f*kh*kw rows, fewer
             # than the c*kh*kw rows that _col2im would scatter
             kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            gcols = _im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
-            gx = np.matmul(kflip, gcols).reshape(n, c, h, w)
-        elif x.requires_grad:
-            gx = _col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride, padding,
-                         hout, wout)
+            gx3 = gx.reshape(n, c, h * w)
+            for s in _chunks(n):
+                np.matmul(kflip, _im2col(g[s], kh, kw, 1, kh - 1 - padding, h, w),
+                          out=gx3[s])
+        else:
+            for s in _chunks(n):
+                _col2im(np.matmul(kmat.T, g3[s]), gx[s], kh, kw, stride, padding,
+                        hout, wout)
         return gx, gk
 
-    return _node(out, (x, kernel), bwd)
+    return _node(out.reshape(n, f, hout, wout), (x, kernel), bwd)
 
 
 def conv_transpose2d(x, kernel, stride=1, padding=0):
     """Transposed convolution of x [N,Cin,H,W] with kernel [Cin,Cout,kh,kw].
 
     Exact adjoint of conv2d with the same stride/padding: output spatial
-    extent is (H-1)*stride - 2*padding + kh.
+    extent is (H-1)*stride - 2*padding + kh. Like conv2d it runs
+    `_CONV_CHUNK` images at a time, so that no whole-batch product or
+    `_col2im` buffer is faulted in afresh on every call. The forward
+    scatters each chunk's product into the output. Backward builds each
+    chunk's columns of g once, for the input gradient and for the kernel
+    gradient, which it sums image by image in batch order. No temporary is
+    larger than one chunk's.
     """
     _validate_conv(x, kernel, stride, padding, "conv_transpose2d")
     n, cin, h, w = x.data.shape
@@ -446,12 +508,17 @@ def conv_transpose2d(x, kernel, stride=1, padding=0):
 
     kmat = kernel.data.reshape(cin, -1)
     x3 = x.data.reshape(n, cin, h * w)
-    out = _col2im(np.matmul(kmat.T, x3), (n, cout, hout, wout), kh, kw, stride, padding, h, w)
+    out = np.empty((n, cout, hout, wout), dtype=x.data.dtype)
+    for s in _chunks(n):
+        _col2im(np.matmul(kmat.T, x3[s]), out[s], kh, kw, stride, padding, h, w)
 
     def bwd(g):
-        cols_g = _im2col(g, kh, kw, stride, padding, h, w)
-        gx = np.matmul(kmat, cols_g).reshape(n, cin, h, w)
-        gk = np.matmul(x3, cols_g.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, kh, kw)
-        return gx, gk
+        gk = None
+        gx = np.empty((n, cin, h * w), dtype=g.dtype)
+        for s in _chunks(n):
+            cols_g = _im2col(g[s], kh, kw, stride, padding, h, w)
+            np.matmul(kmat, cols_g, out=gx[s])
+            gk = _add_kernel_grad(gk, np.matmul(x3[s], cols_g.transpose(0, 2, 1)))
+        return gx.reshape(n, cin, h, w), gk.reshape(cin, cout, kh, kw)
 
     return _node(out, (x, kernel), bwd)

@@ -248,7 +248,7 @@ def test_column_kernels_are_adjoint(kind, k0, k1, kh, stride, extent):
     x = rng.standard_normal((2, k1, h, h))
     cols = rng.standard_normal((2, k1 * kh * kh, hout * hout))
     lhs = np.vdot(ad._im2col(x, kh, kh, stride, padding, hout, hout), cols)
-    rhs = np.vdot(x, ad._col2im(cols, x.shape, kh, kh, stride, padding, hout, hout))
+    rhs = np.vdot(x, ad._col2im(cols, np.empty_like(x), kh, kh, stride, padding, hout, hout))
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
@@ -278,8 +278,22 @@ def test_conv_matches_row_layout_reference(kind, k0, k1, kh, stride, extent, n, 
     assert out.data.flags.c_contiguous
 
 
-# Reference: the conv2d that kept its forward column matrix in the backward
-# closure, kept to pin the rebuilt-columns backward bit for bit.
+# References: the whole-batch convs that `_CONV_CHUNK` replaced, each column
+# matrix and product built for all images at once, and the conv2d that kept
+# its forward column matrix in the backward closure. They pin the chunked
+# convs and the rebuilt-columns backward bit for bit.
+
+def _whole_batch_col2im(dcols, xshape, kh, kw, stride, padding, hout, wout):
+    n, c, h, w = xshape
+    dxp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
+    d6 = dcols.reshape(n, c, kh, kw, hout, wout)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + stride * hout:stride, j:j + stride * wout:stride] += d6[:, :, i, j]
+    if padding:
+        return np.ascontiguousarray(dxp[:, :, padding:padding + h, padding:padding + w])
+    return dxp
+
 
 def _kept_columns_conv2d(x, kernel, stride, padding):
     """(output, backward closure) of the keep-the-columns conv2d."""
@@ -300,19 +314,49 @@ def _kept_columns_conv2d(x, kernel, stride, padding):
             gcols = ad._im2col(g, kh, kw, 1, kh - 1 - padding, h, w)
             gx = np.matmul(kflip, gcols).reshape(n, c, h, w)
         elif x.requires_grad:
-            gx = ad._col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride, padding,
-                            hout, wout)
+            gx = _whole_batch_col2im(np.matmul(kmat.T, g3), (n, c, h, w), kh, kw, stride,
+                                     padding, hout, wout)
         return gx, gk
 
     return out, bwd
 
 
+def _whole_batch_conv_transpose2d(x, kernel, stride, padding):
+    """(output, backward closure) of the whole-batch conv_transpose2d."""
+    n, cin, h, w = x.data.shape
+    _, cout, kh, kw = kernel.data.shape
+    hout = (h - 1) * stride - 2 * padding + kh
+    wout = (w - 1) * stride - 2 * padding + kw
+    kmat = kernel.data.reshape(cin, -1)
+    x3 = x.data.reshape(n, cin, h * w)
+    out = _whole_batch_col2im(np.matmul(kmat.T, x3), (n, cout, hout, wout), kh, kw, stride,
+                              padding, h, w)
+
+    def bwd(g):
+        cols_g = ad._im2col(g, kh, kw, stride, padding, h, w)
+        gx = np.matmul(kmat, cols_g).reshape(n, cin, h, w)
+        gk = np.matmul(x3, cols_g.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, kh, kw)
+        return gx, gk
+
+    return out, bwd
+
+
+def _assert_same_bytes(out, want_out, got_grads, want_grads):
+    assert out.data.tobytes() == want_out.tobytes()
+    for got, want in zip(got_grads, want_grads):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 NETWORK_CONV2D_SHAPES = [s[1:] for s in NETWORK_CONV_SHAPES if s[0] == "conv2d"]
 
 
+# n = 9 runs two full chunks of `_CONV_CHUNK` = 4 images and a remainder of one
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("grads", ["x", "kernel", "both"])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 9])
 @pytest.mark.parametrize("k0,k1,kh,stride,extent", NETWORK_CONV2D_SHAPES,
                          ids=[f"k{s[0]}x{s[1]}x{s[2]}s{s[3]}i{s[4]}"
                               for s in NETWORK_CONV2D_SHAPES])
@@ -325,13 +369,26 @@ def test_conv2d_backward_matches_kept_columns(k0, k1, kh, stride, extent, n, gra
                requires_grad=grads in ("kernel", "both"))
     out = ad.conv2d(x, k, stride=stride, padding=padding)
     want_out, want_bwd = _kept_columns_conv2d(x, k, stride, padding)
-    assert out.data.tobytes() == want_out.tobytes()
     g = rng.standard_normal(out.shape).astype(dtype)
-    for got, want in zip(out._backward(g), want_bwd(g)):
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+    _assert_same_bytes(out, want_out, out._backward(g), want_bwd(g))
+
+
+NETWORK_CONVT_SHAPES = [s[1:] for s in NETWORK_CONV_SHAPES if s[0] == "conv_transpose2d"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("n", [1, 3, 9])
+@pytest.mark.parametrize("k0,k1,kh,stride,extent", NETWORK_CONVT_SHAPES,
+                         ids=[f"k{s[0]}x{s[1]}x{s[2]}s{s[3]}i{s[4]}"
+                              for s in NETWORK_CONVT_SHAPES])
+def test_conv_transpose2d_matches_whole_batch(k0, k1, kh, stride, extent, n, dtype):
+    rng = np.random.default_rng(zlib.crc32(f"T{k0}x{k1}x{kh}s{stride}i{extent}n{n}".encode()))
+    x = Tensor(rng.standard_normal((n, k0, extent, extent)).astype(dtype), requires_grad=True)
+    k = Tensor(rng.standard_normal((k0, k1, kh, kh)).astype(dtype), requires_grad=True)
+    out = ad.conv_transpose2d(x, k, stride=stride, padding=1)
+    want_out, want_bwd = _whole_batch_conv_transpose2d(x, k, stride, 1)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    _assert_same_bytes(out, want_out, out._backward(g), want_bwd(g))
 
 
 @pytest.mark.parametrize("x_grad", [False, True], ids=["kernel", "both"])
@@ -350,6 +407,31 @@ def test_conv2d_graph_keeps_no_column_matrix(x_grad):
     assert out._backward is not None
     output = out.data.nbytes
     assert output <= held <= output + 64 * 1024
+
+
+def test_conv2d_temporaries_stay_one_chunk():
+    # k16x8x4s2i64 at n = 32: a whole-batch column matrix would be 8 times the
+    # output, 16 MiB. Chunked, forward plus backward peaks at the output, gx
+    # and one chunk's columns (the backward's chunk of column gradients is the
+    # same size), plus the chunk's padded image that _col2im scatters into and
+    # the ufunc buffers of its strided adds (~0.1 MiB).
+    n = 32
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.standard_normal((n, 8, 64, 64)).astype(np.float32), requires_grad=True)
+    k = Tensor(rng.standard_normal((16, 8, 4, 4)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((n, 16, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, k, stride=2, padding=1)
+        gx, gk = out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    chunk_columns = ad._CONV_CHUNK * 8 * 4 * 4 * 32 * 32 * 4
+    padded_chunk = ad._CONV_CHUNK * 8 * 66 * 66 * 4
+    bound = out.data.nbytes + gx.nbytes + chunk_columns + padded_chunk + 256 * 1024
+    assert peak <= bound < n * 8 * 4 * 4 * 32 * 32 * 4
 
 
 # Reference: the unfused layer chain that `bias_act` replaced, conv output ->
