@@ -12,21 +12,22 @@ measures PSNR/SSIM against each clean image's dynamic range.
 
 Each step with the manifold penalty active runs, in order: forward passes and
 network losses; the Gaussian weights W over the patch set P, one block per
-group of `manifold.patch_groups` (a batch row's corrected-entry and
-free-entry patches), whose build also sums P's Dirichlet energy, the block
-sums over m (the step's diagnostic); the direct solve
-(L + mu_bar W) U = mu_bar W (P - d), L = D - W, of all blocks at once, each
-column to backward error 1e-12; one Adam update of
+(branch, batch row): `manifold.build_patch_set` lays P out in block order,
+block b * N + r holding image r of branch b's corrected entry, then image r
+of its free entry, so the blocks are a reshape of P. The weights' build also
+sums P's Dirichlet energy, the block sums over m (the step's diagnostic);
+then the direct solve (L + mu_bar W) U = mu_bar W (P - d), L = D - W, of all
+blocks at once, each column to backward error 1e-12; one Adam update of
 J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
 d <- minmax_normalize(d + U - P_new). A non-finite patch set, a failed solve
 or a non-finite gradient aborts the step with parameters, Adam moments and
 step counts, and dual untouched; the generator store's Adam step count is
-the step number. Both patch-set builds take their entries from
-`_patch_entries`, so their rows come in the same order. The step's graph,
-its patch set and W are freed before the dual refresh, whose forward passes
-build no graph (as in `evaluate_pairs`).
+the step number. Both patch-set builds take the branches in one order,
+unpaired then paired, so their rows come in the same order. The step's
+graph, its patch set and W are freed before the dual refresh, whose forward
+passes build no graph (as in `evaluate_pairs`).
 
 The objective's normalisation, as the code runs it:
 - The penalty is lambda * ||U - P + d||^2 summed over all m * d entries,
@@ -39,9 +40,9 @@ The objective's normalisation, as the code runs it:
   blocks of 2 * (H/s) * (W/s) = 128 points, one Adam step and one
   graph-free refresh. The report's `cg_residual` is the solve's worst
   column backward error, and `cg_iterations` is 0: the solve is direct.
-- The dual is one m x d array, min-max normalised jointly over all its
-  entries into [0, 1]. `epoch_batches` reshuffles every epoch, so row i
-  belongs to another image and branch from one step to the next.
+- The dual is one m x d array in block order, min-max normalised jointly
+  over all its entries into [0, 1]. `epoch_batches` reshuffles every epoch,
+  so row i belongs to another image from one step to the next.
 - At lambda = 0 no solve or dual runs, and LDM-X trains as X bit for bit
   (tested).
 
@@ -65,7 +66,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
 from .ctsim import denormalize_image, normalize_image, psnr, ssim
 from .manifold import (MU_BAR_MIN, DualVariable, build_patch_set, dirichlet_energy,
-                       gaussian_weights, normalize_dual, patch_groups, solve_coordinates)
+                       gaussian_weights, normalize_dual, solve_coordinates)
 from .networks import (DisentangleNet, NetworkVariant, discriminator_loss, loss_adn,
                        loss_sup, save_checkpoint)
 from .optim import adam_step, check_grads
@@ -237,19 +238,6 @@ def ldm_penalty(u, points, dual, lam):
 # ---------------------------------------------------------------------------
 # the step
 
-def _patch_entries(unpaired, paired):
-    """Patch-set (images, codes) in the one fixed order: corrected-unpaired,
-    corrected-paired, free-unpaired, free-paired.
-
-    Each branch is an (x_hat, z_x, y, z_y) tuple, or None when the mode
-    does not draw it.
-    """
-    branches = [b for b in (unpaired, paired) if b is not None]
-    corrected = [(x_hat, z_x) for x_hat, z_x, _, _ in branches]
-    free = [(y, z_y) for _, _, y, z_y in branches]
-    return tuple(zip(*(corrected + free)))
-
-
 def _coded_branch(net, x, y):
     """One patch-set branch, (x_hat, z_x, y, z_y): x through the corrected
     branch with its code, and the free code of y."""
@@ -258,14 +246,12 @@ def _coded_branch(net, x, y):
 
 
 def _ldm_entries_fresh(net, batch, cfg):
-    """Patch-set entries recomputed at the current weights, values only:
-    the forward passes build no autodiff graph."""
+    """The patch-set branches recomputed at the current weights, unpaired
+    then paired, values only: the forward passes build no autodiff graph."""
+    pools = ((cfg.uses_adn, batch.x_unpaired, batch.y_unpaired),
+             (cfg.uses_sup, batch.x_paired, batch.gt_paired))
     with ad.no_graph():
-        return _patch_entries(
-            _coded_branch(net, Tensor(batch.x_unpaired), Tensor(batch.y_unpaired))
-            if cfg.uses_adn else None,
-            _coded_branch(net, Tensor(batch.x_paired), Tensor(batch.gt_paired))
-            if cfg.uses_sup else None)
+        return [_coded_branch(net, Tensor(x), Tensor(y)) for drawn, x, y in pools if drawn]
 
 
 def _gradients(net, batch, dual, cfg, mu_bar, rep):
@@ -312,18 +298,20 @@ def _gradients(net, batch, dual, cfg, mu_bar, rep):
     # manifold stage (fallible: the solve may raise, leaving state untouched)
     u = None
     if cfg.uses_ldm and cfg.lambda_ldm > 0.0:
-        images, codes = _patch_entries(unpaired, paired)
-        points = build_patch_set(images, codes)
-        n, _, gh, gw = codes[0].shape
+        branches = [b for b in (unpaired, paired) if b is not None]
+        points = build_patch_set(branches)
         p_now = points.data.astype(np.float64)
-        graph = gaussian_weights(p_now, patch_groups(len(codes), n, gh * gw))
+        # block b * N + r is branch b, batch row r: one contiguous row range
+        n_blocks = len(branches) * branches[0][0].shape[0]
+        blocks = p_now.reshape(n_blocks, -1, p_now.shape[1])
+        graph = gaussian_weights(blocks)
         if dual is None:  # every batch has the same size, so the shape holds
             dual = DualVariable(values=np.zeros_like(p_now))
-        p_now -= dual.values  # P is not read again
-        solved = solve_coordinates(graph, p_now, mu_bar)
+        p_now -= dual.values  # P is not read again; blocks is a view of it
+        solved = solve_coordinates(graph, blocks, mu_bar)
         rep.dirichlet_energy = dirichlet_energy(graph)
-        del graph, p_now  # the backward passes need neither
-        u = solved.u
+        del graph, p_now, blocks  # the backward passes need none of them
+        u = solved.u.reshape(points.shape)
         rep.cg_residual = solved.residual
         rep.cg_iterations = 0  # the solve is direct
         penalty = ldm_penalty(u, points, dual, cfg.lambda_ldm)
@@ -354,7 +342,8 @@ def training_step(net, batch, state, cfg, mu_bar):
       would overflow a distance: ValueError from `gaussian_weights`, before
       any solve;
     - a solve whose factorization fails or whose worst column misses
-      backward error 1e-12: SolverError from `solve_coordinates`;
+      backward error 1e-12: SolverError from `solve_coordinates`, whose
+      group g is branch g // N (unpaired first), batch row g % N;
     - a NaN or infinite gradient: NanGradientError.
 
     mu_bar is cfg.mu_bar. It is passed apart from cfg because the
@@ -373,8 +362,7 @@ def training_step(net, batch, state, cfg, mu_bar):
 
     # dual update against the patch set at the new weights
     if u is not None:
-        images, codes = _ldm_entries_fresh(net, batch, cfg)
-        p_new = build_patch_set(images, codes).data.astype(np.float64)
+        p_new = build_patch_set(_ldm_entries_fresh(net, batch, cfg)).data.astype(np.float64)
         state.dual = normalize_dual(DualVariable(dual.values + u - p_new))
         rep.dual_min = float(state.dual.values.min())
         rep.dual_max = float(state.dual.values.max())

@@ -250,15 +250,6 @@ def test_ldm_penalty_rejects_mismatched_shapes():
 
 # ------------------------------------------------------- patch-set order
 
-def test_patch_entries_order():
-    unpaired = ("x_hat_u", "z_x_u", "y_u", "z_y_u")
-    paired = ("x_hat_p", "z_x_p", "y_p", "z_y_p")
-    images, codes = training._patch_entries(unpaired, paired)
-    assert images == ("x_hat_u", "x_hat_p", "y_u", "y_p")
-    assert codes == ("z_x_u", "z_x_p", "z_y_u", "z_y_p")
-    assert training._patch_entries(None, paired) == (("x_hat_p", "y_p"), ("z_x_p", "z_y_p"))
-
-
 @pytest.mark.parametrize("mode", LDM_MODES)
 def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatch):
     # With lr = 0 the update leaves the weights as they were, so the dual
@@ -267,8 +258,8 @@ def test_step_and_dual_refresh_build_the_same_patch_set(bundle, mode, monkeypatc
     built = []
     inner = training.build_patch_set
 
-    def record(images, codes):
-        ps = inner(images, codes)
+    def record(branches):
+        ps = inner(branches)
         built.append(ps)
         return ps
 
@@ -294,14 +285,14 @@ def test_step_frees_w_and_its_patch_set_before_the_dual_refresh(bundle, mode, mo
     build, weights, fresh = (training.build_patch_set, training.gaussian_weights,
                              training._ldm_entries_fresh)
 
-    def record_build(images, codes):
-        points = build(images, codes)
+    def record_build(branches):
+        points = build(branches)
         refs.append(weakref.ref(points.data))
         return points
 
-    def record_weights(points, groups):
-        graph = weights(points, groups)
-        refs.extend([weakref.ref(points), weakref.ref(graph.w), weakref.ref(graph.degrees)])
+    def record_weights(blocks):
+        graph = weights(blocks)
+        refs.extend([weakref.ref(blocks), weakref.ref(graph.w), weakref.ref(graph.degrees)])
         return graph
 
     def check(*args):
@@ -326,21 +317,24 @@ def test_dual_refresh_builds_no_graph_and_keeps_values(bundle, mode):
     cfg = tiny_cfg(mode)
     net = training.build_network(cfg)
     batch = first_batch(bundle, cfg)
-    images, codes = training._ldm_entries_fresh(net, batch, cfg)
-    # the same forward passes with the graph built
-    branches = []
+    branches = training._ldm_entries_fresh(net, batch, cfg)
+    # the same forward passes with the graph built, unpaired then paired
+    pools = []
     if cfg.uses_adn:
-        branches.append((batch.x_unpaired, batch.y_unpaired))
+        pools.append((batch.x_unpaired, batch.y_unpaired))
     if cfg.uses_sup:
-        branches.append((batch.x_paired, batch.gt_paired))
-    graphed = [net.forward_corrected(Tensor(x), want_code=True) for x, _ in branches]
-    expect_images = [x_hat for x_hat, _ in graphed] + [Tensor(y) for _, y in branches]
-    expect_codes = [z for _, z in graphed] + [net.free_code(Tensor(y)) for _, y in branches]
-    assert graphed[0][0]._parents
-    assert len(images) == len(expect_images) and len(codes) == len(expect_codes)
-    for got, want in zip(images + codes, expect_images + expect_codes):
-        assert _graph_free(got)
-        assert np.array_equal(got.data, want.data)
+        pools.append((batch.x_paired, batch.gt_paired))
+    expect = []
+    for x, y in pools:
+        x_hat, z_x = net.forward_corrected(Tensor(x), want_code=True)
+        expect.append((x_hat, z_x, Tensor(y), net.free_code(Tensor(y))))
+    assert expect[0][0]._parents
+    assert len(branches) == len(expect)
+    for got, want in zip(branches, expect):
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            assert _graph_free(a)
+            assert np.array_equal(a.data, b.data)
 
 
 def test_evaluate_pairs_forward_builds_no_graph(bundle, monkeypatch):
@@ -415,8 +409,8 @@ def _inject(failure, net, monkeypatch):
         inner_build = training.build_patch_set
         value = np.nan if failure == "nan_patch_set" else np.inf
 
-        def build(images, codes):
-            points = inner_build(images, codes)
+        def build(branches):
+            points = inner_build(branches)
             points.data[3, 5] = value
             return points
 
