@@ -5,6 +5,13 @@ remembers its parents and a closure computing parent gradients, except
 inside `no_graph`. Reductions accumulate in float64 regardless of the tensor
 dtype.
 
+`backward` consumes the graph it runs through: once a node's closure has
+run, the node drops its closure and its links to its parents, so each
+activation and closure array is freed as soon as the gradient has passed it
+(the saved activations that set a reverse pass's memory; Chen et al.,
+arXiv:1604.06174). A graph is differentiated once; a second `backward`
+through it raises `GraphConsumedError`.
+
 A closure keeps only the arrays its gradient reads. Where an array can be
 rebuilt from what the graph holds anyway, it is rebuilt in backward rather
 than kept: `conv2d` keeps its input and rebuilds its column matrix, and
@@ -61,8 +68,9 @@ class Tensor:
 
     A result's `_backward` closure keeps only what its gradient reads, often
     no more than the parents' `data`, which must not be mutated until
-    `backward` has run through it. A `bias_act` result shares its `data`
-    buffer with its parent conv output, which it overwrote.
+    `backward` has run through it; `backward` then sets `_backward` to None
+    and `_parents` to (). A `bias_act` result shares its `data` buffer with
+    its parent conv output, which it overwrote.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -133,11 +141,24 @@ def _check_same_shape(a, b, op):
         raise ShapeError(f"{op}: dtype {a.data.dtype} vs {b.data.dtype}")
 
 
+class GraphConsumedError(RuntimeError):
+    """`backward` reached an operation result that an earlier `backward`
+    already ran through: that graph's closures and links are gone."""
+
+
 def backward(loss):
     """Accumulate dLoss/dt into `grad` of every reachable requires_grad leaf.
 
-    `loss` must hold a single element. Gradients from repeated calls add up.
-    Interior nodes (operation results) are not given a `grad`.
+    `loss` must hold a single element. Interior nodes (operation results)
+    are not given a `grad`.
+
+    backward consumes the graph: it pops the nodes in reverse topological
+    order, and once a node's closure has run it drops that node's
+    `_backward` and `_parents`, so each activation and closure array is
+    freed as soon as the gradient has passed it and nothing else holds it.
+    A second backward through any node of a consumed graph raises
+    GraphConsumedError before any gradient is added. Gradients of separately
+    built graphs add up in the leaves.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -155,16 +176,21 @@ def backward(loss):
             continue
         if id(node) in seen:
             continue
+        if node.requires_grad and node._backward is None and node.grad is None:
+            # an operation result whose closure an earlier backward dropped
+            raise GraphConsumedError(
+                f"backward through a consumed graph: {node!r} was already differentiated")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    # per-call gradient flows through a scratch dict so that repeated
-    # backward calls accumulate instead of compounding stale values
+    # per-call gradient flows through a scratch dict, so the leaves' grads
+    # only ever receive this call's sums
     flow = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = flow.pop(id(node))
         if node._backward is None:
             if node.requires_grad:
@@ -180,6 +206,10 @@ def backward(loss):
                 flow[key] = flow[key] + pg
             else:
                 flow[key] = pg
+        # the closure and the links to the parents go, and with them every
+        # array only they held
+        node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +263,14 @@ def bias_act(x, b, act):
 
     def bwd(g):
         if act == "leaky_relu":
-            g = np.where(data > 0, g, g * g.dtype.type(LEAKY_SLOPE))
+            # g times a factor of exactly 1 where the output is > 0 and the
+            # slope elsewhere (1 - slope + slope rounds to 1): g * slope and
+            # g * 1 as a select would give them, without its unpredictable
+            # branch on the mask
+            f = (data > 0).astype(g.dtype)
+            f *= g.dtype.type(1.0 - LEAKY_SLOPE)
+            f += g.dtype.type(LEAKY_SLOPE)
+            g = np.multiply(g, f, out=f)
         elif act == "tanh":
             g = g * (1.0 - data * data)
         return g, g.sum(axis=(0, 2, 3), dtype=np.float64).astype(b.data.dtype)
@@ -329,7 +366,7 @@ def mse_loss(a, b):
 def frobenius_sq(a):
     """Sum of squared entries (squared Frobenius norm, no mean)."""
     a64 = a.data.astype(np.float64)
-    val = (a64 * a64).sum()
+    val = np.multiply(a64, a64, out=a64).sum()  # squared in its own copy
     dtype = a.data.dtype
 
     def bwd(g):

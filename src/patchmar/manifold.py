@@ -6,7 +6,7 @@ system
 
     (L + mu_bar * W) U = mu_bar * W * V,    L = D - W,
 
-on every block at once. The patch set comes in block order
+on each block. The patch set comes in block order
 (`build_patch_set`): block b * N + r is one (branch b, batch row r), image r
 of the branch's corrected image x_hat, then image r of its free image y,
 2 (H/s)(W/s) rows, so each block is one contiguous row range and the blocks
@@ -14,10 +14,12 @@ are a reshape of the (m, d) patch set to (G, n, d). LDMM (Osher, Shi & Zhu,
 SIAM J. Imaging Sci. 2017) builds the patch manifold of one image; a block
 holds the two images of one batch row and branch. W is block diagonal, so
 each block has its own bandwidth, weights, row sums D and Dirichlet energy.
-All blocks have one size, so W is one (G, n, n) stack, and the system
-matrices L + mu_bar * W = D - (1 - mu_bar) * W of all blocks are solved in
-one stacked LU solve, for mu_bar >= `MU_BAR_MIN`; each column's normwise
-backward error must then be at most 1e-12, or `SolverError` is raised. The
+All blocks have one size, so W is one (G, n, n) stack. It is built block by
+block, each block's distances straight into its block of W, and the system
+matrices L + mu_bar * W = D - (1 - mu_bar) * W are assembled and LU-solved
+block by block, for mu_bar >= `MU_BAR_MIN`: the only stacks they hold are
+W and the right-hand sides, which U overwrites. Each column's normwise
+backward error must be at most 1e-12, or `SolverError` is raised. The
 Dirichlet energy of the points, the block sums of
 sum_{i<j} w_ij ||p_i - p_j||^2 divided by the point count m, serves as the
 manifold-dimension diagnostic.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, concat, reshape, transpose
+from .autodiff import ShapeError, _node, concat, no_graph, reshape, transpose
 
 MU_BAR_MIN = 1e-8  # the solve's floor on mu_bar; see `solve_coordinates`
 
@@ -36,7 +38,7 @@ class SolverError(RuntimeError):
     """The patch-graph solve failed: its factorization, or its backward-error
     contract.
 
-    group is the block whose column missed worst, or None when the stacked
+    group is the block whose column missed worst, or None when a block's
     factorization failed and no block is singled out. Block g of a batch of
     N rows is branch g // N, batch row g % N (`build_patch_set`)."""
 
@@ -113,22 +115,44 @@ def build_patch_set(branches):
     that location. Block b * N + r, rows (b * N + r) * n to
     (b * N + r + 1) * n with n = 2 (H/s)(W/s), holds image r of
     branches[b]'s x_hat, then image r of its y, locations row-major within
-    each, so block g is branch g // N, batch row g % N. It stays in the
-    autodiff graph, so penalties on it reach the network.
+    each, so block g is branch g // N, batch row g % N.
+
+    The patch set is one node of the autodiff graph, so penalties on it
+    reach the network: its parents are the branch tensors, and its closure
+    maps a gradient of the rows back to each of them. The stacks and
+    transposed copies the rows are gathered through are built without a
+    graph and freed here, not held until backward.
     """
     if not branches:
         raise ShapeError("empty patch-set input")
-    images = _entry_stack([t for x_hat, _, y, _ in branches for t in (x_hat, y)])
-    codes = _entry_stack([t for _, z_x, _, z_y in branches for t in (z_x, z_y)])
-    if images.shape[2] != 1:
-        raise ShapeError(f"patch images must have one channel, got {images.shape[2]}")
-    s = images.shape[3] // codes.shape[3]
-    return concat([_patch_rows(images, s), _code_rows(codes)], axis=1)
+    entries = [t for branch in branches for t in branch]
+    with no_graph():
+        images = _entry_stack(entries[0::2])
+        codes = _entry_stack(entries[1::2])
+        if images.shape[2] != 1:
+            raise ShapeError(f"patch images must have one channel, got {images.shape[2]}")
+        s = images.shape[3] // codes.shape[3]
+        points = concat([_patch_rows(images, s), _code_rows(codes)], axis=1).data
+    e, n, _, h, w = images.shape
+    c, gh, gw = codes.shape[2:]
+
+    def bwd(g):
+        # the adjoints of _patch_rows' and _code_rows' transposes, as
+        # (branch, entry, ...) views of g's two column ranges
+        gp = g[:, :s * s].reshape(e // 2, n, 2, gh, gw, s, s).transpose(0, 2, 1, 3, 5, 4, 6)
+        gc = g[:, s * s:].reshape(e // 2, n, 2, gh, gw, c).transpose(0, 2, 1, 5, 3, 4)
+        views = [v for b in range(e // 2) for entry in (0, 1)
+                 for v in (gp[b, entry], gc[b, entry])]
+        return [np.ascontiguousarray(v).reshape(t.shape) if t.requires_grad else None
+                for t, v in zip(entries, views)]
+
+    return _node(points, entries, bwd)
 
 
-def _sq_dists(blocks, norms):
+def _sq_dists(blocks, norms, out=None):
     """Squared distances within each block of a (G, n, d) stack, as a
-    (G, n, n) stack; norms are the points' (G, n) squared norms.
+    (G, n, n) stack, written into `out` when it is given; norms are the
+    points' (G, n) squared norms.
 
     GEMM form (|a|^2 + |b|^2) - 2 a.b. Its rounding error is at most about
     d * eps * (|a|^2 + |b|^2), so a value at or below that bound is set to 0:
@@ -137,7 +161,7 @@ def _sq_dists(blocks, norms):
     the lower one and the diagonal is 0, so each block is symmetric bit for
     bit.
     """
-    sq = np.matmul(blocks, blocks.transpose(0, 2, 1))
+    sq = np.matmul(blocks, blocks.transpose(0, 2, 1), out=out)
     bound = norms[:, :, None] + norms[:, None, :]
     sq *= -2.0
     sq += bound
@@ -164,6 +188,10 @@ def gaussian_weights(blocks):
     positive or the block has no pair. w_ii = exp(0) = 1, so each block is
     symmetric with a unit diagonal. Returns the `PatchGraph` of the blocks'
     weights, degrees and Dirichlet energies.
+
+    W is built block by block: each block's distances are written straight
+    into its block of W and exponentiated there, so the rounding bound, the
+    median's pairs and the energy's terms are temporaries of one block.
     """
     pts = np.asarray(blocks, dtype=np.float64)
     if pts.ndim != 3:
@@ -181,15 +209,21 @@ def gaussian_weights(blocks):
         raise ValueError(f"points must be finite, with squared norms at most a quarter "
                          f"of the float64 maximum; rows {bad[:8].tolist()} are not")
 
-    sq = _sq_dists(pts, norms.reshape(g, n))
+    norms = norms.reshape(g, n)
+    w = np.empty((g, n, n))
+    energy = np.empty(g)
     upper, lower = np.triu_indices(n, 1)
-    pairs = sq[:, upper, lower]
-    t = np.median(pairs, axis=1) / 4.0 if pairs.shape[1] else np.zeros(g)
-    t[~(t > 0.0)] = 1.0  # no pair, a zero median, or one whose quarter underflows
-    w = np.divide(sq, (-4.0 * t)[:, None, None], out=sq)
-    np.exp(w, out=w)
-    pairs *= w[:, upper, lower]
-    return PatchGraph(w=w, degrees=w.sum(axis=2), energy=pairs.sum(axis=1))
+    for i in range(g):
+        block = _sq_dists(pts[i:i + 1], norms[i:i + 1], out=w[i:i + 1])[0]
+        pairs = block[upper, lower]
+        t = np.median(pairs) / 4.0 if pairs.size else 0.0
+        if not t > 0.0:  # no pair, a zero median, or one whose quarter underflows
+            t = 1.0
+        np.divide(block, -4.0 * t, out=block)
+        np.exp(block, out=block)
+        pairs *= block[upper, lower]
+        energy[i] = pairs.sum()
+    return PatchGraph(w=w, degrees=w.sum(axis=2), energy=energy)
 
 
 def solve_coordinates(graph, v, mu_bar):
@@ -198,20 +232,24 @@ def solve_coordinates(graph, v, mu_bar):
     mu_bar >= `MU_BAR_MIN` weights the smoothing term against the data term;
     `TrainConfig`'s check holds it. v is a (G, n, k) stack, k >= 1, one
     block per graph block, in any memory order (U does not depend on it).
-    The blocks' system matrices A = D - (1 - mu_bar) W, symmetric positive
-    definite for mu_bar > 0, are assembled and solved in one stacked
-    `np.linalg.solve`; U comes back as a (G, n, k) stack.
+    The right-hand sides b = mu_bar W V of all blocks are formed first and
+    checked; then the blocks are solved block by block: each block's system
+    matrix A = D - (1 - mu_bar) W, symmetric positive definite for
+    mu_bar > 0, is assembled, solved with `np.linalg.solve` and checked, and
+    its U is written over its block of b, so every other array is one
+    block's. U comes back as a (G, n, k) stack, in b's buffer.
 
     Each column x of each block must have normwise backward error
     ||b - A x|| / (||A|| ||x|| + ||b||) <= 1e-12 in the max norm (Rigal &
     Gaches; a zero column reads 0), or SolverError carries the worst ratio
-    and its block. That puts U near the solution of a nearby system; its
-    distance to the exact U grows with A's condition number, ~1 / mu_bar,
-    hence the floor (at 1e-8 U is still good to ~1e-9). A factorization that
-    fails raises it with an infinite ratio. A NaN or infinite weight, or a v
-    whose right-hand side is not finite (a NaN or infinite entry, or one
-    that overflows the product), raises it with a NaN ratio before the
-    solve, and no warning.
+    and its block, the first one when blocks tie. That puts U near the
+    solution of a nearby system; its distance to the exact U grows with A's
+    condition number, ~1 / mu_bar, hence the floor (at 1e-8 U is still good
+    to ~1e-9). A factorization that fails raises it with an infinite ratio
+    and no block, ahead of any block's backward error. A NaN or infinite
+    weight, or a v whose right-hand side is not finite (a NaN or infinite
+    entry, or one that overflows the product), raises it with a NaN ratio
+    before any solve, and no warning.
     """
     shape = np.shape(v)
     if len(shape) != 3 or shape[:2] != graph.degrees.shape or shape[2] == 0:
@@ -227,24 +265,26 @@ def solve_coordinates(graph, v, mu_bar):
     if bad.any():
         raise SolverError(np.nan, int(np.argmax(bad)))
     diag = np.arange(shape[1])
-    a = graph.w * (mu_bar - 1.0)
-    a[:, diag, diag] += graph.degrees
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        raise SolverError(np.inf, None) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        anorm = np.abs(a).sum(axis=2).max(axis=1)
-        r = np.matmul(a, x)
-        np.subtract(b, r, out=r)
-        scale = anorm[:, None] * np.abs(x).max(axis=1) + np.abs(b).max(axis=1)
-        scale[scale == 0.0] = 1.0  # b = 0, so x = 0 and r = 0
-        eta = np.abs(r, out=r).max(axis=1) / scale
-    worst = eta.max(axis=1)
+    worst = np.empty(shape[0])
+    for i, rhs in enumerate(b):
+        a = graph.w[i] * (mu_bar - 1.0)
+        a[diag, diag] += graph.degrees[i]
+        try:
+            x = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            raise SolverError(np.inf, None) from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            anorm = np.abs(a).sum(axis=1).max()
+            r = np.matmul(a, x)
+            np.subtract(rhs, r, out=r)
+            scale = anorm * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+            scale[scale == 0.0] = 1.0  # b = 0, so x = 0 and r = 0
+            worst[i] = (np.abs(r, out=r).max(axis=0) / scale).max()
+        rhs[...] = x
     g = int(np.argmax(worst))  # a NaN ratio is the first maximum
     if not worst[g] <= 1e-12:
         raise SolverError(float(worst[g]), g)
-    return SolveResult(u=x, residual=float(worst[g]))
+    return SolveResult(u=b, residual=float(worst[g]))
 
 
 def dirichlet_energy(graph):

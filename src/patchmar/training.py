@@ -16,8 +16,8 @@ network losses; the Gaussian weights W over the patch set P, one block per
 block b * N + r holding image r of branch b's corrected entry, then image r
 of its free entry, so the blocks are a reshape of P. The weights' build also
 sums P's Dirichlet energy, the block sums over m (the step's diagnostic);
-then the direct solve (L + mu_bar W) U = mu_bar W (P - d), L = D - W, of all
-blocks at once, each column to backward error 1e-12; one Adam update of
+then the direct solve (L + mu_bar W) U = mu_bar W (P - d), L = D - W, block
+by block, each column to backward error 1e-12; one Adam update of
 J(theta) = network_loss + lambda * ||U - P_theta + d||_F^2 with U and d held
 constant (the penalty gradient flows through the patch set only); a fresh
 patch-set build at the updated weights; the dual update
@@ -36,8 +36,8 @@ The objective's normalisation, as the code runs it:
 - P has m = 2 * (branches drawn) * N * (H/s) * (W/s) rows, a corrected and
   a free entry per branch, and d = 2 * s^2 = 128 columns: the s x s pixel
   patch, then its s^2 code entries.
-- Each penalised step runs one stacked solve over G = (branches drawn) * N
-  blocks of 2 * (H/s) * (W/s) = 128 points, one Adam step and one
+- Each penalised step solves G = (branches drawn) * N blocks of
+  2 * (H/s) * (W/s) = 128 points, one after another, one Adam step and one
   graph-free refresh. The report's `cg_residual` is the solve's worst
   column backward error, and `cg_iterations` is 0: the solve is direct.
 - The dual is one m x d array in block order, min-max normalised jointly
@@ -258,9 +258,9 @@ def _gradients(net, batch, dual, cfg, mu_bar, rep):
     """Forward passes, losses, the manifold solve and both backward passes.
 
     Fills rep's losses and solver fields and returns (dual, U); U is None
-    when the penalty is off. The step's graph and its patch set are locals
-    here, so they are freed when this returns; W goes before the backward
-    passes.
+    when the penalty is off. W goes before the backward passes, and each
+    backward frees its graph, the patch set's node with it, as the gradient
+    passes; what the locals here still hold is freed when this returns.
     """
     losses = rep.losses
 
@@ -315,6 +315,7 @@ def _gradients(net, batch, dual, cfg, mu_bar, rep):
         rep.cg_residual = solved.residual
         rep.cg_iterations = 0  # the solve is direct
         penalty = ldm_penalty(u, points, dual, cfg.lambda_ldm)
+        del points  # its graph node holds it until backward has passed it
         losses["ldm_penalty"] = float(penalty.data)
         total = penalty if total is None else ad.add(total, penalty)
 

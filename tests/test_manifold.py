@@ -425,10 +425,12 @@ def test_all_equal_block_gets_unit_bandwidth_and_a_finite_u():
 
 @pytest.mark.parametrize("kind", ["normal", "one point", "one outlier"])
 def test_weights_peak_memory_is_w(kind):
-    # The distances, exponentiated in place into W, and the rounding bound
-    # of their GEMM form are the only stacks of W's size; the median's
-    # strict-upper pairs are half of one. A batch-wide graph over the same
-    # points would hold 8 x W, and its pair list 4 x W.
+    # W is built block by block: each block's distances are written
+    # straight into its block of W and exponentiated there, and the
+    # rounding bound of their GEMM form, the median's strict-upper pairs and
+    # the pair indices are one block's temporaries, an eighth of W each or
+    # less here. A batch-wide graph over the same points would hold 8 x W,
+    # and its pair list 4 x W.
     m = 1024
     pts = _points_of_kind(m, kind).reshape(8, 128, -1)
     gaussian_weights(pts)  # first-use allocations
@@ -442,9 +444,9 @@ def test_weights_peak_memory_is_w(kind):
         tracemalloc.stop()
     held = graph.w.nbytes
     assert held == 8 * 128 * 128 * 8
-    # measured 2.62 W; a copy of the points held through the median, 1/8 W
-    # at d = 16, would take it past 2.70
-    assert peak <= 2.70 * held
+    # measured 1.45 W; 2.62 W when the distances, their bound and the pairs
+    # were built as (G, n, n) stacks for all blocks at once
+    assert peak <= 1.75 * held
 
 
 # ------------------------------------- one sweep against the two-sweep build
@@ -794,10 +796,14 @@ def test_solve_raises_on_a_non_finite_residual(monkeypatch):
     rng = np.random.default_rng(15)
     graph = gaussian_weights(random_points(rng, 20, 5).reshape(2, 10, 5))
     inner = np.linalg.solve
+    calls = []
 
     def poisoned(a, b):
+        # the blocks are solved one at a time, in order
         x = inner(a, b)
-        x[1, 0, 0] = np.nan  # the second block's first entry
+        calls.append(a)
+        if len(calls) == 2:
+            x[0, 0] = np.nan  # the second block's first entry
         return x
 
     monkeypatch.setattr(np.linalg, "solve", poisoned)
@@ -850,6 +856,38 @@ _EQUIV_CASES = ([(m, "random") for m in (1, 63, 64, 65)]
                 + [(m, kind) for m in (63, 64, 65, 257)
                    for kind in ("all equal", "two clusters", "every third")]
                 + [(256, "shuffled groups")])
+
+
+def _case_blocks(m, kind):
+    """The points of an `_EQUIV_CASES` case as a (G, n, 16) stack: the four
+    shuffled blocks of that case, or else the case's one block of m points
+    between two random blocks of its shape."""
+    if kind == "shuffled groups":
+        return _dup_points(m, "random")[np.random.default_rng(m).permutation(m).reshape(4, -1)]
+    rng = np.random.default_rng(m + 7)
+    pts = _dup_points(m, kind)
+    return np.stack([rng.standard_normal(pts.shape), pts,
+                     1.0 + 2.0 * rng.standard_normal(pts.shape)])
+
+
+@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
+def test_each_block_is_built_and_solved_as_if_alone(m, kind):
+    # The blocks of a stack do not reach each other: its W, degrees, energy
+    # and U equal, byte for byte, those of each block built and solved
+    # alone, and its residual is the worst block's
+    blocks = _case_blocks(m, kind)
+    v = np.random.default_rng(21).standard_normal(blocks.shape[:2] + (4,))
+    graph = gaussian_weights(blocks)
+    res = solve_coordinates(graph, v, 0.6)
+    residuals = []
+    for i in range(len(blocks)):
+        alone = gaussian_weights(blocks[i:i + 1])
+        solved = solve_coordinates(alone, v[i:i + 1], 0.6)
+        for got, want in [(graph.w[i], alone.w[0]), (graph.degrees[i], alone.degrees[0]),
+                          (graph.energy[i], alone.energy[0]), (res.u[i], solved.u[0])]:
+            assert got.tobytes() == want.tobytes()
+        residuals.append(solved.residual)
+    assert res.residual == max(residuals)
 
 
 def _assert_matches_dense_solve(graph, v, mu_bar, res, rows=None):
@@ -990,9 +1028,10 @@ def test_solve_gives_the_same_u_for_c_and_f_ordered_v(m, k, single):
 
 def _assert_solve_peak_within_bound(order):
     # At n = k = 128 the blocks' system matrices are one m x k block's
-    # worth. The peak is in np.linalg.solve: the matrices, the right-hand
-    # side b, the solution and the copies of the matrices and of b that it
-    # factors and solves in, five m x k blocks.
+    # worth. The right-hand sides b of all blocks, which U overwrites block
+    # by block, are the only stack; each block's matrix, solution, residual
+    # and np.linalg.solve's copies are an eighth of an m x k block each. An
+    # F-ordered v adds its C copy, which lives through the product.
     m, k = 1024, 128
     rng = np.random.default_rng(18)
     graph = gaussian_weights(rng.standard_normal((m, k)).reshape(8, 128, k))
@@ -1006,8 +1045,9 @@ def _assert_solve_peak_within_bound(order):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # measured 5.02 blocks; a copy of v or U held to the end would be 6
-    assert peak <= 5.10 * m * k * 8
+    # measured 1.51 blocks (2.00 for an F-ordered v); 5.02 when every
+    # block's matrices, solution and residual were stacked for one solve
+    assert peak <= 2.25 * m * k * 8
 
 
 def test_solve_peak_memory_bound():

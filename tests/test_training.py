@@ -487,7 +487,8 @@ def test_evaluate_pairs_peak_is_the_clean_range(bundle):
 # for a given numpy. The graph bound lies between the value measured when
 # each layer kept its conv, bias and activation outputs as three arrays and
 # the value now, with one array per layer; the step bounds lie between the
-# value with a dense m x m W and the value now, with W in two blocks.
+# value with every graph node kept until backward returned and the patch-graph
+# stages built and solved in (G, n, n) stacks, and the value now.
 
 MiB = 2 ** 20
 
@@ -526,8 +527,10 @@ def test_paired_ldm_forward_graph_memory(bundle64):
 
 
 @pytest.mark.parametrize("mode,batch_size,bound_mib", [
-    ("LDM-Sup", 8, 23.5),   # 23.1 MiB with a batch-wide W, 22.1 MiB per group
-    ("LDM-DN-Sup", 4, 27),  # 30.4 MiB with a batch-wide W, 25.2 MiB per group
+    # 23.1 / 30.4 MiB with a batch-wide W, 22.1 / 25.2 per group, 18.6 / 25.7
+    # in block order with stacked stages, 15.5 / 22.7 now
+    ("LDM-Sup", 8, 17),
+    ("LDM-DN-Sup", 4, 24),
 ], ids=["LDM-Sup-b8", "LDM-DN-Sup-b4"])
 def test_training_step_peak_memory(bundle64, mode, batch_size, bound_mib):
     cfg, net, state, batch = _after_one_step(bundle64, mode, batch_size)
