@@ -233,15 +233,6 @@ def sub(a, b):
     return _node(a.data - b.data, (a, b), bwd)
 
 
-def scale(a, c):
-    c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _node(a.data * c, (a,), bwd)
-
-
 def bias_act(x, b, act):
     """Per-channel bias b [C] added to x [N,C,H,W], then the activation `act`
     ("leaky_relu", "tanh" or None), all in x's own buffer.
@@ -280,26 +271,6 @@ def bias_act(x, b, act):
 
 # ---------------------------------------------------------------------------
 # shape ops
-
-def reshape(a, shape):
-    shape = tuple(int(s) for s in shape)
-    old = a.data.shape
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _node(a.data.reshape(shape), (a,), bwd)
-
-
-def transpose(a, axes):
-    axes = tuple(int(ax) for ax in axes)
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        return (np.ascontiguousarray(g.transpose(inv)),)
-
-    return _node(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
-
 
 def concat(tensors, axis=0):
     tensors = list(tensors)
@@ -361,18 +332,6 @@ def mse_loss(a, b):
         return ga, -ga
 
     return _node(np.asarray(val, dtype=dtype), (a, b), bwd)
-
-
-def frobenius_sq(a):
-    """Sum of squared entries (squared Frobenius norm, no mean)."""
-    a64 = a.data.astype(np.float64)
-    val = np.multiply(a64, a64, out=a64).sum()  # squared in its own copy
-    dtype = a.data.dtype
-
-    def bwd(g):
-        return ((a.data * (2.0 * float(g))).astype(dtype),)
-
-    return _node(np.asarray(val, dtype=dtype), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, _node, concat, no_graph, reshape, transpose
+from .autodiff import ShapeError, _node
 
 MU_BAR_MIN = 1e-8  # the solve's floor on mu_bar; see `solve_coordinates`
 
@@ -76,83 +76,73 @@ class SolveResult:
     residual: float
 
 
-def _entry_stack(tensors):
-    """[N, ...] tensors of one shape -> their [len(tensors), N, ...] stack."""
-    return concat([reshape(t, (1,) + t.shape) for t in tensors], axis=0)
-
-
-def _patch_rows(images, s):
-    """[2B,N,1,H,W] entry stack -> (2B*N*(H/s)*(W/s), s^2) pixel patches in
-    block order: branch, batch row, entry, location row-major."""
-    e, n, _, h, w = images.shape
-    gh, gw = h // s, w // s
-    r = reshape(images, (e // 2, 2, n, gh, s, gw, s))
-    r = transpose(r, (0, 2, 1, 3, 5, 4, 6))
-    return reshape(r, (e * n * gh * gw, s * s))
-
-
-def _code_rows(codes):
-    """[2B,N,C,gh,gw] entry stack -> (2B*N*gh*gw, C), in the row order of
-    _patch_rows."""
-    e, n, c, gh, gw = codes.shape
-    r = reshape(codes, (e // 2, 2, n, c, gh, gw))
-    r = transpose(r, (0, 2, 1, 4, 5, 3))
-    return reshape(r, (e * n * gh * gw, c))
-
-
 def build_patch_set(branches):
     """Assemble the patch set, in block order, from (x_hat, z_x, y, z_y)
     branch tuples: the corrected image x_hat [N,1,H,W] with its
-    [N,s^2,H/s,W/s] compressed code z_x, and the free image y with its code
-    z_y.
+    [N,C,H/s,W/s] compressed code z_x (C = s^2 in the network), and the
+    free image y with its code z_y.
 
     The patch size s is the image extent over the code extent,
-    H // z_x.shape[2]. The network's encoders guarantee that shape; a code
-    whose grid is not the image's gives patch and code rows of different
-    counts, and images or codes of different shapes do not stack, which
-    `concat` rejects. Returns the m x d points Tensor, one row per spatial
-    location: the flattened s x s pixel patch, then the s^2 code entries at
-    that location. Block b * N + r, rows (b * N + r) * n to
+    H // z_x.shape[2]. The network's encoders guarantee that shape; an
+    empty input, images or codes not all of one shape, images of more than
+    one channel, and a code whose batch or grid does not tile the image in
+    s x s patches raise ShapeError. Returns the m x d points Tensor, one row
+    per spatial location: the flattened s x s pixel patch, then the C code
+    entries at that location. Block b * N + r, rows (b * N + r) * n to
     (b * N + r + 1) * n with n = 2 (H/s)(W/s), holds image r of
     branches[b]'s x_hat, then image r of its y, locations row-major within
     each, so block g is branch g // N, batch row g % N.
 
     The patch set is one node of the autodiff graph, so penalties on it
-    reach the network: its parents are the branch tensors, and its closure
-    maps a gradient of the rows back to each of them. The stacks and
-    transposed copies the rows are gathered through are built without a
-    graph and freed here, not held until backward.
+    reach the network. One pair of views, of the patch and the code columns
+    in each entry's own layout, serves both ways: the forward writes each
+    entry into the preallocated rows through it, and the closure reads each
+    branch tensor's gradient out of g through it.
     """
     if not branches:
         raise ShapeError("empty patch-set input")
     entries = [t for branch in branches for t in branch]
-    with no_graph():
-        images = _entry_stack(entries[0::2])
-        codes = _entry_stack(entries[1::2])
-        if images.shape[2] != 1:
-            raise ShapeError(f"patch images must have one channel, got {images.shape[2]}")
-        s = images.shape[3] // codes.shape[3]
-        points = concat([_patch_rows(images, s), _code_rows(codes)], axis=1).data
-    e, n, _, h, w = images.shape
-    c, gh, gw = codes.shape[2:]
+    for i, t in enumerate(entries):
+        if t.shape != entries[i % 2].shape:
+            raise ShapeError(f"patch-set entry {i}: shape {t.shape} vs {entries[i % 2].shape}")
+    image, code = entries[0].shape, entries[1].shape
+    if len(image) != 4 or len(code) != 4:
+        raise ShapeError(f"patch images and codes must be 4-d, got {image} and {code}")
+    n, channels, h, w = image
+    _, c, gh, gw = code
+    if channels != 1:
+        raise ShapeError(f"patch images must have one channel, got {channels}")
+    s = h // gh if gh else 0
+    if code[0] != n or s < 1 or (h, w) != (s * gh, s * gw):
+        raise ShapeError(f"code shape {code} does not tile image shape {image} in s x s patches")
+    nb = len(branches)
+
+    def views(a):
+        # (branch, entry, N, H/s, s, W/s, s) and (branch, entry, N, C, H/s,
+        # W/s) views of a's two column ranges; they only split axes and
+        # permute them, so writes reach a
+        return (a[:, :s * s].reshape(nb, n, 2, gh, gw, s, s).transpose(0, 2, 1, 3, 5, 4, 6),
+                a[:, s * s:].reshape(nb, n, 2, gh, gw, c).transpose(0, 2, 1, 5, 3, 4))
+
+    points = np.empty((nb * 2 * n * gh * gw, s * s + c),
+                      dtype=np.result_type(*(t.data for t in entries)))
+    both = views(points)
+    for i, t in enumerate(entries):  # branch i // 4, entry i // 2 % 2
+        both[i % 2][i // 4, i // 2 % 2] = t.data.reshape(both[i % 2].shape[2:])
 
     def bwd(g):
-        # the adjoints of _patch_rows' and _code_rows' transposes, as
-        # (branch, entry, ...) views of g's two column ranges
-        gp = g[:, :s * s].reshape(e // 2, n, 2, gh, gw, s, s).transpose(0, 2, 1, 3, 5, 4, 6)
-        gc = g[:, s * s:].reshape(e // 2, n, 2, gh, gw, c).transpose(0, 2, 1, 5, 3, 4)
-        views = [v for b in range(e // 2) for entry in (0, 1)
-                 for v in (gp[b, entry], gc[b, entry])]
-        return [np.ascontiguousarray(v).reshape(t.shape) if t.requires_grad else None
-                for t, v in zip(entries, views)]
+        both = views(g)
+        return [np.ascontiguousarray(both[i % 2][i // 4, i // 2 % 2]).reshape(t.shape)
+                if t.requires_grad else None for i, t in enumerate(entries)]
 
     return _node(points, entries, bwd)
 
 
-def _sq_dists(blocks, norms, out=None):
+def _sq_dists(blocks, norms, upper, out=None):
     """Squared distances within each block of a (G, n, d) stack, as a
     (G, n, n) stack, written into `out` when it is given; norms are the
-    points' (G, n) squared norms.
+    points' (G, n) squared norms, and upper is the `np.triu_indices(n, 1)`
+    pair of row and column indices.
 
     GEMM form (|a|^2 + |b|^2) - 2 a.b. Its rounding error is at most about
     d * eps * (|a|^2 + |b|^2), so a value at or below that bound is set to 0:
@@ -168,10 +158,10 @@ def _sq_dists(blocks, norms, out=None):
     bound *= blocks.shape[2] * np.finfo(np.float64).eps
     np.copyto(sq, 0.0, where=sq <= bound)
     del bound
-    n = blocks.shape[1]
-    lower, upper = np.tril_indices(n, -1)
-    sq[:, lower, upper] = sq[:, upper, lower]
-    sq[:, np.arange(n), np.arange(n)] = 0.0
+    rows, cols = upper
+    sq[:, cols, rows] = sq[:, rows, cols]
+    for block in sq:
+        np.fill_diagonal(block, 0.0)
     return sq
 
 
@@ -212,16 +202,16 @@ def gaussian_weights(blocks):
     norms = norms.reshape(g, n)
     w = np.empty((g, n, n))
     energy = np.empty(g)
-    upper, lower = np.triu_indices(n, 1)
+    upper = np.triu_indices(n, 1)
     for i in range(g):
-        block = _sq_dists(pts[i:i + 1], norms[i:i + 1], out=w[i:i + 1])[0]
-        pairs = block[upper, lower]
+        block = _sq_dists(pts[i:i + 1], norms[i:i + 1], upper, out=w[i:i + 1])[0]
+        pairs = block[upper]
         t = np.median(pairs) / 4.0 if pairs.size else 0.0
         if not t > 0.0:  # no pair, a zero median, or one whose quarter underflows
             t = 1.0
         np.divide(block, -4.0 * t, out=block)
         np.exp(block, out=block)
-        pairs *= block[upper, lower]
+        pairs *= block[upper]
         energy[i] = pairs.sum()
     return PatchGraph(w=w, degrees=w.sum(axis=2), energy=energy)
 

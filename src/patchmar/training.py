@@ -220,10 +220,14 @@ def epoch_batches(pools, cfg, epoch):
 # penalty
 
 def ldm_penalty(u, points, dual, lam):
-    """lambda * ||U - P + d||_F^2 with U and the DualVariable d constant.
+    """lambda * ||U - P + d||_F^2 with U and the DualVariable d constant, as
+    one graph node whose only parent is the patch-set tensor `points` P: the
+    gradient reaches the network only through P. lam >= 0 holds by
+    `TrainConfig`'s check.
 
-    Gradient reaches the network only through the patch-set tensor `points`.
-    lam >= 0 holds by `TrainConfig`'s check.
+    All in P's dtype, lam rounded to it: the residual r = (U + d) - P, U + d
+    rounded first; the value is the float64 sum of r^2, rounded, times lam;
+    the gradient on P is -r * 2 (g * lam).
     """
     u = np.asarray(u)
     if tuple(u.shape) != tuple(points.shape):
@@ -231,8 +235,16 @@ def ldm_penalty(u, points, dual, lam):
     dvals = dual.values
     if tuple(dvals.shape) != tuple(u.shape):
         raise ShapeError(f"dual shape {dvals.shape} vs u {u.shape}")
-    const = Tensor((u + dvals).astype(points.dtype))
-    return ad.scale(ad.frobenius_sq(ad.sub(const, points)), lam)
+    dtype = points.dtype
+    lam = dtype.type(lam)
+    resid = (u + dvals).astype(dtype)
+    resid -= points.data
+    value = dtype.type(np.square(resid, dtype=np.float64).sum()) * lam
+
+    def bwd(g):
+        return (resid * -dtype.type(2.0 * float(g * lam)),)
+
+    return ad._node(value, (points,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +327,7 @@ def _gradients(net, batch, dual, cfg, mu_bar, rep):
         rep.cg_residual = solved.residual
         rep.cg_iterations = 0  # the solve is direct
         penalty = ldm_penalty(u, points, dual, cfg.lambda_ldm)
-        del points  # its graph node holds it until backward has passed it
+        del points  # the penalty's node holds it until backward has passed it
         losses["ldm_penalty"] = float(penalty.data)
         total = penalty if total is None else ad.add(total, penalty)
 

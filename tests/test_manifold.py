@@ -13,6 +13,7 @@ from patchmar.autodiff import Tensor, ShapeError
 from patchmar.manifold import (DualVariable, PatchGraph, SolveResult, SolverError,
                                build_patch_set, dirichlet_energy,
                                gaussian_weights, normalize_dual, solve_coordinates)
+from test_autodiff import sum_sq
 
 
 def random_points(rng, m, d):
@@ -133,27 +134,40 @@ def test_patch_set_batched_images_keep_input_order():
 
 
 def test_patch_set_geometry_mismatch_rejected():
-    # s comes from the heights, so a code grid whose width is not the
-    # image's gives patch and code rows of different counts
-    img = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
-    bad_code = Tensor(np.zeros((1, 16, 2, 4), dtype=np.float32))
-    with pytest.raises(ShapeError, match="concat: extent mismatch on axis 0: 16 vs 8"):
-        build_patch_set([(img, bad_code, img, bad_code)])
+    # s is the image height over the code height, so a code grid whose width
+    # is not the image's, a grid that leaves a remainder, an image of
+    # another width, an empty grid and a grid finer than the pixels each
+    # fail to tile the image in s x s patches
+    for image, grid in [((16, 16), (2, 4)), ((16, 16), (5, 5)), ((16, 17), (2, 2)),
+                        ((16, 16), (0, 2)), ((4, 4), (8, 8))]:
+        img = Tensor(np.zeros((1, 1) + image, dtype=np.float32))
+        bad_code = Tensor(np.zeros((1, 16) + grid, dtype=np.float32))
+        with pytest.raises(ShapeError, match=re.escape(f"code shape {bad_code.shape} does not "
+                                                       f"tile image shape {img.shape}")):
+            build_patch_set([(img, bad_code, img, bad_code)])
 
 
 def test_patch_set_rejects_unmatched_empty_or_multichannel_input():
-    # a free image of another batch size, or branches of other image sizes,
-    # do not stack into blocks
+    # a free image or a code of another batch size, or branches of other
+    # image sizes, do not stack into blocks; nor do 3-d images
     img = Tensor(np.zeros((1, 1, 16, 16), dtype=np.float32))
     code = Tensor(np.zeros((1, 16, 2, 2), dtype=np.float32))
     two_rows = Tensor(np.zeros((2, 1, 16, 16), dtype=np.float32))
-    with pytest.raises(ShapeError, match="extent mismatch on axis 1: 1 vs 2"):
+    with pytest.raises(ShapeError, match=re.escape("entry 2: shape (1, 1, 16, 16) vs "
+                                                   "(2, 1, 16, 16)")):
         build_patch_set([(two_rows, Tensor(np.zeros((2, 16, 2, 2), dtype=np.float32)),
                           img, code)])
+    with pytest.raises(ShapeError, match=re.escape("code shape (2, 16, 2, 2) does not tile "
+                                                   "image shape (1, 1, 16, 16)")):
+        build_patch_set([(img, Tensor(np.zeros((2, 16, 2, 2), dtype=np.float32)),
+                          img, Tensor(np.zeros((2, 16, 2, 2), dtype=np.float32)))])
     small = Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
     small_code = Tensor(np.zeros((1, 16, 1, 1), dtype=np.float32))
-    with pytest.raises(ShapeError, match="extent mismatch on axis 3: 8 vs 16"):
+    with pytest.raises(ShapeError, match=re.escape("entry 4: shape (1, 1, 8, 8) vs "
+                                                   "(1, 1, 16, 16)")):
         build_patch_set([(img, code, img, code), (small, small_code, small, small_code)])
+    with pytest.raises(ShapeError, match="must be 4-d"):
+        build_patch_set([(Tensor(img.data[0]), code, Tensor(img.data[0]), code)])
     with pytest.raises(ShapeError, match="empty patch-set input"):
         build_patch_set([])
     two = Tensor(np.zeros((1, 2, 16, 16), dtype=np.float32))
@@ -166,9 +180,34 @@ def test_patch_set_is_differentiable_through_both_parts():
     code = Tensor(np.ones((1, 16, 2, 2), dtype=np.float32), requires_grad=True)
     ps = build_patch_set([(img, code, Tensor(np.ones((1, 1, 8, 8), dtype=np.float32)),
                            Tensor(np.ones((1, 16, 2, 2), dtype=np.float32)))])
-    ad.backward(ad.frobenius_sq(ps))  # gradient 2 * ps = 2 everywhere
+    ad.backward(sum_sq(ps))  # gradient 2 * ps = 2 everywhere
     assert np.allclose(img.grad, 2.0)
     assert np.allclose(code.grad, 2.0)
+
+
+def test_patch_set_backward_is_its_forward_transposed():
+    # Every entry element holds its own id, so the forward shows where each
+    # one lands: the patch set is a permutation of the elements, and the
+    # gradient of sum(G * P) on each element is G at that element's row and
+    # column. Two branches at batch 3, a 2 x 3 grid of 4 x 4 patches and 5
+    # code channels, and a free code that needs no gradient gets None.
+    shapes = [(3, 1, 8, 12), (3, 5, 2, 3)] * 4
+    sizes = [math.prod(shape) for shape in shapes]
+    offsets = np.cumsum([0] + sizes)
+    entries = [Tensor(np.arange(o, o + n, dtype=np.float64).reshape(shape), requires_grad=i != 3)
+               for i, (o, n, shape) in enumerate(zip(offsets, sizes, shapes))]
+    ps = build_patch_set([tuple(entries[:4]), tuple(entries[4:])])
+    ids = ps.data.astype(np.int64).ravel()
+    assert np.array_equal(np.sort(ids), np.arange(offsets[-1]))
+    weights = np.random.default_rng(12).standard_normal(ps.shape)
+    ad.backward(ad._node(np.float64(0.0), (ps,), lambda g: (weights * g,)))
+    want = np.empty(offsets[-1])
+    want[ids] = weights.ravel()
+    for i, t in enumerate(entries):
+        if i == 3:
+            assert t.grad is None
+        else:
+            assert np.array_equal(t.grad, want[offsets[i]:offsets[i + 1]].reshape(t.shape))
 
 
 # ------------------------------------------------------------- block order
@@ -361,8 +400,8 @@ def test_bandwidth_is_numpy_median_of_pair_distances_over_four(m, kind):
     else:
         pts = _points_of_kind(m, kind)
     graph = graph_of(pts)
-    sq = manifold._sq_dists(pts[None], np.einsum("ij,ij->i", pts, pts)[None])[0]
     upper = np.triu_indices(m, 1)
+    sq = manifold._sq_dists(pts[None], np.einsum("ij,ij->i", pts, pts)[None], upper)[0]
     pairs = sq[upper]
     if m == 1:
         assert pairs.size == 0 and dense_w(graph).tolist() == [[1.0]]
@@ -395,8 +434,8 @@ def test_block_weights_degrees_and_energy_match_dense_reference():
     blocks = _clustered_blocks(rng, 4, 128, 128)
     graph = _assert_blocks_match_difference_form(blocks)
     assert graph.w.shape == (4, 128, 128) and graph.degrees.shape == (4, 128)
-    sq = manifold._sq_dists(blocks, np.einsum("gij,gij->gi", blocks, blocks))
     upper = np.triu_indices(128, 1)
+    sq = manifold._sq_dists(blocks, np.einsum("gij,gij->gi", blocks, blocks), upper)
     for g, pts in enumerate(blocks):
         ref = _difference_form_weights(pts)[0]
         assert np.all(np.abs(graph.w[g] - ref) <= 1e-12 * ref)

@@ -239,6 +239,46 @@ def test_ldm_penalty_value_and_gradient_match_float64_oracle():
     np.testing.assert_allclose(points.grad, -2.0 * lam * resid, rtol=1e-5, atol=1e-6)
 
 
+def _four_op_penalty(u, p, d, lam, g):
+    """The penalty's value and P-gradient as the chain Tensor(U + d), sub,
+    a float64-summed sum of squares and a scale by lam rounded them, in
+    numpy: each op's float32 result, with lam and the gradient factors
+    rounded to float32 as each op's Python-float scalar was."""
+    const = (u + d).astype(np.float32)
+    r = const - p
+    value = np.float32(np.square(r.astype(np.float64)).sum()) * np.float32(lam)
+    g_sq = g * np.float32(lam)  # the scale's backward
+    g_r = r * np.float32(2.0 * float(g_sq))  # the sum of squares' backward
+    return value, -g_r  # the sub's backward, on its second operand
+
+
+@pytest.mark.parametrize("lam", [0.6, 1e-5])
+def test_ldm_penalty_rounds_as_the_four_op_chain(lam):
+    # bit for bit, alone over eight draws (a sum or product rounded another
+    # way differs in about half of them) and once added to a network loss,
+    # as the step adds it
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        p = rng.standard_normal((256, 64)).astype(np.float32)
+        u = rng.standard_normal((256, 64))
+        d = rng.uniform(size=(256, 64))
+        want_value, want_grad = _four_op_penalty(u, p, d, lam, np.float32(1.0))
+        points = Tensor(p, requires_grad=True)
+        penalty = training.ldm_penalty(u, points, DualVariable(d), lam)
+        assert penalty.dtype == np.float32 and penalty.shape == ()
+        assert np.array_equal(penalty.data, want_value)
+        autodiff.backward(penalty)
+        assert points.grad.dtype == np.float32 and np.array_equal(points.grad, want_grad)
+
+    x = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+    loss = autodiff.mse_loss(x, Tensor(np.zeros((2, 3), dtype=np.float32)))
+    points = Tensor(p, requires_grad=True)
+    total = autodiff.add(loss, training.ldm_penalty(u, points, DualVariable(d), lam))
+    assert np.array_equal(total.data, loss.data + want_value)
+    autodiff.backward(total)
+    assert np.array_equal(points.grad, want_grad)
+
+
 def test_ldm_penalty_rejects_mismatched_shapes():
     points = Tensor(np.zeros((4, 3), dtype=np.float32), requires_grad=True)
     dual = DualVariable(np.zeros((4, 3)))
