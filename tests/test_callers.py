@@ -14,7 +14,9 @@ object it belongs to:
   through a `*` or `**` argument, or assigned by an attribute store on an
   object other than `self`.
 
-They leave unchecked branches inside a function and required fields."""
+They leave unchecked branches inside a function and required fields. The
+first rule also runs over tests/ alone: every helper a test module defines
+is read by some test module."""
 
 import ast
 import math
@@ -23,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFINING = sorted((ROOT / "src" / "patchmar").rglob("*.py"))
 READING = sorted(p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # kept although nothing in src/ or perfbench/ reads or passes them yet,
 # each with its reason
@@ -284,3 +287,10 @@ def test_every_dataclass_default_is_set_outside_tests():
     defining = [p.read_text() for p in DEFINING]
     reading = [p.read_text() for p in READING]
     assert unset_defaults(defining, reading) == sorted(ALLOWED_DEFAULTS)
+
+
+def test_every_test_helper_is_read():
+    # a helper that no test reads any more is deleted with the tests that
+    # used it; pytest itself collects the test_ functions
+    tests = [p.read_text() for p in TESTS]
+    assert [name for name in unread_definitions(tests, tests) if not name.startswith("test_")] == []
