@@ -502,7 +502,7 @@ def test_weights_peak_memory_is_w(kind):
 
 
 @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 127, 128, 129, 200, 257])
-def test_shuffled_blocks_match_difference_form(m):
+def test_operator_matches_dense_w(m):
     # Rows dealt into blocks by a shuffled index, two blocks for an even m:
     # each block is the difference-form W of its own points, in the index's
     # order.
@@ -755,6 +755,8 @@ _EQUIV_CASES = ([(m, "random") for m in (1, 63, 64, 65)]
                 + [(m, kind) for m in (63, 64, 65, 257)
                    for kind in ("one point", "two clusters", "copies")]
                 + [(256, "shuffled groups")])
+# The ids keep the kind names these cases have always run under
+_EQUIV_ID = {"one point": "all equal", "copies": "every third"}.get
 
 
 def _case_blocks(m, kind):
@@ -770,7 +772,7 @@ def _case_blocks(m, kind):
                      1.0 + 2.0 * rng.standard_normal(pts.shape)])
 
 
-@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
+@pytest.mark.parametrize("m,kind", _EQUIV_CASES, ids=_EQUIV_ID)
 def test_each_block_is_built_and_solved_as_if_alone(m, kind):
     # The blocks of a stack do not reach each other: its W, degrees, energy
     # and U equal, byte for byte, those of each block built and solved
@@ -797,9 +799,12 @@ def _assert_matches_dense_solve(graph, v, mu_bar, res):
     assert np.linalg.norm(res.u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
 
 
+# U against one dense np.linalg.solve of the assembled m x m system. The
+# name comes from an earlier solve, "km" its (k, m) layout; ROADMAP item
+# 14c renames the ids.
 @pytest.mark.parametrize("mu_bar", [0.06, 0.6, 1.0, 6.0])
-@pytest.mark.parametrize("m,kind", _EQUIV_CASES)
-def test_solve_matches_one_dense_solve_of_the_assembled_system(m, kind, mu_bar):
+@pytest.mark.parametrize("m,kind", _EQUIV_CASES, ids=_EQUIV_ID)
+def test_km_solve_matches_mk_reference(m, kind, mu_bar):
     # The blocks' bandwidths and weights differ, so a solve that mixed one
     # block's rows, weights or degrees into another's would miss the
     # block-diagonal m x m system. At mu_bar = 6 the weight factor of
@@ -842,7 +847,7 @@ def ldm_sup_systems():
     return systems
 
 
-def test_solve_matches_dense_solve_on_ldm_sup_patch_sets(ldm_sup_systems):
+def test_km_solve_matches_mk_reference_on_ldm_sup_patch_sets(ldm_sup_systems):
     for graph, v, mu_bar, res in ldm_sup_systems:
         _assert_matches_dense_solve(graph, v, mu_bar, res)
 
